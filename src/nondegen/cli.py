@@ -5,9 +5,11 @@ Every numeric value is printed as an exact rational token (never a decimal),
 so any report can be fed back in as input.  The JSON and CSV formats carry
 identical fields: JSON is produced *from* the CSV table, row by row.
 
-Exit codes: 0 success; 1 usage error; 2 problem-file parse error; 3 the model
-outcome is infeasible, unbounded, or the file does not define the needed
-object (no rho for `critical`, no vertices for `larman`, nothing at all).
+Exit codes: 0 success; 1 usage error (bad flag or flag value, unreadable file,
+bad GENERIC_NONDEGEN_ENUM_BOUND); 2 problem-file parse error; 3 the model
+outcome is infeasible, unbounded, above the enumeration bound, or the file
+does not define the needed object (no rho for `critical`, no vertices for
+`larman`, nothing at all); 4 an internal invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     EnumerationBoundError,
     ImproperFunctionError,
     InfeasibleDomainError,
+    InternalError,
     NondegenError,
     OutsideDomainError,
     ProblemParseError,
@@ -46,7 +49,7 @@ from .functions import (
 )
 from .linalg import Vec, format_rational, parse_rational
 from .problemfile import ProblemFile, parse_problem
-from .proximal import find_critical_points, prox
+from .proximal import find_critical_points, prox, resolve_enum_bound
 from .simplex import Infeasible, Unbounded
 
 
@@ -107,9 +110,15 @@ def _load(args) -> ProblemFile:
 
 
 def _sampler(args) -> SamplerConfig:
-    radius = parse_rational(args.radius)
     try:
-        return SamplerConfig(seed=args.seed, bits=args.bits, box_radius=radius)
+        return SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
+    except (RationalParseError, ValueError) as e:
+        raise UsageError(str(e)) from None
+
+
+def _enum_bound(args) -> int:
+    try:
+        return resolve_enum_bound(args.enum_bound)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -238,14 +247,14 @@ def _cmd_larman(args) -> Tuple[int, str, str]:
 def _cmd_prox(args) -> Tuple[int, str, str]:
     f = _load(args).function()
     c = _parse_vec(args.c, f.dim, "--c")
-    x = prox(f, c, args.enum_bound)
+    x = prox(f, c, _enum_bound(args))
     return 0, _csv_table(("x",), [[_join(x)]]), f"PROX at {_point(x)}"
 
 
 def _cmd_critical(args) -> Tuple[int, str, str]:
     inst = _load(args).instance()
     v = _parse_vec(args.v, inst.g.dim, "--v")
-    points = find_critical_points(inst, v, args.enum_bound)
+    points = find_critical_points(inst, v, _enum_bound(args))
     rows = []
     lines = []
     for x, cert in points:
@@ -343,6 +352,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EnumerationBoundError, InfeasibleDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except NondegenError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -80,8 +80,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.bits < 8:
-            raise ValueError("bits must be at least 8")
+        if not (8 <= self.bits <= 64):
+            raise ValueError("bits must be between 8 and 64 (SplitMix64 draws 64 bits)")
         if not self.box_radius > 0:
             raise ValueError("box_radius must be positive")
 

@@ -5,7 +5,11 @@ decision.  Scalars are built through :func:`Q`, which is ``gmpy2.mpq`` when
 gmpy2 is installed (much faster) and ``fractions.Fraction`` otherwise.  Both
 keep values in lowest terms with a positive denominator, so canonical form is
 maintained by construction.  Vectors are plain tuples of scalars and matrices
-are tuples of row tuples; all operations are pure functions.
+are tuples of row tuples; all public operations are pure functions.
+
+``rank`` and ``solve_linear`` share one fraction-free eliminator (Edmonds):
+rows are scaled to integers, each pivot step divides exactly by the previous
+pivot, and rationals are built only from the final rows and the last pivot.
 """
 
 from __future__ import annotations
@@ -13,17 +17,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from math import lcm
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import DimensionMismatchError, RationalParseError
 
 try:  # gmpy2.mpq is a drop-in exact rational with C-speed arithmetic
     from gmpy2 import mpq as Q
-
-    HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Q = Fraction
-    HAVE_GMPY2 = False
 
 # Nominal scalar type for annotations.  At runtime scalars may be gmpy2.mpq,
 # which obeys the same arithmetic/comparison protocol as Fraction.
@@ -33,7 +35,6 @@ Mat = Tuple[Vec, ...]
 
 ZERO = Q(0)
 ONE = Q(1)
-HALF = Q(1, 2)
 
 _RATIONAL_TOKEN = re.compile(r"(-?\d+)(?:/(\d+))?")
 
@@ -104,52 +105,57 @@ def vscale(s, u: Vec) -> Vec:
     return tuple(s * a for a in u)
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
+    """Each row (of integers or rationals) scaled to integers by the lcm of
+    its denominators."""
+    out = []
+    for row in map(list, rows):
+        scale = lcm(*[a.denominator for a in row])  # a list: *generator grows tuple free lists
+        out.append([a.numerator * (scale // a.denominator) for a in row])
+    return out
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
+def _eliminate(M: List[list], ncols: int) -> Tuple[List[int], int]:
+    """Edmonds' fraction-free Gauss-Jordan elimination of the integer rows
+    ``M`` in place, pivoting on the first ``ncols`` columns.
 
-
-def mat_vec(A: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in A)
-
-
-def transpose(A: Mat) -> Mat:
-    if not A:
-        return ()
-    return tuple(zip(*A))
+    Returns the pivot columns and the last pivot ``d``.  Each step replaces
+    every non-pivot row by ``(pivot * row - f * pivot_row) / previous_pivot``;
+    the division is exact because every entry stays a minor of the input
+    (Sylvester's identity).  Afterwards row ``r`` divided by ``d`` is row ``r``
+    of the reduced row echelon form, and the rows past the pivots are zero in
+    the first ``ncols`` columns.
+    """
+    pivots: List[int] = []
+    d = 1
+    nrows = len(M)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        prow = M[r]
+        piv = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = M[i][c]
+            if f:
+                M[i] = [(piv * a - f * b) // d for a, b in zip(M[i], prow)]
+            elif piv != d:
+                M[i] = [piv * a // d for a in M[i]]
+        pivots.append(c)
+        d = piv
+    return pivots, d
 
 
 def rank(A: Iterable[Iterable]) -> int:
-    """Rank via exact Gaussian elimination over the rationals."""
-    rows = [list(map(Q, r)) for r in A]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = ONE / prow[c]
-        if inv != 1:
-            rows[r] = prow = [a * inv for a in prow]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank via exact fraction-free elimination over the rationals."""
+    M = _integer_rows(A)
+    return len(_eliminate(M, len(M[0]))[0]) if M else 0
 
 
 @dataclass(frozen=True)
@@ -181,8 +187,8 @@ def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None
     free variables to zero and the nullspace basis has one vector per free
     column (that column set to one).
     """
-    rows = [list(map(Q, r)) for r in A]
-    rhs = [Q(v) for v in b]
+    rows = [list(r) for r in A]
+    rhs = list(b)
     if len(rhs) != len(rows):
         raise DimensionMismatchError("right-hand side length", len(rows), len(rhs))
     if rows:
@@ -193,38 +199,14 @@ def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None
         if ncols is None:
             raise DimensionMismatchError("column count for empty matrix", "an integer", None)
         n = ncols
-    aug = [row + [rv] for row, rv in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, len(aug)):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        prow = aug[r]
-        inv = ONE / prow[c]
-        if inv != 1:
-            aug[r] = prow = [a * inv for a in prow]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * p for a, p in zip(aug[i], prow)]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return Inconsistent()
+    aug = _integer_rows(row + [rv] for row, rv in zip(rows, rhs))
+    pivot_cols, d = _eliminate(aug, n)
+    if any(row[n] for row in aug[len(pivot_cols) :]):
+        return Inconsistent()
     x = [ZERO] * n
     for idx, c in enumerate(pivot_cols):
-        x[c] = aug[idx][n]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n) if c not in pivot_set]
+        x[c] = Q(aug[idx][n], d)
+    free_cols = [c for c in range(n) if c not in pivot_cols]
     if not free_cols:
         return UniqueSolution(tuple(x))
     basis = []
@@ -232,7 +214,7 @@ def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None
         v = [ZERO] * n
         v[fc] = ONE
         for idx, c in enumerate(pivot_cols):
-            v[c] = -aug[idx][fc]
+            v[c] = Q(-aug[idx][fc], d)
         # canonical sign: leading nonzero entry positive
         lead = next(a for a in v if a != 0)
         if lead < 0:

@@ -3,9 +3,11 @@
 ``prox(f, c)`` minimizes ``f(x) + 1/2 |x - c|^2`` by enumerating candidate
 active sets, solving each square KKT equality system in exact arithmetic, and
 keeping the (necessarily unique) candidate whose multipliers pass all sign
-checks.  Carathéodory's theorem caps useful supports at ``n + 1`` generators,
-which keeps the enumeration small; minimal supports give nonsingular systems,
-so nothing is missed by skipping singular ones.
+checks.  Carathéodory's theorem caps useful supports at ``n + 1`` generators;
+minimal supports give nonsingular systems, so nothing is missed by skipping
+singular ones.  The x-block of every KKT system is ``x_coef * I``, so ``x`` is
+eliminated by a Schur complement: each support costs one s x s solve in its
+multipliers, s = |J| + |I| <= n + 1, built from one Gram matrix per call.
 
 ``minty_transport`` composes the prox of the convex part ``g`` into the map
 ``c -> (x, c - (1 + rho) x)`` that carries subgradients of ``g`` at ``x`` to
@@ -27,24 +29,33 @@ from .functions import (
     NotCritical,
     PolyhedralFunction,
     certify,
-    evaluate,
     subdifferential,
 )
 from .geometry import member
-from .linalg import ONE, Q, Rat, Vec, ZERO, dot, solve_linear, UniqueSolution, vsub, zeros
+from .linalg import ONE, Rat, Vec, ZERO, dot, solve_linear, UniqueSolution, vsub, zeros
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
 ENUM_BOUND_ENV = "GENERIC_NONDEGEN_ENUM_BOUND"
 
 
-def _resolve_bound(bound: Optional[int]) -> int:
-    if bound is not None:
-        return bound
-    env = os.environ.get(ENUM_BOUND_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_BOUND
+def resolve_enum_bound(bound: Optional[int]) -> int:
+    """``bound`` if given, else ``$GENERIC_NONDEGEN_ENUM_BOUND``, else 20.
+
+    A negative bound, or an environment value that is not an integer, raises
+    ``ValueError``.
+    """
+    if bound is None:
+        env = os.environ.get(ENUM_BOUND_ENV)
+        if env is None:
+            return DEFAULT_ENUM_BOUND
+        try:
+            bound = int(env)
+        except ValueError:
+            raise ValueError(f"{ENUM_BOUND_ENV} must be an integer, got {env!r}") from None
+    if bound < 0:
+        raise ValueError(f"enumeration bound must be nonnegative, got {bound}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ class LowerC2Instance:
 
 
 def _check_bound(f: PolyhedralFunction, bound: Optional[int]) -> None:
-    limit = _resolve_bound(bound)
+    limit = resolve_enum_bound(bound)
     count = len(f.pieces) + f.domain.m
     if count > limit:
         raise EnumerationBoundError(count, limit)
@@ -76,6 +87,11 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
         sum_J mu_j = 1
         pieces in J tie pairwise;  constraints in I hold with equality.
 
+    ``x_coef`` is nonzero, so ``x = (rhs_vec - sum_g z_g g) / x_coef`` for the
+    support's generators ``g`` and multipliers ``z = (mu, lam)``; substituted,
+    it leaves a system in ``z`` alone whose determinant is the full one's over
+    ``x_coef**n``, so exactly the same supports are uniquely solvable.
+
     Yields (x, mu, lam, J, I) for every uniquely solvable system.  Supports
     exceeding the Carathéodory cap or yielding singular systems cannot hide a
     solution that no minimal support produces, so they are skipped.
@@ -84,44 +100,33 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     pieces = f.pieces if f.pieces else ((zeros(n), ZERO),)
     k = len(pieces)
     m = f.domain.m
+    gens = [c for c, _ in pieces] + list(f.domain.A)
+    gram = [[dot(g, h) for h in gens] for g in gens]
+    to_rhs = [dot(g, rhs_vec) for g in gens]
     for jsize in range(1, min(k, n + 1) + 1):
         for J in combinations(range(k), jsize):
+            j0 = J[0]
             for isize in range(0, min(m, n + 1 - jsize) + 1):
                 for I in combinations(range(m), isize):
-                    nvars = n + jsize + isize
-                    rows: List[List[Rat]] = []
-                    rhs: List[Rat] = []
-                    for d in range(n):
-                        row = [ZERO] * nvars
-                        row[d] = x_coef
-                        for pos, j in enumerate(J):
-                            row[n + pos] = pieces[j][0][d]
-                        for pos, i in enumerate(I):
-                            row[n + jsize + pos] = f.domain.A[i][d]
-                        rows.append(row)
-                        rhs.append(rhs_vec[d])
-                    row = [ZERO] * nvars
-                    for pos in range(jsize):
-                        row[n + pos] = ONE
-                    rows.append(row)
-                    rhs.append(ONE)
-                    j0 = J[0]
+                    support = [*J, *(k + i for i in I)]
+                    rows = [[ONE] * jsize + [ZERO] * isize]
+                    rhs = [ONE]
                     for j in J[1:]:
-                        row = list(vsub(pieces[j][0], pieces[j0][0])) + [ZERO] * (jsize + isize)
-                        rows.append(row)
-                        rhs.append(pieces[j0][1] - pieces[j][1])
+                        rows.append([gram[j][g] - gram[j0][g] for g in support])
+                        rhs.append(to_rhs[j] - to_rhs[j0] - x_coef * (pieces[j0][1] - pieces[j][1]))
                     for i in I:
-                        row = list(f.domain.A[i]) + [ZERO] * (jsize + isize)
-                        rows.append(row)
-                        rhs.append(f.domain.b[i])
+                        rows.append([gram[k + i][g] for g in support])
+                        rhs.append(to_rhs[k + i] - x_coef * f.domain.b[i])
                     sol = solve_linear(rows, rhs)
                     if not isinstance(sol, UniqueSolution):
                         continue
                     z = sol.x
-                    x = z[:n]
-                    mu = z[n : n + jsize]
-                    lam = z[n + jsize :]
-                    yield x, mu, lam, J, I
+                    # from a list: tuple(generator) grows the tuple free lists on every call
+                    x = tuple([
+                        (rhs_vec[d] - sum(zg * gens[g][d] for zg, g in zip(z, support))) / x_coef
+                        for d in range(n)
+                    ])
+                    yield x, z[:jsize], z[jsize:], J, I
 
 
 def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec:

@@ -41,13 +41,17 @@ def solve_square(rows, rhs):
     return [aug[r][n] for r in range(n)]
 
 
-def gauss_any_solution(rows, rhs, ncols):
-    """Any exact solution of A x = b (free variables zero), or None."""
+def rref(rows, ncols):
+    """Reduced row echelon form of the rows over their first `ncols` columns
+    (later columns ride along), by plain Fraction Gauss-Jordan elimination.
+    Returns the reduced rows and the pivot columns."""
     m = len(rows)
-    aug = [[F(v) for v in rows[i]] + [F(rhs[i])] for i in range(m)]
+    aug = [[F(v) for v in row] for row in rows]
     pivots = []
     r = 0
     for col in range(ncols):
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
         if piv is None:
             continue
@@ -60,11 +64,14 @@ def gauss_any_solution(rows, rhs, ncols):
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return None
+    return aug, pivots
+
+
+def gauss_any_solution(rows, rhs, ncols):
+    """Any exact solution of A x = b (free variables zero), or None."""
+    aug, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(rows)], ncols)
+    if any(aug[i][ncols] != 0 for i in range(len(pivots), len(aug))):
+        return None
     x = [F(0)] * ncols
     for i, col in enumerate(pivots):
         x[col] = aug[i][ncols]
@@ -73,25 +80,7 @@ def gauss_any_solution(rows, rhs, ncols):
 
 def kernel_basis(rows, ncols):
     """Basis of {x : A x = 0} via reduced row echelon form."""
-    m = len(rows)
-    aug = [[F(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = F(1) / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    aug, pivots = rref(rows, ncols)
     basis = []
     free = [c for c in range(ncols) if c not in pivots]
     for fc in free:
@@ -101,6 +90,69 @@ def kernel_basis(rows, ncols):
             v[pc] = -aug[i][fc]
         basis.append(v)
     return basis
+
+
+def solve_linear_oracle(rows, rhs, ncols):
+    """Classify A x = b: ("inconsistent",), ("unique", x) or
+    ("underdetermined", x, basis), with free variables zero in x and each
+    kernel basis vector signed so that its leading nonzero entry is positive."""
+    x = gauss_any_solution(rows, rhs, ncols)
+    if x is None:
+        return ("inconsistent",)
+    basis = kernel_basis(rows, ncols)
+    if not basis:
+        return ("unique", x)
+    signed = [v if next(a for a in v if a != 0) > 0 else [-a for a in v] for v in basis]
+    return ("underdetermined", x, signed)
+
+
+# ---------------------------------------------------------------------------
+# KKT stationarity systems in all unknowns (x, mu, lam)
+
+
+def kkt_solutions_oracle(pieces, rows, rhs, dim, x_coef, target):
+    """Unique solutions (x, mu, lam, J, I) of the square KKT systems
+
+        x_coef * x + sum_J mu_j c_j + sum_I lam_i a_i = target
+        sum_J mu_j = 1;  pieces in J tie;  constraints in I are tight
+
+    in the n + |J| + |I| unknowns, over supports with |J| + |I| <= n + 1,
+    in lexicographic order of (|J|, J, |I|, I).  `pieces` lists (c, d) pairs
+    (the zero function when empty); `rows`/`rhs` are the constraints a x <= b.
+    """
+    n = dim
+    pieces = [([F(v) for v in c], F(d)) for c, d in pieces] or [([F(0)] * n, F(0))]
+    k, m = len(pieces), len(rows)
+    out = []
+    for jsize in range(1, min(k, n + 1) + 1):
+        for J in combinations(range(k), jsize):
+            for isize in range(0, min(m, n + 1 - jsize) + 1):
+                for I in combinations(range(m), isize):
+                    nvars = n + jsize + isize
+                    system, values = [], []
+                    for d in range(n):
+                        row = [F(0)] * nvars
+                        row[d] = F(x_coef)
+                        for pos, j in enumerate(J):
+                            row[n + pos] = pieces[j][0][d]
+                        for pos, i in enumerate(I):
+                            row[n + jsize + pos] = F(rows[i][d])
+                        system.append(row)
+                        values.append(F(target[d]))
+                    system.append([F(0)] * n + [F(1)] * jsize + [F(0)] * isize)
+                    values.append(F(1))
+                    j0 = J[0]
+                    for j in J[1:]:
+                        tie = [a - b for a, b in zip(pieces[j][0], pieces[j0][0])]
+                        system.append(tie + [F(0)] * (jsize + isize))
+                        values.append(pieces[j0][1] - pieces[j][1])
+                    for i in I:
+                        system.append([F(a) for a in rows[i]] + [F(0)] * (jsize + isize))
+                        values.append(F(rhs[i]))
+                    z = solve_square(system, values)
+                    if z is not None:
+                        out.append((z[:n], z[n : n + jsize], z[n + jsize :], J, I))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from conftest import rand_hpoly, rand_polyfun, rand_genset, rand_vec, feasible_points_of, to_frac, vec_frac
 from nondegen.experiments import (
     SamplerConfig,
@@ -76,10 +78,28 @@ LARMAN_INSTANCES = [
     ("random10", random_vpolytope(7, 3, 10), None),  # None: use an edge direction
 ]
 
-# CSV reports kept for the determinism criterion (pytest runs this file top
-# to bottom, so criterion 8 sees the reports of criteria 1 and 7)
-_GENERICITY_CSV = {}
-_LARMAN_CSV = {}
+
+@pytest.fixture(scope="module")
+def genericity_reports():
+    """Criterion 1's reports by label, and the seconds it took to build them
+    (each report and its CSV); criterion 8 reruns against the same CSVs."""
+    start = time.perf_counter()
+    reports = {}
+    for label, f in GENERICITY_INSTANCES:
+        report = run_genericity(f, CFG, 1000)
+        reports[label] = (report, report_to_csv(report))
+    return reports, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def larman_reports():
+    """Criterion 7's reports by label; criterion 8 reruns against their CSVs."""
+    reports = {}
+    for label, F, forced_c in LARMAN_INSTANCES:
+        forced = [forced_c if forced_c is not None else edge_direction(F)]
+        report = run_larman(F, CFG, 1000, forced=forced)
+        reports[label] = (report, larman_to_csv(report))
+    return reports
 
 
 def _verdict(capfd, num: int, title: str, ok: bool, detail: str = "") -> None:
@@ -98,17 +118,15 @@ def _small_polyfun(rng: random.Random, dim: int, max_generators: int = 6):
             return g
 
 
-def test_criterion_1_genericity_suite(capfd):
-    start = time.perf_counter()
+def test_criterion_1_genericity_suite(capfd, genericity_reports):
+    reports, elapsed = genericity_reports
     bad = []
-    for label, f in GENERICITY_INSTANCES:
-        report = run_genericity(f, CFG, 1000)
-        _GENERICITY_CSV[label] = report_to_csv(report)
+    for label, _ in GENERICITY_INSTANCES:
+        report = reports[label][0]
         if report.degenerate or report.non_unique:
             for r in report.records:
                 if r.outcome in ("degenerate", "non_unique"):
                     bad.append(f"{label} trial {r.trial_index} v={r.v}")
-    elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60.0
     detail = f"9 instances x 1000 trials, 0 degenerate/non-unique, {elapsed:.1f}s"
     if bad:
@@ -271,12 +289,10 @@ def test_criterion_6_transport_suite(capfd):
     )
 
 
-def test_criterion_7_larman_suite(capfd):
+def test_criterion_7_larman_suite(capfd, larman_reports):
     failures = []
-    for label, F, forced_c in LARMAN_INSTANCES:
-        forced = [forced_c if forced_c is not None else edge_direction(F)]
-        report = run_larman(F, CFG, 1000, forced=forced)
-        _LARMAN_CSV[label] = larman_to_csv(report)
+    for label, _, _ in LARMAN_INSTANCES:
+        report = larman_reports[label][0]
         if report.multi_vertex_faces != 0:
             failures.append(f"{label}: {report.multi_vertex_faces} sampled multi-vertex faces")
         if report.forced[0].distinct_vertices < 2:
@@ -288,25 +304,26 @@ def test_criterion_7_larman_suite(capfd):
     _verdict(capfd, 7, "sampled directions expose single vertices", ok, detail)
 
 
-def test_criterion_8_byte_identical_reruns(capfd):
+def test_criterion_8_byte_identical_reruns(capfd, genericity_reports, larman_reports):
     mismatches = []
     for label, f in GENERICITY_INSTANCES:
+        expected = genericity_reports[0][label][1]
         rerun = report_to_csv(run_genericity(f, CFG, 1000))
-        if rerun != _GENERICITY_CSV[label]:
+        if rerun != expected:
             mismatches.append(f"{label}: sequential rerun differs")
         order = list(range(1000))
         random.Random(8).shuffle(order)
         with ThreadPoolExecutor(max_workers=4) as pool:
             records = list(pool.map(lambda i, f=f: genericity_trial(f, CFG, i), order))
         parallel = report_to_csv(merge_trials(records, CFG.seed))
-        if parallel != _GENERICITY_CSV[label]:
+        if parallel != expected:
             mismatches.append(f"{label}: parallel rerun differs")
     for label, F, forced_c in LARMAN_INSTANCES:
         forced = [forced_c if forced_c is not None else edge_direction(F)]
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [pool.submit(run_larman, F, CFG, 1000, forced) for _ in range(2)]
             reruns = [larman_to_csv(fut.result()) for fut in futures]
-        if any(r != _LARMAN_CSV[label] for r in reruns):
+        if any(r != larman_reports[label][1] for r in reruns):
             mismatches.append(f"{label}: larman rerun differs")
     ok = not mismatches
     detail = "criteria 1 and 7 reproduce byte-identically, sequential and parallel"

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from nondegen.cli import main
+from nondegen.errors import InternalError
 from nondegen.experiments import SamplerConfig, run_genericity, run_larman, larman_to_csv, report_to_csv
 from nondegen.gallery import box_indicator
 from nondegen.linalg import Q
@@ -152,6 +153,46 @@ def test_enumeration_bound_exit_code(prob, capsys):
     )
     assert code == 3
     assert "enumeration bound" in err
+
+
+@pytest.mark.parametrize("bound", ["-5", "abc"])
+def test_bad_enumeration_bound_flag_is_usage_error(prob, capsys, bound):
+    code, _, err = run(
+        capsys, "prox", prob("box.prob", BOX), "--c", "0,0", "--enum-bound", bound
+    )
+    assert code == 1
+    assert "bound" in err
+
+
+@pytest.mark.parametrize("bound", ["abc", "-5", "2.5", ""])
+def test_bad_enumeration_bound_environment_is_usage_error(prob, capsys, monkeypatch, bound):
+    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", bound)
+    for argv in (("prox", prob("box.prob", BOX), "--c", "0,0"),
+                 ("critical", prob("abs.prob", ABS_RHO), "--v", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "bound" in err.lower()
+
+
+def test_internal_error_has_its_own_exit_code(prob, capsys, monkeypatch):
+    def broken(*args):
+        raise InternalError("invariant failed")
+
+    monkeypatch.setattr("nondegen.cli.prox", broken)
+    code, _, err = run(capsys, "prox", prob("abs.prob", ABS), "--c", "3")
+    assert code == 4
+    assert "invariant failed" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,named", [("--bits", "200", "bits"), ("--radius", "0.5", "0.5"), ("--radius", "0", "radius")]
+)
+def test_bad_sampler_flag_is_usage_error(prob, capsys, flag, value, named):
+    code, _, err = run(
+        capsys, "genericity", prob("box.prob", BOX), "--trials", "3", "--seed", "1", flag, value
+    )
+    assert code == 1
+    assert named in err
 
 
 def test_negative_trials_is_usage_error(prob, capsys):

@@ -69,6 +69,8 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, bits=7)
     with pytest.raises(ValueError):
+        SamplerConfig(seed=0, bits=65)
+    with pytest.raises(ValueError):
         SamplerConfig(seed=0, box_radius=Q(0))
 
 

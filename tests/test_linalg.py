@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, to_frac
+from conftest import qv, to_frac, vec_frac
 from nondegen import (
     Inconsistent,
     Q,
@@ -19,7 +19,8 @@ from nondegen import (
     solve_linear,
 )
 from nondegen.errors import DimensionMismatchError, RationalParseError
-from nondegen.linalg import dot, mat_vec, transpose, vadd, vscale, vsub
+from nondegen.linalg import dot, vadd, vscale, vsub
+from oracles import rref, solve_linear_oracle
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -95,6 +96,14 @@ def test_rank_examples():
     assert rank([]) == 0
 
 
+def mat_vec(A, x):
+    return tuple(dot(row, x) for row in A)
+
+
+def transpose(A):
+    return tuple(zip(*A))
+
+
 small_mats = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-6, 6).map(Q), min_size=n, max_size=n),
@@ -139,3 +148,70 @@ def test_vector_helpers_agree_with_fractions(u, v, s):
     assert [to_frac(c) for c in vadd(tuple(u), tuple(v))] == [a + b for a, b in zip(uf, vf)]
     assert [to_frac(c) for c in vsub(tuple(u), tuple(v))] == [a - b for a, b in zip(uf, vf)]
     assert [to_frac(c) for c in vscale(s, tuple(u))] == [to_frac(s) * a for a in uf]
+
+
+# ---------------------------------------------------------------------------
+# rank and solve_linear against a plain Fraction Gauss-Jordan oracle
+# ---------------------------------------------------------------------------
+
+
+def _classified(out):
+    if isinstance(out, Inconsistent):
+        return ("inconsistent",)
+    if isinstance(out, UniqueSolution):
+        return ("unique", vec_frac(out.x))
+    return ("underdetermined", vec_frac(out.x), [vec_frac(v) for v in out.nullspace])
+
+
+def _agrees_with_oracle(A, b, ncols):
+    rows = [[to_frac(a) for a in row] for row in A]
+    expected = solve_linear_oracle(rows, [to_frac(v) for v in b], ncols)
+    assert _classified(solve_linear(A, b, ncols=ncols)) == expected
+    assert rank(A) == len(rref(rows, ncols)[1])
+    return expected[0]
+
+
+BIG = 2**64 + 13
+
+ORACLE_CASES = [
+    ("unique", [[2, 1], [1, 3]], [1, 2], 2),
+    ("underdetermined", [[1, 2, 3], [2, 4, 7]], [1, 1], 3),
+    ("underdetermined", [[0, 1, -1, 2]], [5], 4),
+    ("inconsistent", [[1, 1], [2, 2]], [1, 3], 2),
+    ("underdetermined", [[0, 0, 0], [1, 0, 1]], [0, 2], 3),
+    ("inconsistent", [[0, 0]], [1], 2),
+    ("underdetermined", [], [], 3),
+    ("unique", [[Q(1, BIG), Q(BIG, 3)], [Q(-7, BIG + 2), Q(1, 2)]], [Q(5, BIG), 1], 2),
+]
+
+
+@pytest.mark.parametrize("kind,A,b,ncols", ORACLE_CASES)
+def test_elimination_matches_oracle_on_named_cases(kind, A, b, ncols):
+    A = [[Q(a) for a in row] for row in A]
+    assert _agrees_with_oracle(A, [Q(v) for v in b], ncols) == kind
+
+
+oracle_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(2**64, 2**80)),
+).map(Q)
+
+
+@given(st.integers(0, 5), st.integers(1, 5), st.data())
+@settings(deadline=None, max_examples=150)
+def test_elimination_matches_oracle_on_random_systems(nrows, ncols, data):
+    A = data.draw(
+        st.lists(
+            st.lists(oracle_entries, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        ),
+        label="A",
+    )
+    if nrows > 1 and data.draw(st.booleans(), label="dependent row"):
+        # a combination of two rows makes rank deficiency common
+        s, t = data.draw(oracle_entries, label="s"), data.draw(oracle_entries, label="t")
+        A[-1] = [s * a + t * c for a, c in zip(A[0], A[1 % (nrows - 1)])]
+    b = data.draw(st.lists(oracle_entries, min_size=nrows, max_size=nrows), label="b")
+    _agrees_with_oracle(A, b, ncols)

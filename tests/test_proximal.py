@@ -20,11 +20,12 @@ from nondegen.geometry import Boundary, Interior, member, ri_membership, transla
 from nondegen.linalg import Q, dot, vscale, vsub, zeros
 from nondegen.proximal import (
     LowerC2Instance,
+    _kkt_solutions,
     find_critical_points,
     minty_transport,
     prox,
 )
-from oracles import critical_points_1d, prox_1d
+from oracles import critical_points_1d, kkt_solutions_oracle, prox_1d
 
 ABS_RHO_1 = LowerC2Instance(abs_function(), Q(1))
 
@@ -240,3 +241,28 @@ def test_critical_points_solve_the_inclusion(seed):
             assert isinstance(status, Interior)
         else:
             assert isinstance(status, Boundary)
+
+
+@given(st.integers(0, 100_000))
+@settings(deadline=None, max_examples=40)
+def test_reduced_kkt_systems_match_the_full_systems(seed):
+    """The multiplier-only systems yield exactly the supports and solutions
+    of the square systems in (x, mu, lam), for prox and for critical points."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    g = rand_polyfun(rng, dim)
+    while len(g.pieces) + g.domain.m > 8:
+        g = rand_polyfun(rng, dim)
+    target = rand_vec(rng, dim)
+    rho = Q(rng.randint(1, 4), rng.randint(1, 3))
+    pieces = [(vec_frac(c), to_frac(d)) for c, d in g.pieces]
+    rows = [vec_frac(row) for row in g.domain.A]
+    for x_coef in (Q(1), -rho):
+        got = [
+            (vec_frac(x), vec_frac(mu), vec_frac(lam), J, I)
+            for x, mu, lam, J, I in _kkt_solutions(g, x_coef, target)
+        ]
+        expected = kkt_solutions_oracle(
+            pieces, rows, vec_frac(g.domain.b), dim, to_frac(x_coef), vec_frac(target)
+        )
+        assert got == expected
