@@ -4,25 +4,18 @@
 For each instance the objective is tilted by random rational directions v and
 the minimizer of f - <v, .> is certified exactly.  Per-trial records go to one
 CSV per instance; a summary table is printed at the end.  Reports are
-bit-identical for a fixed (instance, seed, trials) triple, also when trials
-are spread over worker threads.
+bit-identical for a fixed (instance, seed, trials) triple.
 """
 
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nondegen.experiments import (
-    SamplerConfig,
-    genericity_trial,
-    merge_trials,
-    report_to_csv,
-    run_genericity,
-)
+from nondegen.errors import RationalParseError
+from nondegen.experiments import SamplerConfig, report_to_csv, run_genericity
 from nondegen.functions import PolyhedralFunction
 from nondegen.gallery import (
     abs_function,
@@ -32,7 +25,7 @@ from nondegen.gallery import (
     random_polytope,
     simplex_indicator,
 )
-from nondegen.linalg import Q
+from nondegen.linalg import parse_rational
 
 
 def instance_gallery():
@@ -50,27 +43,21 @@ def instance_gallery():
     ]
 
 
-def run_one(f, cfg, trials, jobs):
-    if jobs <= 1:
-        return run_genericity(f, cfg, trials)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        records = pool.map(lambda i: genericity_trial(f, cfg, i), range(trials))
-        return merge_trials(records, cfg.seed)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=1000, help="trials per instance")
     parser.add_argument("--seed", type=int, default=42, help="base PRNG seed")
     parser.add_argument("--bits", type=int, default=64, help="bit width of sampled rationals")
     parser.add_argument("--radius", default="1", help="sampling box radius (rational token)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads per instance")
     parser.add_argument(
         "--outdir", type=Path, default=Path("results/genericity"), help="CSV output directory"
     )
     args = parser.parse_args(argv)
 
-    cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=Q(args.radius))
+    try:
+        cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
+    except (RationalParseError, ValueError) as e:
+        parser.error(str(e))
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     header = f"{'instance':<12} {'trials':>6} {'nondeg':>7} {'degen':>6} {'non_unique':>10} {'unbounded':>9} {'secs':>6}"
@@ -79,7 +66,7 @@ def main(argv=None):
     total_bad = 0
     for name, f in instance_gallery():
         t0 = time.perf_counter()
-        report = run_one(f, cfg, args.trials, args.jobs)
+        report = run_genericity(f, cfg, args.trials)
         elapsed = time.perf_counter() - t0
         path = args.outdir / f"{name}.csv"
         path.write_text(report_to_csv(report))

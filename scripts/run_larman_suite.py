@@ -15,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from nondegen.errors import RationalParseError
 from nondegen.experiments import SamplerConfig, larman_to_csv, run_larman
 from nondegen.gallery import (
     cube_vertices,
@@ -22,7 +23,7 @@ from nondegen.gallery import (
     random_vpolytope,
     square_vertices,
 )
-from nondegen.linalg import Q
+from nondegen.linalg import parse_rational
 
 
 def polytope_gallery():
@@ -45,7 +46,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=Q(args.radius))
+    try:
+        cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
+    except (RationalParseError, ValueError) as e:
+        parser.error(str(e))
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     header = f"{'polytope':<10} {'trials':>6} {'singleton':>9} {'multi':>6} {'forced dir -> vertices':>24} {'secs':>6}"

@@ -63,6 +63,7 @@ from .functions import (
     NotCritical,
     PolyhedralFunction,
     Witness,
+    argmin_face,
     canonical_minimizer,
     certify,
     evaluate,
@@ -86,6 +87,7 @@ from .experiments import (
     SplitMix64,
     TrialRecord,
     construct_degenerate,
+    csv_table,
     genericity_trial,
     larman_to_csv,
     merge_trials,

@@ -3,13 +3,15 @@
 Commands: minimize, certify, genericity, adversarial, larman, prox, critical.
 Every numeric value is printed as an exact rational token (never a decimal),
 so any report can be fed back in as input.  The JSON and CSV formats carry
-identical fields: JSON is produced *from* the CSV table, row by row.
+identical fields: JSON is produced *from* the CSV table, row by row, and every
+CSV table is written by ``experiments.csv_table``.
 
 Exit codes: 0 success; 1 usage error (bad flag or flag value, unreadable file,
 bad GENERIC_NONDEGEN_ENUM_BOUND); 2 problem-file parse error; 3 the model
 outcome is infeasible, unbounded, above the enumeration bound, or the file
-does not define the needed object (no rho for `critical`, no vertices for
-`larman`, nothing at all); 4 an internal invariant failed (a bug).
+does not define the needed object (no rho for `critical`, no vertices or fewer
+than 2 distinct ones for `larman`, nothing at all); 4 an internal invariant
+failed (a bug).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
+    DegeneratePolytopeError,
     EnumerationBoundError,
     ImproperFunctionError,
     InfeasibleDomainError,
@@ -34,7 +37,9 @@ from .errors import (
 )
 from .experiments import (
     SamplerConfig,
+    _join_vec,
     construct_degenerate,
+    csv_table,
     larman_to_csv,
     report_to_csv,
     run_genericity,
@@ -74,10 +79,6 @@ def _point(x: Vec) -> str:
     return "(" + ", ".join(format_rational(c) for c in x) + ")"
 
 
-def _join(x: Optional[Vec]) -> str:
-    return "" if x is None else ";".join(format_rational(c) for c in x)
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,15 +95,6 @@ def _parse_vec(text: str, dim: int, flag: str) -> Vec:
         return tuple(parse_rational(t.strip()) for t in tokens)
     except RationalParseError as e:
         raise UsageError(f"{flag}: {e}") from None
-
-
-def _csv_table(fields: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(fields)
-    for row in rows:
-        w.writerow(row)
-    return out.getvalue()
 
 
 def _load(args) -> ProblemFile:
@@ -128,7 +120,7 @@ def _cmd_minimize(args) -> Tuple[int, str, str]:
     v = _parse_vec(args.v, f.dim, "--v")
     res = canonical_minimizer(f, v)
     if isinstance(res, Minimizer):
-        row = ["minimizer", _join(res.x), format_rational(res.value)]
+        row = ["minimizer", _join_vec(res.x), format_rational(res.value)]
         text = f"MINIMIZER at {_point(res.x)}; value {format_rational(res.value)}"
         code = 0
     elif isinstance(res, Unbounded):
@@ -139,7 +131,7 @@ def _cmd_minimize(args) -> Tuple[int, str, str]:
         row = ["infeasible", "", ""]
         text = "INFEASIBLE"
         code = 3
-    return code, _csv_table(("outcome", "x", "value"), [row]), text
+    return code, csv_table(("outcome", "x", "value"), [row]), text
 
 
 def _certify_witness_tokens(f, cert: Nondegenerate) -> List[str]:
@@ -158,11 +150,11 @@ def _cmd_certify(args) -> Tuple[int, str, str]:
     else:
         res = canonical_minimizer(f, v)
         if isinstance(res, Unbounded):
-            return 3, _csv_table(("outcome", "x", "witness"), [["unbounded", "", ""]]), "UNBOUNDED"
+            return 3, csv_table(("outcome", "x", "witness"), [["unbounded", "", ""]]), "UNBOUNDED"
         if isinstance(res, Infeasible):
             return (
                 3,
-                _csv_table(("outcome", "x", "witness"), [["infeasible", "", ""]]),
+                csv_table(("outcome", "x", "witness"), [["infeasible", "", ""]]),
                 "INFEASIBLE",
             )
         x = res.x
@@ -172,18 +164,18 @@ def _cmd_certify(args) -> Tuple[int, str, str]:
         raise UsageError(f"--x: {e}") from None
     if isinstance(cert, Nondegenerate):
         tokens = _certify_witness_tokens(f, cert)
-        row = ["nondegenerate", _join(x), ";".join(tokens)]
+        row = ["nondegenerate", _join_vec(x), ";".join(tokens)]
         text = f"NONDEGENERATE at {_point(x)}; witness {','.join(tokens)}"
     elif isinstance(cert, DegenerateCritical):
-        row = ["degenerate", _join(x), ""]
+        row = ["degenerate", _join_vec(x), ""]
         text = (
             f"DEGENERATE at {_point(x)}: v lies on rb ∂f; "
             "no strictly complementary dual exists"
         )
     else:
-        row = ["not_critical", _join(x), ""]
+        row = ["not_critical", _join_vec(x), ""]
         text = f"NOT CRITICAL at {_point(x)}: v is not a subgradient there"
-    return 0, _csv_table(("outcome", "x", "witness"), [row]), text
+    return 0, csv_table(("outcome", "x", "witness"), [row]), text
 
 
 def _cmd_genericity(args) -> Tuple[int, str, str]:
@@ -206,19 +198,19 @@ def _cmd_genericity(args) -> Tuple[int, str, str]:
     ]
     for r in rep.records:
         if r.outcome in ("degenerate", "non_unique"):
-            lines.append(f"hit trial={r.trial_index} outcome={r.outcome} v={_join(r.v)}")
+            lines.append(f"hit trial={r.trial_index} outcome={r.outcome} v={_join_vec(r.v)}")
     return 0, csv_text, "\n".join(lines)
 
 
 def _cmd_adversarial(args) -> Tuple[int, str, str]:
     f = _load(args).function()
     rep = construct_degenerate(f)
-    rows = [[_join(v), _join(x)] for v, x in rep.pairs]
+    rows = [[_join_vec(v), _join_vec(x)] for v, x in rep.pairs]
     if rep.pairs:
         text = "\n".join(f"v={_point(v)} at x={_point(x)}" for v, x in rep.pairs)
     else:
         text = rep.status
-    return 0, _csv_table(("v", "x"), rows), text
+    return 0, csv_table(("v", "x"), rows), text
 
 
 def _cmd_larman(args) -> Tuple[int, str, str]:
@@ -240,7 +232,7 @@ def _cmd_larman(args) -> Tuple[int, str, str]:
     ]
     for r in rep.records:
         if r.distinct_vertices > 1:
-            lines.append(f"hit trial={r.label} c={_join(r.c)}")
+            lines.append(f"hit trial={r.label} c={_join_vec(r.c)}")
     return 0, csv_text, "\n".join(lines)
 
 
@@ -248,7 +240,7 @@ def _cmd_prox(args) -> Tuple[int, str, str]:
     f = _load(args).function()
     c = _parse_vec(args.c, f.dim, "--c")
     x = prox(f, c, _enum_bound(args))
-    return 0, _csv_table(("x",), [[_join(x)]]), f"PROX at {_point(x)}"
+    return 0, csv_table(("x",), [[_join_vec(x)]]), f"PROX at {_point(x)}"
 
 
 def _cmd_critical(args) -> Tuple[int, str, str]:
@@ -259,10 +251,10 @@ def _cmd_critical(args) -> Tuple[int, str, str]:
     lines = []
     for x, cert in points:
         kind = "degenerate" if isinstance(cert, DegenerateCritical) else "nondegenerate"
-        rows.append([_join(x), kind])
+        rows.append([_join_vec(x), kind])
         lines.append(f"CRITICAL at {_point(x)}: {kind.upper()}")
     text = "\n".join(lines) if lines else "NO CRITICAL POINTS"
-    return 0, _csv_table(("x", "certification"), rows), text
+    return 0, csv_table(("x", "certification"), rows), text
 
 
 def build_parser() -> _Parser:
@@ -349,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ProblemParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (EnumerationBoundError, InfeasibleDomainError) as e:
+    except (DegeneratePolytopeError, EnumerationBoundError, InfeasibleDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except InternalError as e:

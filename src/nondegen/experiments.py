@@ -14,7 +14,8 @@ exposing two or more vertices lies on the shared boundary of two
 full-dimensional vertex normal cones.
 
 Per-trial PRNG streams are derived from (seed, trial index), so any execution
-order — including concurrent — produces bit-identical reports.
+order — including concurrent — produces bit-identical reports.  Every report
+is written by :func:`csv_table`, with vectors joined by :func:`_join_vec`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .functions import (
     Minimizer,
     Nondegenerate,
     PolyhedralFunction,
+    argmin_face,
     certify,
     minimize_perturbed,
     subdifferential,
@@ -41,14 +43,11 @@ from .linalg import (
     Q,
     Rat,
     Vec,
-    ZERO,
-    dot,
     format_rational,
     rank,
     solve_linear,
     Inconsistent,
     vsub,
-    zeros,
 )
 from .simplex import Infeasible, Unbounded, feasible_point
 
@@ -128,24 +127,15 @@ class ExperimentReport:
 def _optimal_face_is_point(f: PolyhedralFunction, v: Vec, x_bar: Vec, value: Rat) -> bool:
     """Exact uniqueness of the minimizer of ``f - <v, .>``.
 
-    The argmin set is the polyhedron {x : Ax <= b, <c_j - v, x> <= value - d_j};
-    it collapses to the single point ``x_bar`` iff the cone of its constraint
-    normals tight at ``x_bar`` is all of R^n, i.e. has full rank and is a
-    linear subspace.
+    The :func:`argmin_face` collapses to the single point ``x_bar`` iff the
+    cone of its constraint normals tight at ``x_bar`` is all of R^n, i.e. has
+    full rank and is a linear subspace.
     """
-    n = f.dim
-    pieces = f.pieces if f.pieces else ((zeros(n), ZERO),)
-    tight: List[Vec] = []
-    for arow, b in zip(f.domain.A, f.domain.b):
-        if dot(arow, x_bar) == b:
-            tight.append(arow)
-    for c, d in pieces:
-        normal = vsub(c, v)
-        if dot(normal, x_bar) == value - d:
-            tight.append(normal)
-    if not tight or rank(tight) < n:
+    face = argmin_face(f, v, value)
+    tight = [face.A[i] for i in face.active_set(x_bar)]
+    if not tight or rank(tight) < f.dim:
         return False
-    return _cone_is_subspace(tight, n)
+    return _cone_is_subspace(tight, f.dim)
 
 
 def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int) -> TrialRecord:
@@ -194,17 +184,25 @@ CSV_FIELDS = ("trial_index", "v", "outcome", "minimizer", "min_witness_coeff")
 
 
 def _join_vec(x: Optional[Vec]) -> str:
+    """A vector as one CSV cell: exact rationals joined by ``;``, empty for None."""
     if x is None:
         return ""
     return ";".join(format_rational(c) for c in x)
 
 
-def report_to_csv(report: ExperimentReport) -> str:
+def csv_table(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The report format: a header row, then one row per record, Unix line ends."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(CSV_FIELDS)
-    for r in report.records:
-        w.writerow(
+    w.writerow(fields)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def report_to_csv(report: ExperimentReport) -> str:
+    return csv_table(
+        CSV_FIELDS,
+        (
             [
                 r.trial_index,
                 _join_vec(r.v),
@@ -212,8 +210,9 @@ def report_to_csv(report: ExperimentReport) -> str:
                 _join_vec(r.minimizer),
                 "" if r.min_witness_coeff is None else format_rational(r.min_witness_coeff),
             ]
-        )
-    return out.getvalue()
+            for r in report.records
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +357,9 @@ LARMAN_CSV_FIELDS = ("trial", "c", "outcome", "distinct_vertices", "face_indices
 
 
 def larman_to_csv(report: LarmanReport) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(LARMAN_CSV_FIELDS)
-    for r in list(report.records) + list(report.forced):
-        w.writerow(
+    return csv_table(
+        LARMAN_CSV_FIELDS,
+        (
             [
                 r.label,
                 _join_vec(r.c),
@@ -370,5 +367,6 @@ def larman_to_csv(report: LarmanReport) -> str:
                 r.distinct_vertices,
                 ";".join(str(i) for i in r.face_indices),
             ]
-        )
-    return out.getvalue()
+            for r in (*report.records, *report.forced)
+        ),
+    )

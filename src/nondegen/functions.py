@@ -11,6 +11,11 @@ activity meaning exact rational equality — there are no tolerances anywhere.
 its relative interior (nondegenerate), on the relative boundary (degenerate
 critical), or outside (not critical).  :func:`strict_complementarity` exposes
 the LP face of the same trichotomy.
+
+Two conventions about the data ``(pieces, domain)`` live here and nowhere
+else: a function without pieces is the zero function on its domain, read
+through :attr:`PolyhedralFunction.terms`, and the argmin set of a tilted
+function is the polyhedron built by :func:`argmin_face`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .geometry import (
     positive_combination,
     ri_membership,
 )
-from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, dot, mat, vec, vsub, zeros
+from .linalg import ONE, Q, Rat, Vec, ZERO, dot, mat, vec, vsub, zeros
 from .simplex import (
     HPolyhedron,
     Infeasible,
@@ -44,7 +49,7 @@ Piece = Tuple[Vec, Rat]  # (c, d) meaning <c, x> + d
 @dataclass(frozen=True)
 class PolyhedralFunction:
     """max_j (<c_j, x> + d_j) on ``domain``, +inf outside; no pieces means the
-    zero function on the domain."""
+    zero function on the domain, whose one piece :attr:`terms` supplies."""
 
     pieces: Tuple[Piece, ...]
     domain: HPolyhedron
@@ -56,6 +61,11 @@ class PolyhedralFunction:
         for j, (c, _) in enumerate(self.pieces):
             if len(c) != self.dim:
                 raise DimensionMismatchError(f"piece {j} gradient dimension", self.dim, len(c))
+
+    @property
+    def terms(self) -> Tuple[Piece, ...]:
+        """The pieces, or the single zero piece ``(0, 0)`` when there are none."""
+        return self.pieces if self.pieces else ((zeros(self.dim), ZERO),)
 
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
@@ -78,9 +88,7 @@ def evaluate(f: PolyhedralFunction, x: Vec) -> Union[Rat, float]:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
     if f.domain.violation_index(x) is not None:
         return math.inf
-    if not f.pieces:
-        return ZERO
-    return max(dot(c, x) + d for c, d in f.pieces)
+    return max(dot(c, x) + d for c, d in f.terms)
 
 
 def _active_structure(f: PolyhedralFunction, x: Vec):
@@ -94,15 +102,11 @@ def _active_structure(f: PolyhedralFunction, x: Vec):
     bad = f.domain.violation_index(x)
     if bad is not None:
         raise OutsideDomainError(bad)
-    if f.pieces:
-        values = [dot(c, x) + d for c, d in f.pieces]
-        top = max(values)
-        active_pieces = tuple(j for j, val in enumerate(values) if val == top)
-        points = tuple(f.pieces[j][0] for j in active_pieces)
-    else:
-        # The zero function contributes the single gradient 0 everywhere.
-        active_pieces = (0,)
-        points = (zeros(f.dim),)
+    terms = f.terms
+    values = [dot(c, x) + d for c, d in terms]
+    top = max(values)
+    active_pieces = tuple(j for j, val in enumerate(values) if val == top)
+    points = tuple(terms[j][0] for j in active_pieces)
     active_cons = f.domain.active_set(x)
     rays = tuple(f.domain.A[i] for i in active_cons)
     return points, rays, active_pieces, active_cons
@@ -119,8 +123,7 @@ def perturbed(f: PolyhedralFunction, v: Vec) -> "PolyhedralFunction":
     """The tilted function ``x -> f(x) - <v, x>`` as a PolyhedralFunction."""
     if len(v) != f.dim:
         raise DimensionMismatchError("tilt dimension", f.dim, len(v))
-    pieces = f.pieces if f.pieces else ((zeros(f.dim), ZERO),)
-    tilted = tuple((tuple(a - b for a, b in zip(c, v)), d) for c, d in pieces)
+    tilted = tuple((tuple(a - b for a, b in zip(c, v)), d) for c, d in f.terms)
     return PolyhedralFunction(tilted, f.domain, f.dim)
 
 
@@ -143,10 +146,9 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     if len(v) != f.dim:
         raise DimensionMismatchError("tilt dimension", f.dim, len(v))
     n = f.dim
-    pieces = f.pieces if f.pieces else ((zeros(n), ZERO),)
     rows: List[List[Rat]] = []
     rhs: List[Rat] = []
-    for c, d in pieces:
+    for c, d in f.terms:
         rows.append(list(c) + [-ONE])
         rhs.append(-d)
     for arow, b in zip(f.domain.A, f.domain.b):
@@ -166,25 +168,33 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     return res
 
 
+def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:
+    """The argmin set of ``f - <v, .>`` when its minimum is ``value``:
+
+        {x : A x <= b,  <c_j - v, x> <= value - d_j for every term j},
+
+    with the domain rows first, then one row per term in order."""
+    terms = f.terms
+    rows = list(f.domain.A) + [vsub(c, v) for c, _ in terms]
+    rhs = list(f.domain.b) + [value - d for _, d in terms]
+    return HPolyhedron(tuple(rows), tuple(rhs), f.dim)
+
+
 def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     """Like :func:`minimize_perturbed`, but pivot-order independent: among all
     minimizers, return the lexicographically greatest one.
 
-    The argmin set is itself a polyhedron ({x : Ax <= b, <c_j - v, x> <=
-    value - d_j}); each coordinate is maximized over it in turn, fixing the
-    result before moving to the next.  When the argmin set is unbounded in
+    Each coordinate is maximized over the :func:`argmin_face` in turn, fixing
+    the result before moving to the next.  When the argmin set is unbounded in
     some coordinate direction, that coordinate is kept from the base solve
     (still deterministic, no longer canonical)."""
     res = minimize_perturbed(f, v)
     if not isinstance(res, Minimizer):
         return res
     n = f.dim
-    pieces = f.pieces if f.pieces else ((zeros(n), ZERO),)
-    rows: List[Vec] = list(f.domain.A)
-    rhs: List[Rat] = list(f.domain.b)
-    for c, d in pieces:
-        rows.append(vsub(c, v))
-        rhs.append(res.value - d)
+    face = argmin_face(f, v, res.value)
+    rows: List[Vec] = list(face.A)
+    rhs: List[Rat] = list(face.b)
     x = list(res.x)
     for d in range(n):
         e_d = tuple(ONE if j == d else ZERO for j in range(n))
@@ -245,8 +255,7 @@ def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
     if isinstance(status, Boundary):
         return DegenerateCritical()
     assert isinstance(status, Interior)
-    n_pieces = len(f.pieces) if f.pieces else 1
-    pw = [ZERO] * n_pieces
+    pw = [ZERO] * len(f.terms)
     for coeff, pos in zip(status.point_coeffs, status.point_index):
         pw[active_pieces[pos]] = coeff
     cm = [ZERO] * f.domain.m

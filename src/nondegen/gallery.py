@@ -10,7 +10,7 @@ always names the same instance.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 from .errors import InternalError
 from .experiments import SamplerConfig, SplitMix64, _stream_vector

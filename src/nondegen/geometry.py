@@ -24,7 +24,7 @@ from .errors import (
     InternalError,
     OutsideDomainError,
 )
-from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, dot, mat, rank, vadd, vec, vsub
+from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, dot, mat, rank, vsub
 from .simplex import (
     HPolyhedron,
     KernelInfeasible,
@@ -48,10 +48,6 @@ class GeneratedSet:
             for i, v in enumerate(vecs):
                 if len(v) != self.dim:
                     raise DimensionMismatchError(f"{label} {i} dimension", self.dim, len(v))
-
-    @classmethod
-    def from_generators(cls, points, rays, dim: int) -> "GeneratedSet":
-        return cls(mat(points), mat(rays), dim)
 
     @property
     def is_empty(self) -> bool:
@@ -319,14 +315,12 @@ def positive_combination(S: GeneratedSet, y: Vec) -> Optional[Tuple[Vec, Vec]]:
 def positive_span_is_subspace(S: GeneratedSet) -> bool:
     """True iff the positive span ``R+ . S`` is a linear subspace.
 
-    Decided by checking ``-w in cone(points + rays)`` for every generator
-    ``w``: the positive span is a subspace exactly when the cone jointly
-    generated by the points and rays is one.
+    The positive span is the cone jointly generated by the points and rays,
+    so one :func:`_cone_is_subspace` LP decides it.
     """
     if S.is_empty:
         raise EmptyGeneratedSetError()
-    gens = list(S.points) + list(S.rays)
-    return all(_cone_member(gens, tuple(-a for a in w)) for w in gens)
+    return _cone_is_subspace(list(S.points) + list(S.rays), S.dim)
 
 
 def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:

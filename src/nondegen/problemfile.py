@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from .errors import ImproperFunctionError, ProblemParseError, RationalParseError
 from .functions import Piece, PolyhedralFunction
 from .geometry import VPolytope
-from .linalg import Mat, Q, Rat, Vec, format_rational, parse_rational
+from .linalg import Mat, Rat, Vec, format_rational, parse_rational
 from .proximal import LowerC2Instance
 from .simplex import HPolyhedron
 

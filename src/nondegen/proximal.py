@@ -32,7 +32,7 @@ from .functions import (
     subdifferential,
 )
 from .geometry import member
-from .linalg import ONE, Rat, Vec, ZERO, dot, solve_linear, UniqueSolution, vsub, zeros
+from .linalg import ONE, Rat, Vec, ZERO, dot, solve_linear, UniqueSolution, vsub
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
@@ -97,7 +97,7 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     solution that no minimal support produces, so they are skipped.
     """
     n = f.dim
-    pieces = f.pieces if f.pieces else ((zeros(n), ZERO),)
+    pieces = f.terms
     k = len(pieces)
     m = f.domain.m
     gens = [c for c, _ in pieces] + list(f.domain.A)
@@ -135,7 +135,7 @@ def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec
     fp = feasible_point(f.domain)
     if isinstance(fp, Infeasible):
         raise InfeasibleDomainError(fp.farkas)
-    pieces = f.pieces if f.pieces else ((zeros(f.dim), ZERO),)
+    pieces = f.terms
     accepted = set()
     for x, mu, lam, J, I in _kkt_solutions(f, ONE, c):
         if any(w < 0 for w in mu) or any(w < 0 for w in lam):

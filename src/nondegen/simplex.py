@@ -374,24 +374,20 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
 # ---------------------------------------------------------------------------
 
 
-def _hform_to_standard(P: HPolyhedron, objective: Vec):
-    """Split free variables and add slacks: columns are (u, w, s), x = u - w."""
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Solve the H-form program; outcomes are verified exactly before return.
+
+    The kernel sees free variables split and slacks added: its columns are
+    ``(u, w, s)`` with ``x = u - w`` and ``A x + s = b``."""
+    P = lp.constraints
     n, m = P.dim, P.m
     M = []
     for i in range(m):
         row = list(P.A[i]) + [-a for a in P.A[i]] + [ZERO] * m
         row[2 * n + i] = ONE
         M.append(row)
-    obj = list(objective) + [-c for c in objective] + [ZERO] * m
-    return M, list(P.b), obj
-
-
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve the H-form program; outcomes are verified exactly before return."""
-    P = lp.constraints
-    n, m = P.dim, P.m
-    M, rhs, obj = _hform_to_standard(P, lp.objective)
-    res = solve_standard_form(M, rhs, obj)
+    obj = list(lp.objective) + [-c for c in lp.objective] + [ZERO] * m
+    res = solve_standard_form(M, list(P.b), obj)
     if isinstance(res, KernelOptimal):
         x = tuple(res.t[k] - res.t[n + k] for k in range(n))
         value = res.value
@@ -439,16 +435,11 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
 
 def feasible_point(P: HPolyhedron) -> Union[Point, Infeasible]:
-    """A feasible point of ``P`` (phase one only), or a Farkas certificate."""
-    n = P.dim
-    M, rhs, _ = _hform_to_standard(P, zeros(n))
-    res = solve_standard_form(M, rhs, [ZERO] * (2 * n + P.m))
-    if isinstance(res, KernelOptimal):
-        x = tuple(res.t[k] - res.t[n + k] for k in range(n))
-        if P.violation_index(x) is not None:
-            raise InternalError("phase-1 point infeasible")
-        return Point(x)
-    if isinstance(res, KernelInfeasible):
-        farkas = tuple(-g for g in res.farkas)
-        return Infeasible(farkas)
+    """A feasible point of ``P``, or a Farkas certificate: :func:`solve_lp`
+    with the zero objective, so the kernel stops at its first feasible basis."""
+    res = solve_lp(LinearProgram(zeros(P.dim), P))
+    if isinstance(res, Optimal):
+        return Point(res.x)
+    if isinstance(res, Infeasible):
+        return res
     raise InternalError("feasibility program cannot be unbounded")

@@ -147,6 +147,16 @@ def test_larman_without_vertices_exit_code(prob, capsys):
     assert "vertices" in err
 
 
+def test_larman_with_one_distinct_vertex_exit_code(prob, capsys):
+    one = "dim 2\nvertices 2\n1 1\n1 1\n"
+    code, out, err = run(
+        capsys, "larman", "--vertices", prob("one.prob", one), "--trials", "3", "--seed", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "fewer than 2 distinct vertices" in err
+
+
 def test_enumeration_bound_exit_code(prob, capsys):
     code, _, err = run(
         capsys, "prox", prob("box.prob", BOX), "--c", "0,0", "--enum-bound", "3"

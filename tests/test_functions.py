@@ -21,6 +21,7 @@ from nondegen.functions import (
     Nondegenerate,
     PolyhedralFunction,
     Witness,
+    argmin_face,
     canonical_minimizer,
     certify,
     evaluate,
@@ -65,6 +66,34 @@ def test_evaluate_at_piece_tie():
 
 def test_evaluate_zero_function_on_domain():
     assert evaluate(box_indicator(2), qv(0, 0)) == Q(0)
+
+
+def test_terms_of_zero_function_is_one_zero_piece():
+    f = box_indicator(2)
+    assert f.pieces == ()
+    assert f.terms == ((qv(0, 0), Q(0)),)
+
+
+def test_terms_are_the_pieces_when_there_are_some():
+    assert TIE.terms == TIE.pieces
+    assert abs_function().terms == abs_function().pieces
+
+
+def test_argmin_face_of_box_tilted_along_an_edge():
+    # min over the box of -x_1 is -1, attained on the edge x_1 = 1
+    f = box_indicator(2)
+    face = argmin_face(f, qv(1, 0), Q(-1))
+    assert face.A == box(2).A + (qv(-1, 0),)
+    assert face.b == box(2).b + (Q(-1),)
+    assert face.contains(qv(1, 0)) and face.contains(qv(1, -1))
+    assert not face.contains(qv(0, 0))
+    assert face.active_set(qv(1, 1)) == (0, 1, 4)
+
+
+def test_argmin_face_has_one_row_per_piece():
+    face = argmin_face(TIE, qv(1), Q(1))
+    assert face.A == (qv(0), qv(1))
+    assert face.b == (Q(0), Q(1))
 
 
 def test_evaluate_dimension_mismatch():

@@ -82,6 +82,16 @@ def test_feasible_point_infeasible():
     assert isinstance(res, Infeasible)
 
 
+def test_feasible_point_farkas_certificate_is_verified():
+    P = HPolyhedron.from_rows([[1, 0], [-1, 0], [0, 1]], [1, -2, 0], 2)
+    res = feasible_point(P)
+    assert isinstance(res, Infeasible)
+    assert all(y >= 0 for y in res.farkas)
+    assert all(sum(y * row[k] for y, row in zip(res.farkas, P.A)) == 0 for k in range(2))
+    assert dot(res.farkas, P.b) < 0
+    assert res == solve_lp(LinearProgram(qv(0, 0), P))
+
+
 def test_feasible_point_whole_space():
     res = feasible_point(HPolyhedron.from_rows([], [], 3))
     assert isinstance(res, Point)
