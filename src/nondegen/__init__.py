@@ -49,7 +49,6 @@ from .geometry import (
     exposed_face,
     member,
     normal_cone,
-    positive_combination,
     positive_span_is_subspace,
     prune,
     ri_membership,

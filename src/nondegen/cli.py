@@ -204,6 +204,7 @@ def _cmd_genericity(args) -> Tuple[int, str, str]:
 
 def _cmd_adversarial(args) -> Tuple[int, str, str]:
     f = _load(args).function()
+    _enum_bound(args)  # a bad $GENERIC_NONDEGEN_ENUM_BOUND is a usage error, as for prox
     rep = construct_degenerate(f)
     rows = [[_join_vec(v), _join_vec(x)] for v, x in rep.pairs]
     if rep.pairs:
@@ -291,7 +292,7 @@ def build_parser() -> _Parser:
         "adversarial", parents=[common], help="construct degenerate (v, x) pairs"
     )
     p.add_argument("file")
-    p.set_defaults(run=_cmd_adversarial)
+    p.set_defaults(run=_cmd_adversarial, enum_bound=None)
 
     p = sub.add_parser("larman", parents=[common, sampler], help="exposed-face sampling")
     p.add_argument("--vertices", required=True, help="problem file with a vertices section")

@@ -49,6 +49,7 @@ from .linalg import (
     Inconsistent,
     vsub,
 )
+from .proximal import _check_bound
 from .simplex import Infeasible, Unbounded, feasible_point
 
 MASK64 = (1 << 64) - 1
@@ -257,7 +258,13 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     """Exhibit pairs (v, x_bar) with v on the relative boundary of the
     subdifferential at x_bar — the Lebesgue-null set the genericity theorem
     is about.  Every emitted pair is re-verified to certify DegenerateCritical.
+
+    The candidate points come from a hyperplane-arrangement enumeration, so
+    instances with more pieces plus constraints than the enumeration bound
+    of :func:`prox` (``$GENERIC_NONDEGEN_ENUM_BOUND``, default 20) raise
+    ``EnumerationBoundError``.
     """
+    _check_bound(f, None)
     fp = feasible_point(f.domain)
     if isinstance(fp, Infeasible):
         raise InfeasibleDomainError(fp.farkas)

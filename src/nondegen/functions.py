@@ -30,7 +30,6 @@ from .geometry import (
     GeneratedSet,
     Interior,
     Outside,
-    positive_combination,
     ri_membership,
 )
 from .linalg import ONE, Q, Rat, Vec, ZERO, dot, mat, vec, vsub, zeros
@@ -229,10 +228,11 @@ class DegenerateCritical:
 class Nondegenerate:
     """``v`` lies in the relative interior of the subdifferential.
 
-    ``witness`` holds the strictly positive coefficients over the pruned
-    generators; ``piece_weights`` and ``constraint_multipliers`` scatter them
-    back over the full piece/constraint lists (zeros off the support) for
-    display as a dual certificate.
+    ``witness`` holds coefficients strictly positive on every active piece
+    gradient and active constraint normal, so ``piece_weights`` and
+    ``constraint_multipliers``, which scatter them over the full
+    piece/constraint lists (zeros off the active set), are a strictly
+    complementary dual certificate.
     """
 
     witness: Vec
@@ -256,11 +256,11 @@ def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
         return DegenerateCritical()
     assert isinstance(status, Interior)
     pw = [ZERO] * len(f.terms)
-    for coeff, pos in zip(status.point_coeffs, status.point_index):
-        pw[active_pieces[pos]] = coeff
+    for coeff, j in zip(status.point_coeffs, active_pieces):
+        pw[j] = coeff
     cm = [ZERO] * f.domain.m
-    for coeff, pos in zip(status.ray_coeffs, status.ray_index):
-        cm[active_cons[pos]] = coeff
+    for coeff, i in zip(status.ray_coeffs, active_cons):
+        cm[i] = coeff
     return Nondegenerate(status.witness, tuple(pw), tuple(cm))
 
 
@@ -295,15 +295,14 @@ def strict_complementarity(lp: LinearProgram, x_bar: Vec) -> Optional[Witness]:
     S = GeneratedSet(
         (zeros(P.dim),), tuple(P.A[i] for i in active), P.dim
     )
-    combo = positive_combination(S, lp.objective)
-    if combo is None:
+    status = ri_membership(S, lp.objective)
+    if not isinstance(status, Interior):
         return None
-    _, ray_coeffs = combo
     lam = [ZERO] * P.m
-    for coeff, i in zip(ray_coeffs, active):
+    for coeff, i in zip(status.ray_coeffs, active):
         lam[i] = coeff
     check = zeros(P.dim)
-    for coeff, i in zip(ray_coeffs, active):
+    for coeff, i in zip(status.ray_coeffs, active):
         check = tuple(a + coeff * b for a, b in zip(check, P.A[i]))
     if check != tuple(lp.objective):
         raise InternalError("strictly complementary witness is not dual feasible")

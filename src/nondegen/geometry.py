@@ -4,12 +4,12 @@ A :class:`GeneratedSet` is ``conv(points) + cone(rays)``.  The central
 operation is :func:`ri_membership`, which classifies a query point as lying in
 the relative interior, on the relative boundary, or outside the set — decided
 exactly by one auxiliary LP that maximizes the smallest generator coefficient.
-Redundant generators are pruned first (each redundancy check is itself a small
-LP) so that "all coefficients strictly positive" characterizes the relative
-interior.
+The relative interior of a finitely generated set is the set of strictly
+positive combinations of *all* its generators, redundant ones included
+(Rockafellar, Convex Analysis, Thm 6.9), so no generator is dropped first.
 
-Also here: normal cones of H-polyhedra, the positive-span subspace test, and
-exposed faces of V-polytopes.
+Also here: pruning of redundant generators, normal cones of H-polyhedra, the
+positive-span subspace test, and exposed faces of V-polytopes.
 """
 
 from __future__ import annotations
@@ -81,15 +81,13 @@ class VPolytope:
 class Interior:
     """In the relative interior, witnessed by strictly positive coefficients.
 
-    ``point_coeffs``/``ray_coeffs`` apply to the pruned generators, identified
-    by ``point_index``/``ray_index`` into the originally supplied lists; the
-    combination reproduces the query point exactly.
+    ``point_coeffs``/``ray_coeffs`` cover every supplied point and ray, in
+    order, redundant ones included; the combination reproduces the query
+    point exactly.
     """
 
     point_coeffs: Vec
     ray_coeffs: Vec
-    point_index: Tuple[int, ...]
-    ray_index: Tuple[int, ...]
 
     @property
     def witness(self) -> Vec:
@@ -263,14 +261,13 @@ def _max_min_coefficient(points: Mat, rays: Mat, y: Vec):
 
 
 def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
-    """Classify ``y`` against ``S``: Interior (with an all-positive witness
-    over the pruned generators), Boundary, or Outside."""
+    """Classify ``y`` against ``S``: Interior (with a witness strictly
+    positive on every generator), Boundary, or Outside."""
     if len(y) != S.dim:
         raise DimensionMismatchError("query dimension", S.dim, len(y))
     if S.is_empty:
         raise EmptyGeneratedSetError()
-    pruned, point_idx, ray_idx = prune(S)
-    res = _max_min_coefficient(pruned.points, pruned.rays, y)
+    res = _max_min_coefficient(S.points, S.rays, y)
     if res is None:
         return Outside()
     t, mu, lam = res
@@ -279,37 +276,13 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
     if any(c <= 0 for c in mu) or any(c <= 0 for c in lam):
         raise InternalError("interior witness has a nonpositive coefficient")
     rebuilt = [ZERO] * S.dim
-    for c, p in zip(mu, pruned.points):
+    for c, p in zip(mu, S.points):
         rebuilt = [a + c * b for a, b in zip(rebuilt, p)]
-    for c, r in zip(lam, pruned.rays):
+    for c, r in zip(lam, S.rays):
         rebuilt = [a + c * b for a, b in zip(rebuilt, r)]
     if tuple(rebuilt) != tuple(y):
         raise InternalError("interior witness does not reproduce the query point")
-    return Interior(mu, lam, point_idx, ray_idx)
-
-
-def positive_combination(S: GeneratedSet, y: Vec) -> Optional[Tuple[Vec, Vec]]:
-    """Strictly positive coefficients over *all* generators reproducing ``y``,
-    or None.
-
-    For finitely generated sets the relative interior equals the set of
-    strictly positive combinations even when generators are redundant (the
-    relative interior of a sum is the sum of relative interiors, applied to
-    conv(points) and cone(rays) separately), so this succeeds exactly when
-    ``ri_membership(S, y)`` is Interior — but the returned coefficients cover
-    every generator, which is what strict-complementarity witnesses need.
-    """
-    if len(y) != S.dim:
-        raise DimensionMismatchError("query dimension", S.dim, len(y))
-    if S.is_empty:
-        raise EmptyGeneratedSetError()
-    res = _max_min_coefficient(S.points, S.rays, y)
-    if res is None:
-        return None
-    t, mu, lam = res
-    if t == 0:
-        return None
-    return mu, lam
+    return Interior(mu, lam)
 
 
 def positive_span_is_subspace(S: GeneratedSet) -> bool:

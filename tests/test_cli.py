@@ -22,6 +22,9 @@ FREE = "dim 1\npieces 0\n"
 POINT = "dim 2\nconstraints 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n"
 EMPTY_DOMAIN = "dim 1\nconstraints 2\n1 -1\n-1 -1\n"
 SQUARE = "dim 2\nvertices 4\n1 1\n1 -1\n-1 1\n-1 -1\n"
+BOX11 = "dim 11\nconstraints 22\n" + "".join(
+    " ".join(["0"] * i + [s] + ["0"] * (10 - i)) + " 1\n" for s in ("1", "-1") for i in range(11)
+)
 
 
 @pytest.fixture
@@ -178,7 +181,8 @@ def test_bad_enumeration_bound_flag_is_usage_error(prob, capsys, bound):
 def test_bad_enumeration_bound_environment_is_usage_error(prob, capsys, monkeypatch, bound):
     monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", bound)
     for argv in (("prox", prob("box.prob", BOX), "--c", "0,0"),
-                 ("critical", prob("abs.prob", ABS_RHO), "--v", "0")):
+                 ("critical", prob("abs.prob", ABS_RHO), "--v", "0"),
+                 ("adversarial", prob("box.prob", BOX))):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "bound" in err.lower()
@@ -248,6 +252,14 @@ def test_adversarial_command(prob, capsys):
     code, out, _ = run(capsys, "adversarial", prob("point.prob", POINT))
     assert code == 0
     assert "no candidate point" in out
+
+
+def test_adversarial_above_the_enumeration_bound_exit_code(prob, capsys, monkeypatch):
+    monkeypatch.delenv("GENERIC_NONDEGEN_ENUM_BOUND", raising=False)
+    code, out, err = run(capsys, "adversarial", prob("box11.prob", BOX11))
+    assert code == 3
+    assert out == ""
+    assert "enumeration bound" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qv, rand_polyfun, to_frac, vec_frac
-from nondegen.errors import DegeneratePolytopeError
+from nondegen.errors import DegeneratePolytopeError, EnumerationBoundError
+from nondegen import experiments
 from nondegen.experiments import (
     AdversarialReport,
     ExperimentReport,
@@ -223,6 +224,23 @@ def test_point_indicator_has_no_degenerate_tilts():
     assert report.status == (
         "no candidate point has a subdifferential with nonempty relative boundary"
     )
+
+
+def test_construct_degenerate_refuses_instances_above_the_enumeration_bound(monkeypatch):
+    """box_indicator(11) has 22 constraints, above the default bound of 20:
+    refused before any hyperplane subset is solved."""
+
+    def never(f):
+        raise AssertionError("enumeration started above the bound")
+
+    monkeypatch.setattr(experiments, "_candidate_points", never)
+    monkeypatch.delenv("GENERIC_NONDEGEN_ENUM_BOUND", raising=False)
+    with pytest.raises(EnumerationBoundError) as err:
+        construct_degenerate(box_indicator(11))
+    assert "22" in str(err.value) and "20" in str(err.value)
+    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "3")
+    with pytest.raises(EnumerationBoundError):
+        construct_degenerate(box_indicator(2))
 
 
 def test_all_constructed_pairs_certify_degenerate():

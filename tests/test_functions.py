@@ -200,6 +200,20 @@ def test_certify_multipliers_reconstruct_direction():
     assert recon == qv(1, 1)
 
 
+def test_certify_multipliers_are_positive_on_a_redundant_active_row():
+    """x1 + x2 <= 2 is redundant at the corner (1, 1) of the box, yet active:
+    the displayed certificate is strictly complementary, so it weighs that
+    row too, and it agrees with strict_complementarity."""
+    P = HPolyhedron(box(2).A + (qv(1, 1),), box(2).b + (Q(2),), 2)
+    v, x = qv(2, 1), qv(1, 1)
+    res = certify(PolyhedralFunction.indicator(P), v, x)
+    assert isinstance(res, Nondegenerate)
+    assert P.active_set(x) == (0, 1, 4)
+    assert all(res.constraint_multipliers[i] > 0 for i in P.active_set(x))
+    assert res.constraint_multipliers == qv("3/2", "1/2", 0, 0, "1/2")
+    assert res.constraint_multipliers == strict_complementarity(LinearProgram(v, P), x).lam
+
+
 # ---------------------------------------------------------------------------
 # strict_complementarity
 # ---------------------------------------------------------------------------

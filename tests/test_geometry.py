@@ -146,6 +146,30 @@ def test_exposed_face_invariances(seed):
     assert extra == (dup in {F.vertices[i] for i in face})
 
 
+def check_trichotomy(S, y):
+    """ri_membership agrees with member, and an Interior witness is strictly
+    positive on every generator of ``S`` and rebuilds ``y`` from them."""
+    status = ri_membership(S, y)
+    inside = member(S, y)
+    if isinstance(status, Interior):
+        assert inside
+        assert len(status.point_coeffs) == len(S.points)
+        assert len(status.ray_coeffs) == len(S.rays)
+        assert all(c > 0 for c in status.witness)
+        recon = zeros(S.dim)
+        for coeff, p in zip(status.point_coeffs, S.points):
+            recon = vadd(recon, vscale(coeff, p))
+        for coeff, r in zip(status.ray_coeffs, S.rays):
+            recon = vadd(recon, vscale(coeff, r))
+        assert recon == y
+        assert sum(status.point_coeffs) == 1
+    elif isinstance(status, Boundary):
+        assert inside
+    else:
+        assert not inside
+    return status
+
+
 @given(st.integers(0, 100_000))
 @settings(deadline=None, max_examples=80)
 def test_trichotomy_partitions_and_witness_reconstructs(seed):
@@ -159,26 +183,20 @@ def test_trichotomy_partitions_and_witness_reconstructs(seed):
             y = vadd(tuple(y), vscale(Q(rng.randint(0, 3)), S.rays[0]))
     else:
         y = rand_vec(rng, dim)
-    y = tuple(y)
-    status = ri_membership(S, y)
-    inside = member(S, y)
-    if isinstance(status, Interior):
-        assert inside
-        pruned, point_idx, ray_idx = prune(S)
-        assert all(c > 0 for c in status.witness)
-        recon = zeros(dim)
-        for coeff, i in zip(status.point_coeffs, status.point_index):
-            recon = vadd(recon, vscale(coeff, S.points[i]))
-        for coeff, i in zip(status.ray_coeffs, status.ray_index):
-            recon = vadd(recon, vscale(coeff, S.rays[i]))
-        assert recon == y
-        assert sum(status.point_coeffs) == 1
-        assert status.point_index == point_idx
-        assert status.ray_index == ray_idx
-    elif isinstance(status, Boundary):
-        assert inside
-    else:
-        assert not inside
+    check_trichotomy(S, tuple(y))
+
+
+def test_trichotomy_witness_weighs_redundant_generators():
+    """The redundant set of test_prune_drops_redundant_generators: every
+    strictly positive combination of all generators is relatively interior,
+    so the witness weighs the redundant generators too."""
+    S = GeneratedSet(
+        (qv(0, 0), qv(2, 0), qv(1, 0)),
+        (qv(1, 0), qv(2, 0)),
+        2,
+    )
+    assert isinstance(check_trichotomy(S, qv(3, 0)), Interior)
+    assert isinstance(check_trichotomy(S, qv(0, 0)), Boundary)
 
 
 @given(st.integers(0, 100_000))
