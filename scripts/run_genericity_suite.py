@@ -54,6 +54,8 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    if args.trials < 0:
+        parser.error("--trials must be nonnegative")
     try:
         cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
     except (RationalParseError, ValueError) as e:

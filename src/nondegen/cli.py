@@ -55,7 +55,7 @@ from .functions import (
 from .linalg import Vec, format_rational, parse_rational
 from .problemfile import ProblemFile, parse_problem
 from .proximal import find_critical_points, prox, resolve_enum_bound
-from .simplex import Infeasible, Unbounded
+from .simplex import Unbounded
 
 
 class UsageError(Exception):
@@ -115,23 +115,21 @@ def _enum_bound(args) -> int:
         raise UsageError(str(e)) from None
 
 
+def _no_minimizer(res, fields: Sequence[str]) -> Tuple[int, str, str]:
+    """Exit 3 with the one-row table of an unbounded or infeasible outcome."""
+    outcome = "unbounded" if isinstance(res, Unbounded) else "infeasible"
+    return 3, csv_table(fields, [[outcome, "", ""]]), outcome.upper()
+
+
 def _cmd_minimize(args) -> Tuple[int, str, str]:
     f = _load(args).function()
     v = _parse_vec(args.v, f.dim, "--v")
     res = canonical_minimizer(f, v)
-    if isinstance(res, Minimizer):
-        row = ["minimizer", _join_vec(res.x), format_rational(res.value)]
-        text = f"MINIMIZER at {_point(res.x)}; value {format_rational(res.value)}"
-        code = 0
-    elif isinstance(res, Unbounded):
-        row = ["unbounded", "", ""]
-        text = "UNBOUNDED"
-        code = 3
-    else:
-        row = ["infeasible", "", ""]
-        text = "INFEASIBLE"
-        code = 3
-    return code, csv_table(("outcome", "x", "value"), [row]), text
+    if not isinstance(res, Minimizer):
+        return _no_minimizer(res, ("outcome", "x", "value"))
+    row = ["minimizer", _join_vec(res.x), format_rational(res.value)]
+    text = f"MINIMIZER at {_point(res.x)}; value {format_rational(res.value)}"
+    return 0, csv_table(("outcome", "x", "value"), [row]), text
 
 
 def _certify_witness_tokens(f, cert: Nondegenerate) -> List[str]:
@@ -149,14 +147,8 @@ def _cmd_certify(args) -> Tuple[int, str, str]:
         x = _parse_vec(args.x, f.dim, "--x")
     else:
         res = canonical_minimizer(f, v)
-        if isinstance(res, Unbounded):
-            return 3, csv_table(("outcome", "x", "witness"), [["unbounded", "", ""]]), "UNBOUNDED"
-        if isinstance(res, Infeasible):
-            return (
-                3,
-                csv_table(("outcome", "x", "witness"), [["infeasible", "", ""]]),
-                "INFEASIBLE",
-            )
+        if not isinstance(res, Minimizer):
+            return _no_minimizer(res, ("outcome", "x", "witness"))
         x = res.x
     try:
         cert = certify(f, v, x)
@@ -326,6 +318,18 @@ def _emit(fmt: str, csv_text: str, text: str) -> None:
         print(text)
 
 
+# The first matching row decides: ImproperFunctionError is a
+# ProblemParseError, and NondegenError catches every other library error.
+_EXIT_CODES = (
+    (UsageError, 1),
+    (ImproperFunctionError, 3),
+    (ProblemParseError, 2),
+    ((DegeneratePolytopeError, EnumerationBoundError, InfeasibleDomainError), 3),
+    (InternalError, 4),
+    (NondegenError, 2),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -333,24 +337,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, csv_text, text = args.run(args)
         _emit(args.format, csv_text, text)
         return code
-    except UsageError as e:
+    except (UsageError, NondegenError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ImproperFunctionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ProblemParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DegeneratePolytopeError, EnumerationBoundError, InfeasibleDomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except InternalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except NondegenError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for exc, code in _EXIT_CODES if isinstance(e, exc))
 
 
 if __name__ == "__main__":

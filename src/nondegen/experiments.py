@@ -1,14 +1,15 @@
 """Seeded experiments: genericity sampling, adversarial instances, exposed faces.
 
 The genericity harness samples tilt vectors ``v`` from a documented reference
-PRNG (SplitMix64), minimizes the tilted function exactly, and classifies each
-trial as nondegenerate / degenerate / non-unique / unbounded.  The theory
-says degenerate and non-unique tilts form a Lebesgue-null set, so sampled
-rationals of generous bit-width should essentially never land on it — but
-rationals are countable, so hits are *reported* (with the offending ``v``
-verbatim), never silently impossible.
+PRNG (SplitMix64), minimizes the tilted function exactly, and reads the trial
+off ``∂f(x̄)`` at the minimizer: unique iff ``v ∈ int ∂f(x̄)``, nondegenerate
+iff ``v ∈ ri ∂f(x̄)`` — so a unique minimizer is never degenerate, and the
+``degenerate`` tally is 0 by structure.  Non-unique tilts form a Lebesgue-null
+set, so sampled rationals of generous bit-width should essentially never land
+on it — but rationals are countable, so hits are *reported* (with the
+offending ``v`` verbatim), never silently impossible.
 
-``construct_degenerate`` deliberately manufactures points of that null set;
+``construct_degenerate`` deliberately manufactures tilts on ``rb ∂f(x̄)``;
 ``run_larman`` is the polytope face of the same story: a sampled direction
 exposing two or more vertices lies on the shared boundary of two
 full-dimensional vertex normal cones.
@@ -32,12 +33,11 @@ from .functions import (
     Minimizer,
     Nondegenerate,
     PolyhedralFunction,
-    argmin_face,
     certify,
     minimize_perturbed,
     subdifferential,
 )
-from .geometry import VPolytope, _cone_is_subspace, exposed_face, prune
+from .geometry import VPolytope, exposed_face, positive_span_is_subspace, translate
 from .linalg import (
     ONE,
     Q,
@@ -125,18 +125,15 @@ class ExperimentReport:
     records: Tuple[TrialRecord, ...]
 
 
-def _optimal_face_is_point(f: PolyhedralFunction, v: Vec, x_bar: Vec, value: Rat) -> bool:
-    """Exact uniqueness of the minimizer of ``f - <v, .>``.
+def _optimal_face_is_point(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> bool:
+    """Exact uniqueness of the minimizer ``x_bar`` of ``f - <v, .>``.
 
-    The :func:`argmin_face` collapses to the single point ``x_bar`` iff the
-    cone of its constraint normals tight at ``x_bar`` is all of R^n, i.e. has
-    full rank and is a linear subspace.
+    The minimizer is unique iff ``v`` is interior to the subdifferential at
+    ``x_bar``, i.e. ``0 in int S`` for ``S = subdifferential - v``: the
+    generators of ``S`` have full rank and their positive span is a subspace.
     """
-    face = argmin_face(f, v, value)
-    tight = [face.A[i] for i in face.active_set(x_bar)]
-    if not tight or rank(tight) < f.dim:
-        return False
-    return _cone_is_subspace(tight, f.dim)
+    S = translate(subdifferential(f, x_bar), v)
+    return rank(S.points + S.rays) == f.dim and positive_span_is_subspace(S)
 
 
 def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int) -> TrialRecord:
@@ -148,14 +145,14 @@ def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int
     if isinstance(res, Unbounded):
         return TrialRecord(trial_index, v, "unbounded", None, None)
     assert isinstance(res, Minimizer)
-    if not _optimal_face_is_point(f, v, res.x, res.value):
+    if not _optimal_face_is_point(f, v, res.x):
         return TrialRecord(trial_index, v, "non_unique", res.x, None)
+    # A unique minimizer puts v in the interior of the subdifferential, so
+    # anything but Nondegenerate here is a bug, never a degenerate trial.
     cert = certify(f, v, res.x)
-    if isinstance(cert, Nondegenerate):
-        return TrialRecord(trial_index, v, "nondegenerate", res.x, min(cert.witness))
-    if isinstance(cert, DegenerateCritical):
-        return TrialRecord(trial_index, v, "degenerate", res.x, None)
-    raise InternalError("tilt vector is not a subgradient at the computed minimizer")
+    if not isinstance(cert, Nondegenerate):
+        raise InternalError("tilt is not interior to the subdifferential at a unique minimizer")
+    return TrialRecord(trial_index, v, "nondegenerate", res.x, min(cert.witness))
 
 
 def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
@@ -176,6 +173,8 @@ def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
 
 
 def run_genericity(f: PolyhedralFunction, cfg: SamplerConfig, trials: int) -> ExperimentReport:
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     return merge_trials(
         (genericity_trial(f, cfg, i) for i in range(trials)), cfg.seed
     )
@@ -259,6 +258,10 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     subdifferential at x_bar — the Lebesgue-null set the genericity theorem
     is about.  Every emitted pair is re-verified to certify DegenerateCritical.
 
+    At each candidate point the generators of ``subdifferential(f, x)`` are
+    tried as given, rays first.  An affine subdifferential has no relative
+    boundary; any other has a generator on it, so such a point yields one pair.
+
     The candidate points come from a hyperplane-arrangement enumeration, so
     instances with more pieces plus constraints than the enumeration bound
     of :func:`prox` (``$GENERIC_NONDEGEN_ENUM_BOUND``, default 20) raise
@@ -271,13 +274,7 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     pairs: List[Tuple[Vec, Vec]] = []
     for x in _candidate_points(f):
         S = subdifferential(f, x)
-        pruned, _, _ = prune(S)
-        # An affine subdifferential (single pruned point + subspace cone) has
-        # empty relative boundary: nothing to exhibit at this point.
-        if len(pruned.points) == 1 and _cone_is_subspace(pruned.rays, f.dim):
-            continue
-        candidates = list(pruned.rays) + list(pruned.points)
-        for v in candidates:
+        for v in S.rays + S.points:
             if isinstance(certify(f, v, x), DegenerateCritical):
                 pairs.append((v, x))
                 break
@@ -333,6 +330,8 @@ def run_larman(
     ``forced`` directions are evaluated and reported separately; they never
     contribute to the sampled tallies.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     distinct_vertices = set(F.vertices)
     if len(distinct_vertices) < 2:
         raise DegeneratePolytopeError("fewer than 2 distinct vertices")

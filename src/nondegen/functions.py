@@ -291,19 +291,13 @@ def strict_complementarity(lp: LinearProgram, x_bar: Vec) -> Optional[Witness]:
     gap = res.value - dot(lp.objective, x_bar)
     if gap != 0:
         raise NotOptimalError("point is suboptimal", gap=gap)
-    active = P.active_set(x_bar)
-    S = GeneratedSet(
-        (zeros(P.dim),), tuple(P.A[i] for i in active), P.dim
-    )
-    status = ri_membership(S, lp.objective)
-    if not isinstance(status, Interior):
+    cert = certify(PolyhedralFunction.indicator(P), lp.objective, x_bar)
+    if not isinstance(cert, Nondegenerate):
         return None
-    lam = [ZERO] * P.m
-    for coeff, i in zip(status.ray_coeffs, active):
-        lam[i] = coeff
+    lam = cert.constraint_multipliers
     check = zeros(P.dim)
-    for coeff, i in zip(status.ray_coeffs, active):
-        check = tuple(a + coeff * b for a, b in zip(check, P.A[i]))
+    for coeff, row in zip(lam, P.A):
+        check = tuple(a + coeff * b for a, b in zip(check, row))
     if check != tuple(lp.objective):
         raise InternalError("strictly complementary witness is not dual feasible")
-    return Witness(tuple(lam))
+    return Witness(lam)

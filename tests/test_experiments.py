@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, rand_polyfun, to_frac, vec_frac
-from nondegen.errors import DegeneratePolytopeError, EnumerationBoundError
+from conftest import feasible_points_of, qv, rand_polyfun, to_frac, vec_frac
+from nondegen.errors import DegeneratePolytopeError, EnumerationBoundError, InternalError
 from nondegen import experiments
 from nondegen.experiments import (
     AdversarialReport,
@@ -34,11 +34,13 @@ from nondegen.functions import (
     PolyhedralFunction,
     certify,
     minimize_perturbed,
+    subdifferential,
 )
 from nondegen.gallery import abs_function, box_indicator, point_indicator, square_vertices
 from nondegen.geometry import VPolytope
 from nondegen.linalg import Q
-from oracles import sample_vector_oracle, splitmix_oracle
+from nondegen.simplex import HPolyhedron
+from oracles import ri_status_oracle, rref, sample_vector_oracle, splitmix_oracle
 
 CFG42 = SamplerConfig(seed=42)
 
@@ -189,6 +191,76 @@ def test_longer_run_extends_records_as_prefix():
     assert long.records[:25] == short.records
 
 
+def test_negative_trial_counts_are_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_genericity(box_indicator(2), CFG42, -3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_larman(square_vertices(), CFG42, -3)
+    assert run_genericity(box_indicator(2), CFG42, 0).trials == 0
+
+
+def test_certify_off_nondegenerate_at_a_unique_minimizer_is_internal_error(monkeypatch):
+    """A unique minimizer has v interior to the subdifferential, so a
+    degenerate verdict there is a bug, never a reported trial."""
+    monkeypatch.setattr(experiments, "certify", lambda f, v, x: DegenerateCritical())
+    with pytest.raises(InternalError):
+        genericity_trial(box_indicator(2), CFG42, 0)
+
+
+# ---------------------------------------------------------------------------
+# uniqueness of the minimizer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f, v, x, unique",
+    [
+        (box_indicator(2), qv(1, 1), qv(1, 1), True),
+        (box_indicator(2), qv(1, 0), qv(1, 0), False),
+        (box_indicator(2), qv(1, 0), qv(1, 1), False),
+        (abs_function(), qv(0), qv(0), True),
+        (abs_function(), qv(1), qv(0), False),
+    ],
+)
+def test_optimal_face_is_point_fixed_cases(f, v, x, unique):
+    assert _optimal_face_is_point(f, v, x) is unique
+
+
+def _interior_oracle(f, v, x):
+    """0 in int(subdifferential - v): relative interior by Fourier-Motzkin,
+    and the generators span R^n."""
+    S = subdifferential(f, x)
+    vf = vec_frac(v)
+    points = [[p - c for p, c in zip(vec_frac(pt), vf)] for pt in S.points]
+    rays = [vec_frac(r) for r in S.rays]
+    full = len(rref(points + rays, f.dim)[1]) == f.dim
+    return full and ri_status_oracle(points, rays, f.dim, [0] * f.dim) == "interior"
+
+
+def test_optimal_face_is_point_matches_the_oracle():
+    """Tilts drawn from the subdifferential at domain points (a point
+    generator, the mean of the points plus every ray, a point plus a ray), so
+    each domain point is a minimizer and non-unique ones are common."""
+    rng = random.Random(2024)
+    verdicts = []
+    for _ in range(60):
+        f = rand_polyfun(rng, rng.randint(1, 3))
+        for x in feasible_points_of(f, rng, 2):
+            S = subdifferential(f, x)
+            inner = [sum(col) / len(S.points) for col in zip(*S.points)]
+            for r in S.rays:
+                inner = [a + b for a, b in zip(inner, r)]
+            tilts = [rng.choice(S.points), tuple(inner)]
+            if S.rays:
+                p, r = rng.choice(S.points), rng.choice(S.rays)
+                tilts.append(tuple(a + b for a, b in zip(p, r)))
+            for v in tilts:
+                got = _optimal_face_is_point(f, v, x)
+                assert got == _interior_oracle(f, v, x), (f, v, x)
+                verdicts.append(got)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
 def test_genericity_csv_shape():
     report = run_genericity(box_indicator(2), CFG42, 5)
     text = report_to_csv(report)
@@ -251,10 +323,23 @@ def test_all_constructed_pairs_certify_degenerate():
             assert isinstance(certify(f, v, x), DegenerateCritical)
             res = minimize_perturbed(f, v)
             assert isinstance(res, Minimizer)
-            unique = _optimal_face_is_point(f, v, res.x, res.value)
+            unique = _optimal_face_is_point(f, v, res.x)
             assert (not unique) or isinstance(
                 certify(f, v, res.x), DegenerateCritical
             )
+
+
+def test_degenerate_pairs_read_redundant_generators_as_given():
+    """box(3) with the redundant row x1 + x2 <= 2 listed first: at (1, 1, 1)
+    that row's normal is the first ray and lies on the relative boundary of
+    the normal cone, so it is the tilt emitted there."""
+    box = box_indicator(3).domain
+    P = HPolyhedron(((Q(1), Q(1), Q(0)),) + box.A, (Q(2),) + box.b, 3)
+    f = PolyhedralFunction.indicator(P)
+    report = construct_degenerate(f)
+    assert len(report.pairs) == 26
+    assert all(isinstance(certify(f, v, x), DegenerateCritical) for v, x in report.pairs)
+    assert (qv(1, 1, 0), qv(1, 1, 1)) in report.pairs
 
 
 @given(st.integers(0, 100_000))

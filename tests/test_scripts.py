@@ -30,7 +30,15 @@ def test_suite_writes_one_csv_per_instance(name, instances, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["run_genericity_suite", "run_larman_suite"])
 @pytest.mark.parametrize(
-    "bad", [["--bits", "200"], ["--bits", "7"], ["--radius", "0"], ["--radius", "0.5"], ["--jobs", "2"]]
+    "bad",
+    [
+        ["--bits", "200"],
+        ["--bits", "7"],
+        ["--radius", "0"],
+        ["--radius", "0.5"],
+        ["--jobs", "2"],
+        ["--trials", "-1"],
+    ],
 )
 def test_suite_bad_settings_are_usage_errors(name, bad, tmp_path, capsys):
     script = load(name)
