@@ -48,7 +48,6 @@ from .geometry import (
     VPolytope,
     exposed_face,
     member,
-    normal_cone,
     positive_span_is_subspace,
     prune,
     ri_membership,
@@ -67,7 +66,6 @@ from .functions import (
     certify,
     evaluate,
     minimize_perturbed,
-    perturbed,
     strict_complementarity,
     subdifferential,
 )

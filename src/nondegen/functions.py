@@ -118,14 +118,6 @@ def subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratedSet:
     return GeneratedSet(points, rays, f.dim)
 
 
-def perturbed(f: PolyhedralFunction, v: Vec) -> "PolyhedralFunction":
-    """The tilted function ``x -> f(x) - <v, x>`` as a PolyhedralFunction."""
-    if len(v) != f.dim:
-        raise DimensionMismatchError("tilt dimension", f.dim, len(v))
-    tilted = tuple((tuple(a - b for a, b in zip(c, v)), d) for c, d in f.terms)
-    return PolyhedralFunction(tilted, f.domain, f.dim)
-
-
 @dataclass(frozen=True)
 class Minimizer:
     x: Vec

@@ -8,8 +8,8 @@ The relative interior of a finitely generated set is the set of strictly
 positive combinations of *all* its generators, redundant ones included
 (Rockafellar, Convex Analysis, Thm 6.9), so no generator is dropped first.
 
-Also here: pruning of redundant generators, normal cones of H-polyhedra, the
-positive-span subspace test, and exposed faces of V-polytopes.
+Also here: pruning of redundant generators, the positive-span subspace test,
+and exposed faces of V-polytopes.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyGeneratedSetError,
     InternalError,
-    OutsideDomainError,
 )
 from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, dot, mat, rank, vsub
 from .simplex import (
-    HPolyhedron,
     KernelInfeasible,
     KernelOptimal,
     solve_standard_form,
@@ -304,19 +302,8 @@ def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:
 
 
 # ---------------------------------------------------------------------------
-# normal cones and exposed faces
+# exposed faces
 # ---------------------------------------------------------------------------
-
-
-def normal_cone(P: HPolyhedron, x: Vec) -> GeneratedSet:
-    """Normal cone of ``P`` at ``x``: the cone of active constraint normals,
-    represented with point set ``{0}``."""
-    bad = P.violation_index(x)
-    if bad is not None:
-        raise OutsideDomainError(bad)
-    rays = tuple(P.A[i] for i in P.active_set(x))
-    zero = tuple(ZERO for _ in range(P.dim))
-    return GeneratedSet((zero,), rays, P.dim)
 
 
 def exposed_face(F: VPolytope, c: Vec) -> Tuple[int, ...]:

@@ -1,15 +1,17 @@
 """Exact rational scalars, vectors, and matrices.
 
 Every quantity in this package is an exact rational; no floats enter any
-decision.  Scalars are built through :func:`Q`, which is ``gmpy2.mpq`` when
-gmpy2 is installed (much faster) and ``fractions.Fraction`` otherwise.  Both
-keep values in lowest terms with a positive denominator, so canonical form is
-maintained by construction.  Vectors are plain tuples of scalars and matrices
-are tuples of row tuples; all public operations are pure functions.
+decision.  Scalars are built through :func:`Q`, which is
+``fractions.Fraction``: values stay in lowest terms with a positive
+denominator, so canonical form is maintained by construction.  Vectors are
+plain tuples of scalars and matrices are tuples of row tuples; all public
+operations are pure functions.
 
 ``rank`` and ``solve_linear`` share one fraction-free eliminator (Edmonds):
 rows are scaled to integers, each pivot step divides exactly by the previous
 pivot, and rationals are built only from the final rows and the last pivot.
+Its row update, :func:`_bareiss_pivot`, is also the pivot of the integer
+simplex tableau in :mod:`nondegen.simplex`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import DimensionMismatchError, RationalParseError
 
-try:  # gmpy2.mpq is a drop-in exact rational with C-speed arithmetic
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-
-# Nominal scalar type for annotations.  At runtime scalars may be gmpy2.mpq,
-# which obeys the same arithmetic/comparison protocol as Fraction.
+Q = Fraction
 Rat = Fraction
 Vec = Tuple[Rat, ...]
 Mat = Tuple[Vec, ...]
@@ -88,21 +84,10 @@ def dot(u: Vec, v: Vec) -> Rat:
     return total
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatchError("vector sum", len(u), len(v))
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatchError("vector difference", len(u), len(v))
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(s, u: Vec) -> Vec:
-    s = Q(s)
-    return tuple(s * a for a in u)
 
 
 def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
@@ -113,6 +98,27 @@ def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
         scale = lcm(*[a.denominator for a in row])  # a list: *generator grows tuple free lists
         out.append([a.numerator * (scale // a.denominator) for a in row])
     return out
+
+
+def _bareiss_pivot(M: List[list], r: int, c: int, d: int) -> int:
+    """One fraction-free pivot on entry ``(r, c)`` of the integer rows ``M``,
+    in place: every row but ``r`` becomes ``(p * row - row[c] * M[r]) // d``
+    with ``p = M[r][c]``, and row ``r`` is kept.  Returns ``p``, the divisor
+    of the next step.  The division is exact when ``d`` is the previous pivot
+    (Bareiss, Math. Comp. 22, 1968): if ``M / d`` is a tableau, ``M' / p`` is
+    the tableau after the pivot, and its entries are minors of the input.
+    """
+    prow = M[r]
+    p = prow[c]
+    for i, row in enumerate(M):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            M[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        elif p != d:
+            M[i] = [p * a // d for a in row]
+    return p
 
 
 def _eliminate(M: List[list], ncols: int) -> Tuple[List[int], int]:
@@ -137,18 +143,8 @@ def _eliminate(M: List[list], ncols: int) -> Tuple[List[int], int]:
         if p is None:
             continue
         M[r], M[p] = M[p], M[r]
-        prow = M[r]
-        piv = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = M[i][c]
-            if f:
-                M[i] = [(piv * a - f * b) // d for a, b in zip(M[i], prow)]
-            elif piv != d:
-                M[i] = [piv * a // d for a in M[i]]
+        d = _bareiss_pivot(M, r, c, d)
         pivots.append(c)
-        d = piv
     return pivots, d
 
 

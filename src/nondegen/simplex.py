@@ -21,15 +21,33 @@ Internally everything reduces to a dense-tableau kernel for the standard form
 which other modules use directly for membership and relative-interior
 auxiliary programs (equalities and sign constraints are native there, keeping
 those tableaus small).
+
+The kernel pivots on integers and builds rationals only for its answer.
+Column ``j`` is scaled by ``kappa_j``, the lcm of its denominators, the rhs
+by ``sigma`` and the phase-2 costs by ``tau``; unit and artificial columns
+keep scale 1, so the starting basis is the identity.  The tableau is kept as
+integer rows ``X`` over one shared determinant ``d > 0`` (the rational
+tableau is ``X / d``, as in lrs), and a pivot on ``p = X[r][c]`` replaces
+every other row, the objective row included, by ``(p * row - row[c] *
+X[r]) // d`` and sets ``d = p``: Bareiss's exact division, the row update of
+:func:`nondegen.linalg._eliminate`.  Only the drive-out of artificials can
+pivot on a negative entry; the pivot row is negated first, which negates the
+tableau and keeps ``d`` positive.  Positive scalings of columns, rhs and
+costs keep the sign of every reduced cost and the order of the ratios within
+a column (compared by cross-multiplication), so Bland's rule makes the same
+pivots as on the rational tableau, and the outcome is the same.  Read-out:
+``t_j = kappa_j X_j / (sigma d)``, duals ``Y_i / (tau d)``, and the value,
+ray and Farkas vector the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatchError, InternalError
-from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, dot, mat, vec, zeros
+from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, dot, mat, vec, zeros
 
 
 @dataclass(frozen=True)
@@ -158,8 +176,8 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
     if len(rhs) != nrows:
         raise DimensionMismatchError("rhs length", nrows, len(rhs))
 
-    sigma = [1] * nrows  # row flips applied to make the working rhs nonnegative
-    rows: List[List[Rat]] = []
+    flip = [1] * nrows  # row flips applied to make the working rhs nonnegative
+    qrows: List[List[Rat]] = []
     for i in range(nrows):
         src = M[i]
         if len(src) != ncols:
@@ -168,21 +186,32 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         if r < 0:
             row = [-Q(a) for a in src]
             r = -r
-            sigma[i] = -1
+            flip[i] = -1
         else:
             row = [Q(a) for a in src]
         row.append(r)
-        rows.append(row)
+        qrows.append(row)
+    qobj = [Q(v) for v in obj]
+
+    # Integer tableau: column j scaled by kappa[j], the rhs by sigma, the
+    # phase-2 costs by tau; every scale is the lcm of the denominators it clears.
+    kappa = [lcm(*[row[j].denominator for row in qrows]) for j in range(ncols)]
+    sigma = lcm(*[row[-1].denominator for row in qrows])
+    tau = lcm(*[c.denominator for c in qobj])
+    scales = kappa + [sigma]
+    tab = [[a.numerator * (s // a.denominator) for a, s in zip(row, scales)] for row in qrows]
 
     row_ids = list(range(nrows))
     basis = [-1] * nrows
 
     # Adopt existing unit columns as the initial basis where possible.
     for j in range(ncols):
+        if kappa[j] != 1:
+            continue
         hit = None
         usable = True
         for i in range(nrows):
-            a = rows[i][j]
+            a = tab[i][j]
             if a != 0:
                 if hit is None and a == 1:
                     hit = i
@@ -202,86 +231,75 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
     art_cols: List[int] = []
     if need_art:
         n_art = len(need_art)
-        for row in rows:
-            row[-1:-1] = [ZERO] * n_art
+        for row in tab:
+            row[-1:-1] = [0] * n_art
         for k, i in enumerate(need_art):
             col = ncols + k
-            rows[i][col] = ONE
+            tab[i][col] = 1
             basis[i] = col
             unit_col[i] = col
             art_cols.append(col)
         total_cols = ncols + n_art
     art_set = set(art_cols)
     enterable = [True] * total_cols
+    d = 1  # the shared determinant: the rational tableau is tab / d
 
-    def make_objrow(costs: List[Rat]) -> List[Rat]:
-        objrow = list(costs) + [ZERO]
-        for i, brow in enumerate(rows):
-            f = objrow[basis[i]]
-            if f != 0:
-                objrow = [a - f * p for a, p in zip(objrow, brow)]
-        return objrow
-
-    def pivot(pr: int, pc: int) -> List[Rat]:
-        prow = rows[pr]
-        piv = prow[pc]
-        if piv != 1:
-            inv = ONE / piv
-            rows[pr] = prow = [a * inv for a in prow]
-        for i in range(len(rows)):
-            if i != pr:
-                f = rows[i][pc]
-                if f != 0:
-                    rows[i] = [a - f * p for a, p in zip(rows[i], prow)]
+    def pivot(pr: int, pc: int) -> None:
+        nonlocal d
+        if tab[pr][pc] < 0:
+            # Negating the pivot row negates the whole tableau after the
+            # step, d included, so d stays positive and the sign of every
+            # entry is the sign of the rational entry.
+            tab[pr] = [-a for a in tab[pr]]
+        d = _bareiss_pivot(tab, pr, pc, d)
         basis[pr] = pc
-        return prow
 
-    def run(objrow: List[Rat]):
-        """Bland-rule iteration; returns ('optimal', objrow) or ('unbounded', objrow, col)."""
+    def run(costs: List[int]) -> Tuple[List[int], int]:
+        """Bland-rule iteration with the objective row ``d * (costs - costs_B
+        B^-1 [M | rhs])`` pivoted along as the tableau's last row; returns that
+        row and the entering column of an improving ray (-1 at an optimum)."""
+        m = len(tab)
+        objrow = [d * c for c in costs] + [0]
+        for i in range(m):
+            f = costs[basis[i]]
+            if f:
+                objrow = [a - f * b for a, b in zip(objrow, tab[i])]
+        tab.append(objrow)
         while True:
-            pc = -1
-            for j in range(total_cols):
-                if enterable[j] and objrow[j] > 0:
-                    pc = j
-                    break
+            objrow = tab[m]
+            pc = next((j for j in range(total_cols) if enterable[j] and objrow[j] > 0), -1)
             if pc < 0:
-                return ("optimal", objrow)
-            best_key = None
-            best_row = -1
-            for i in range(len(rows)):
-                a = rows[i][pc]
+                break
+            # Ratio test by cross-multiplication; ties go to the lowest
+            # basic column.
+            best = -1
+            for i in range(m):
+                a = tab[i][pc]
                 if a > 0:
-                    key = (rows[i][-1] / a, basis[i])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_row = i
-            if best_row < 0:
-                return ("unbounded", objrow, pc)
-            leaving = basis[best_row]
-            prow = pivot(best_row, pc)
-            f = objrow[pc]
-            if f != 0:
-                objrow[:] = [a - f * p for a, p in zip(objrow, prow)]
+                    b = tab[i][-1]
+                    if best < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[i] < basis[best]
+                    ):
+                        best, best_a, best_b = i, a, b
+            if best < 0:
+                break
+            leaving = basis[best]
+            pivot(best, pc)
             if leaving in art_set:
                 enterable[leaving] = False
-
-    dropped_rows: List[int] = []
+        return tab.pop(), pc
 
     if art_cols:
-        phase1 = [ZERO] * total_cols
-        for c in art_cols:
-            phase1[c] = -ONE
-        objrow = make_objrow(phase1)
-        status = run(objrow)
-        if status[0] != "optimal":
+        phase1 = [0] * ncols + [-1] * len(art_cols)
+        objrow, pc = run(phase1)
+        if pc >= 0:
             raise InternalError("phase-1 objective is bounded above by zero")
-        if -objrow[-1] != 0:
+        if objrow[-1] != 0:
             # Infeasible: assemble the Farkas certificate from the row duals.
             g = []
-            for pos in range(len(rows)):
+            for pos in range(len(tab)):
                 col = unit_col[pos]
-                y = phase1[col] - objrow[col]
-                g.append(Q(-sigma[row_ids[pos]]) * y)
+                g.append(Q(-flip[row_ids[pos]] * (d * phase1[col] - objrow[col]), d))
             farkas = tuple(g)
             for j in range(ncols):
                 s = ZERO
@@ -295,45 +313,39 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         # Feasible: drive artificial columns out of the basis, dropping any
         # row that has become identically zero (a redundant equality).
         to_drop = []
-        for i in range(len(rows)):
+        for i in range(len(tab)):
             if basis[i] in art_set:
-                pc = -1
-                for j in range(ncols):
-                    if rows[i][j] != 0:
-                        pc = j
-                        break
+                pc = next((j for j in range(ncols) if tab[i][j]), -1)
                 if pc < 0:
-                    if rows[i][-1] != 0:
+                    if tab[i][-1] != 0:
                         raise InternalError("redundant row with nonzero rhs after phase 1")
                     to_drop.append(i)
                 else:
                     pivot(i, pc)
         for i in reversed(to_drop):
-            dropped_rows.append(row_ids[i])
-            del rows[i], basis[i], unit_col[i], row_ids[i]
+            del tab[i], basis[i], unit_col[i], row_ids[i]
         for c in art_cols:
             enterable[c] = False
 
-    costs2 = [Q(v) for v in obj] + [ZERO] * (total_cols - ncols)
-    objrow = make_objrow(costs2)
-    status = run(objrow)
+    costs2 = [k * c.numerator * (tau // c.denominator) for k, c in zip(kappa, qobj)]
+    costs2 += [0] * (total_cols - ncols)
+    objrow, pc = run(costs2)
 
     def current_point() -> Vec:
         t = [ZERO] * ncols
         for i, bcol in enumerate(basis):
             if bcol >= ncols:
                 raise InternalError("artificial variable still basic after phase 1")
-            t[bcol] = rows[i][-1]
+            t[bcol] = Q(kappa[bcol] * tab[i][-1], sigma * d)
         return tuple(t)
 
-    if status[0] == "unbounded":
-        pc = status[2]
+    if pc >= 0:
         if pc >= ncols:
             raise InternalError("artificial column selected as unbounded direction")
         ray = [ZERO] * ncols
         ray[pc] = ONE
-        for i, brow in enumerate(rows):
-            ray[basis[i]] = -brow[pc]
+        for i, brow in enumerate(tab):
+            ray[basis[i]] = Q(-kappa[basis[i]] * brow[pc], kappa[pc] * d)
         t0 = current_point()
         for i in range(nrows):
             if sum(Q(M[i][j]) * ray[j] for j in range(ncols)) != 0:
@@ -345,12 +357,11 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         return KernelUnbounded(t0, tuple(ray))
 
     t = current_point()
-    value = -objrow[-1]
+    value = Q(-objrow[-1], sigma * tau * d)
     duals = [ZERO] * nrows
-    for pos in range(len(rows)):
+    for pos in range(len(tab)):
         col = unit_col[pos]
-        y = costs2[col] - objrow[col]
-        duals[row_ids[pos]] = Q(sigma[row_ids[pos]]) * y
+        duals[row_ids[pos]] = Q(flip[row_ids[pos]] * (d * costs2[col] - objrow[col]), tau * d)
     # Exact optimality verification: primal feasibility, value, reduced costs,
     # and strong duality.
     if any(v < 0 for v in t):

@@ -27,6 +27,16 @@ def vec_frac(v):
     return [to_frac(c) for c in v]
 
 
+def vadd(u, v):
+    assert len(u) == len(v)
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vscale(s, u):
+    s = Q(s)
+    return tuple(s * a for a in u)
+
+
 def rand_rat(rng: random.Random, span: int = 4, den: int = 4):
     return Q(rng.randint(-span, span), rng.randint(1, den))
 

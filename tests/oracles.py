@@ -334,6 +334,103 @@ def lp_enum_oracle(objective, rows, rhs, dim, box=F(2) ** 80):
     return ("optimal", inner)
 
 
+def bland_simplex_oracle(M, rhs, obj):
+    """Maximize obj.t over {M t = rhs, t >= 0} on a dense `Fraction` tableau.
+
+    The textbook two-phase method with Bland's rule, pivot for pivot the one
+    the package's integer kernel must reproduce: rows with a negative rhs are
+    negated; a column equal to e_i is adopted as row i's starting basic
+    column, and every other row gets an artificial column; the lowest column
+    with a positive reduced cost enters; the ratio test breaks ties toward the
+    lowest basic column; an artificial that leaves never re-enters.  After
+    phase 1, each artificial still basic is pivoted out on the lowest nonzero
+    original column of its row (whatever its sign), or its row is dropped.
+    Duals and the Farkas vector are read off the reduced costs of each row's
+    starting unit column.  Returns ("optimal", t, value, duals),
+    ("unbounded", t0, ray) or ("infeasible", farkas), each vector a tuple of
+    Fractions.
+    """
+    nrows, ncols = len(M), len(obj)
+    sign = [-1 if F(r) < 0 else 1 for r in rhs]
+    rows = [[s * F(a) for a in row] + [s * F(r)] for row, r, s in zip(M, rhs, sign)]
+    basis = [-1] * nrows
+    for j in range(ncols):
+        nonzero = [i for i in range(nrows) if rows[i][j] != 0]
+        if len(nonzero) == 1 and rows[nonzero[0]][j] == 1 and basis[nonzero[0]] == -1:
+            basis[nonzero[0]] = j
+    arts = [i for i in range(nrows) if basis[i] == -1]
+    for k, i in enumerate(arts):
+        for row in rows:
+            row.insert(ncols + k, F(int(row is rows[i])))
+        basis[i] = ncols + k
+    unit_col = list(basis)
+    total = ncols + len(arts)
+    enterable = [True] * total
+
+    def pivot(r, c):
+        rows[r] = [a / rows[r][c] for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        basis[r] = c
+
+    def reduced(costs):
+        out = list(costs) + [F(0)]
+        for i, row in enumerate(rows):
+            out = [a - costs[basis[i]] * b for a, b in zip(out, row)]
+        return out
+
+    def run(costs):
+        while True:
+            red = reduced(costs)
+            enter = [j for j in range(total) if enterable[j] and red[j] > 0]
+            if not enter:
+                return red, None
+            c = enter[0]
+            ratios = [(row[-1] / row[c], basis[i], i) for i, row in enumerate(rows) if row[c] > 0]
+            if not ratios:
+                return red, c
+            r = min(ratios)[2]
+            if basis[r] >= ncols:
+                enterable[basis[r]] = False
+            pivot(r, c)
+
+    def dual(red, costs, i):
+        return sign[i] * (costs[unit_col[i]] - red[unit_col[i]])
+
+    ids = list(range(nrows))
+    if arts:
+        phase1 = [F(0)] * ncols + [F(-1)] * len(arts)
+        red, _ = run(phase1)
+        if red[-1] != 0:
+            return ("infeasible", tuple(-dual(red, phase1, i) for i in range(nrows)))
+        for i in range(nrows):
+            if basis[i] >= ncols:
+                nonzero = [j for j in range(ncols) if rows[i][j] != 0]
+                if nonzero:
+                    pivot(i, nonzero[0])
+        for i in range(nrows - 1, -1, -1):
+            if basis[i] >= ncols:
+                del rows[i], basis[i], ids[i]
+        for j in range(ncols, total):
+            enterable[j] = False
+    costs = [F(c) for c in obj] + [F(0)] * len(arts)
+    red, c = run(costs)
+    t = [F(0)] * ncols
+    for i, row in enumerate(rows):
+        t[basis[i]] = row[-1]
+    if c is not None:
+        ray = [F(0)] * ncols
+        ray[c] = F(1)
+        for i, row in enumerate(rows):
+            ray[basis[i]] = -row[c]
+        return ("unbounded", tuple(t), tuple(ray))
+    duals = [F(0)] * nrows
+    for i in ids:
+        duals[i] = dual(red, costs, i)
+    return ("optimal", tuple(t), -red[-1], tuple(duals))
+
+
 # ---------------------------------------------------------------------------
 # one-dimensional breakpoint oracles
 

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import rand_hpoly, rand_polyfun, rand_genset, rand_vec, feasible_points_of, to_frac, vec_frac
+from conftest import rand_hpoly, rand_polyfun, rand_genset, rand_vec, feasible_points_of, to_frac, vec_frac, vscale
 from nondegen.experiments import (
     SamplerConfig,
     construct_degenerate,
@@ -53,7 +53,7 @@ from nondegen.geometry import (
     ri_membership,
     translate,
 )
-from nondegen.linalg import Q, dot, vscale, vsub
+from nondegen.linalg import Q, dot, vsub
 from nondegen.proximal import LowerC2Instance, minty_transport, prox
 from nondegen.simplex import Infeasible, LinearProgram, Optimal, Unbounded, solve_lp
 from oracles import lp_enum_oracle, ri_status_oracle

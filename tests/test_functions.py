@@ -26,13 +26,12 @@ from nondegen.functions import (
     certify,
     evaluate,
     minimize_perturbed,
-    perturbed,
     strict_complementarity,
     subdifferential,
 )
 from nondegen.gallery import abs_function, box, box_indicator
 from nondegen.geometry import positive_span_is_subspace, translate
-from nondegen.linalg import Q, dot, vscale, zeros
+from nondegen.linalg import Q, dot, zeros
 from nondegen.simplex import (
     HPolyhedron,
     Infeasible,
@@ -268,7 +267,8 @@ def test_tilting_preserves_certification(seed):
     v = rand_vec(rng, dim)
     for x in feasible_points_of(f, rng):
         direct = certify(f, v, x)
-        tilted = certify(perturbed(f, v), zeros(dim), x)
+        tilted_terms = tuple((tuple(a - b for a, b in zip(c, v)), d) for c, d in f.terms)
+        tilted = certify(PolyhedralFunction(tilted_terms, f.domain, dim), zeros(dim), x)
         assert type(direct) is type(tilted)
 
 

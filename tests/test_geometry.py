@@ -1,4 +1,5 @@
-"""Generated sets, normal cones, relative-interior membership, exposed faces."""
+"""Generated sets, normal cones (as subdifferentials of indicators),
+relative-interior membership, exposed faces."""
 
 import random
 
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, rand_genset, rand_vec, to_frac, vec_frac
+from conftest import qv, rand_genset, rand_vec, vadd, vec_frac, vscale
 from nondegen import (
     Boundary,
     GeneratedSet,
-    HPolyhedron,
     Interior,
     Outside,
+    PolyhedralFunction,
     VPolytope,
+    subdifferential,
 )
 from nondegen.errors import (
     DimensionMismatchError,
@@ -24,13 +26,12 @@ from nondegen.gallery import box, square_vertices
 from nondegen.geometry import (
     exposed_face,
     member,
-    normal_cone,
     positive_span_is_subspace,
     prune,
     ri_membership,
     translate,
 )
-from nondegen.linalg import Q, vadd, vscale, vsub, zeros
+from nondegen.linalg import Q, vsub, zeros
 from oracles import ri_status_oracle
 
 QUADRANT = GeneratedSet((qv(0, 0),), (qv(1, 0), qv(0, 1)), 2)
@@ -38,25 +39,25 @@ SEGMENT = GeneratedSet((qv(0, 0), qv(2, 0)), (), 2)
 
 
 def test_normal_cone_at_vertex():
-    S = normal_cone(box(2), qv(1, 1))
+    S = subdifferential(PolyhedralFunction.indicator(box(2)), qv(1, 1))
     assert S.points == (qv(0, 0),)
     assert set(S.rays) == {qv(1, 0), qv(0, 1)}
 
 
 def test_normal_cone_at_interior_point_is_origin():
-    S = normal_cone(box(2), qv(0, 0))
+    S = subdifferential(PolyhedralFunction.indicator(box(2)), qv(0, 0))
     assert S.points == (qv(0, 0),)
     assert S.rays == ()
 
 
 def test_normal_cone_on_facet():
-    S = normal_cone(box(2), qv(1, 0))
+    S = subdifferential(PolyhedralFunction.indicator(box(2)), qv(1, 0))
     assert S.rays == (qv(1, 0),)
 
 
 def test_normal_cone_outside_reports_violated_index():
     with pytest.raises(OutsideDomainError) as err:
-        normal_cone(box(2), qv(2, 0))
+        subdifferential(PolyhedralFunction.indicator(box(2)), qv(2, 0))
     assert "constraint 0" in str(err.value)
 
 
@@ -247,7 +248,7 @@ def test_translate_shifts_status(seed):
 def test_normal_cone_generators_are_valid_normals():
     P = box(2)
     x = qv(1, 1)
-    S = normal_cone(P, x)
+    S = subdifferential(PolyhedralFunction.indicator(P), x)
     for a in S.rays:
         for corner in (qv(-1, -1), qv(1, -1), qv(-1, 1), qv(1, 1)):
             assert sum(ai * (ci - xi) for ai, ci, xi in zip(a, corner, x)) <= 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, to_frac, vec_frac
+from conftest import qv, to_frac, vadd, vec_frac, vscale
 from nondegen import (
     Inconsistent,
     Q,
@@ -19,7 +19,7 @@ from nondegen import (
     solve_linear,
 )
 from nondegen.errors import DimensionMismatchError, RationalParseError
-from nondegen.linalg import dot, vadd, vscale, vsub
+from nondegen.linalg import dot, vsub
 from oracles import rref, solve_linear_oracle
 
 rationals = st.fractions(

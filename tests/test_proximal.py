@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_points_of, qv, rand_polyfun, rand_rat, rand_vec, to_frac, vec_frac
+from conftest import feasible_points_of, qv, rand_polyfun, rand_rat, rand_vec, to_frac, vec_frac, vscale
 from nondegen.errors import EnumerationBoundError, InfeasibleDomainError
 from nondegen.functions import (
     DegenerateCritical,
@@ -17,7 +17,7 @@ from nondegen.functions import (
 )
 from nondegen.gallery import abs_function, box_indicator
 from nondegen.geometry import Boundary, Interior, member, ri_membership, translate
-from nondegen.linalg import Q, dot, vscale, vsub, zeros
+from nondegen.linalg import Q, dot, vsub, zeros
 from nondegen.proximal import (
     LowerC2Instance,
     _kkt_solutions,

@@ -1,6 +1,8 @@
 """Exact simplex: outcomes, certificates, determinism, and oracle agreement."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from nondegen import (
 )
 from nondegen.gallery import box, pyramid
 from nondegen.linalg import dot
-from oracles import lp_enum_oracle
+from nondegen.simplex import KernelOptimal, KernelUnbounded, solve_standard_form
+from oracles import bland_simplex_oracle, lp_enum_oracle
 
 
 def lp(objective, rows, rhs, dim=None):
@@ -166,3 +169,94 @@ def test_active_set_is_exact_equality():
     # only the x1 <= 1 wall need be active; duals of slack rows are zero
     assert 0 in res.active_set
     assert res.duals[2] == res.duals[3] == 0
+
+
+# ---------------------------------------------------------------------------
+# the standard-form kernel against a plain Fraction Bland tableau
+# ---------------------------------------------------------------------------
+
+
+def _kernel_fields(out):
+    if isinstance(out, KernelOptimal):
+        return ("optimal", out.t, out.value, out.duals)
+    if isinstance(out, KernelUnbounded):
+        return ("unbounded", out.t0, out.ray)
+    return ("infeasible", out.farkas)
+
+
+def _entry(rng):
+    k = rng.random()
+    if k < 0.4:
+        return Fraction(0)
+    if k < 0.5:
+        return Fraction(rng.choice([1, -1]))
+    if k < 0.55:  # 64-bit denominators
+        return Fraction(rng.randint(-(2**64), 2**64), rng.randint(1, 2**64))
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _standard_form_program(rng):
+    """A random ``(M, rhs, obj)`` and the features it has: rows with a
+    negative rhs, a redundant row, adopted unit columns, no rows at all.
+    Zero rhs entries are common, so ratio ties and artificials left basic
+    after phase 1 (the drive-out) are common too."""
+    m, n = rng.randint(0, 4), rng.randint(1, 5)
+    M = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.5:
+        # rhs = M t for some t >= 0, so that the program is feasible
+        t = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+        rhs = [sum(a * b for a, b in zip(row, t)) for row in M]
+    else:
+        rhs = [_entry(rng) for _ in range(m)]
+    units = 0
+    if m and rng.random() < 0.5:
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            pos = rng.randint(0, len(M[0]))
+            for r, row in enumerate(M):
+                row.insert(pos, Fraction(int(r == i)))
+            units += 1
+    redundant = m >= 2 and rng.random() < 0.3
+    if redundant:
+        a, b = rng.sample(range(m), 2)
+        s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        M.append([x + s * y for x, y in zip(M[a], M[b])])
+        rhs.append(rhs[a] + s * rhs[b])
+    obj = [_entry(rng) for _ in range(len(M[0]) if M else n)]
+    features = {
+        "negative rhs": any(r < 0 for r in rhs),
+        "redundant row": redundant,
+        "unit columns": units > 0,
+        "64-bit denominators": any(
+            a.denominator.bit_length() > 32 for row in M + [rhs, obj] for a in row
+        ),
+        "no rows": not M,
+    }
+    return M, rhs, obj, features
+
+
+def test_kernel_matches_the_bland_oracle():
+    """Every outcome of the integer kernel is the Fraction tableau's, field by
+    field and down to the repr: the same Bland pivots on positively scaled
+    columns, rhs and costs give the same basis, point, duals, ray and Farkas
+    vector."""
+    rng = random.Random(6021)
+    outcomes, features = Counter(), Counter()
+    for _ in range(2400):
+        M, rhs, obj, feats = _standard_form_program(rng)
+        got = _kernel_fields(solve_standard_form(M, rhs, obj))
+        assert repr(got) == repr(bland_simplex_oracle(M, rhs, obj)), (M, rhs, obj)
+        outcomes[got[0]] += 1
+        features.update(k for k, v in feats.items() if v)
+    assert min(outcomes[k] for k in ("optimal", "unbounded", "infeasible")) >= 300, outcomes
+    assert min(features.values()) >= 100 and len(features) == 5, features
+
+
+def test_kernel_with_no_rows():
+    assert _kernel_fields(solve_standard_form([], [], [Fraction(-1), Fraction(0)])) == (
+        "optimal",
+        (0, 0),
+        0,
+        (),
+    )
+    out = solve_standard_form([], [], [Fraction(0), Fraction(1, 2)])
+    assert _kernel_fields(out) == ("unbounded", (0, 0), (0, 1))
