@@ -125,10 +125,8 @@ def _eliminate(M: List[list], ncols: int) -> Tuple[List[int], int]:
     """Edmonds' fraction-free Gauss-Jordan elimination of the integer rows
     ``M`` in place, pivoting on the first ``ncols`` columns.
 
-    Returns the pivot columns and the last pivot ``d``.  Each step replaces
-    every non-pivot row by ``(pivot * row - f * pivot_row) / previous_pivot``;
-    the division is exact because every entry stays a minor of the input
-    (Sylvester's identity).  Afterwards row ``r`` divided by ``d`` is row ``r``
+    Returns the pivot columns and the last pivot ``d``.  Each step is one
+    :func:`_bareiss_pivot`.  Afterwards row ``r`` divided by ``d`` is row ``r``
     of the reduced row echelon form, and the rows past the pivots are zero in
     the first ``ncols`` columns.
     """
