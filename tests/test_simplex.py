@@ -249,14 +249,3 @@ def test_kernel_matches_the_bland_oracle():
         features.update(k for k, v in feats.items() if v)
     assert min(outcomes[k] for k in ("optimal", "unbounded", "infeasible")) >= 300, outcomes
     assert min(features.values()) >= 100 and len(features) == 5, features
-
-
-def test_kernel_with_no_rows():
-    assert _kernel_fields(solve_standard_form([], [], [Fraction(-1), Fraction(0)])) == (
-        "optimal",
-        (0, 0),
-        0,
-        (),
-    )
-    out = solve_standard_form([], [], [Fraction(0), Fraction(1, 2)])
-    assert _kernel_fields(out) == ("unbounded", (0, 0), (0, 1))
