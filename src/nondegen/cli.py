@@ -7,11 +7,11 @@ identical fields: JSON is produced *from* the CSV table, row by row, and every
 CSV table is written by ``experiments.csv_table``.
 
 Exit codes: 0 success; 1 usage error (bad flag or flag value, unreadable file,
-bad GENERIC_NONDEGEN_ENUM_BOUND); 2 problem-file parse error; 3 the model
-outcome is infeasible, unbounded, above the enumeration bound, or the file
-does not define the needed object (no rho for `critical`, no vertices or fewer
-than 2 distinct ones for `larman`, nothing at all); 4 an internal invariant
-failed (a bug).
+unwritable report path, bad GENERIC_NONDEGEN_ENUM_BOUND); 2 problem-file parse
+error; 3 the model outcome is infeasible, unbounded, above the enumeration
+bound, or the file does not define the needed object (no rho for `critical`,
+no vertices or fewer than 2 distinct ones for `larman`, nothing at all); 4 an
+internal invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -85,6 +85,14 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise UsageError(f"cannot read '{path}': {e}") from None
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write '{path}': {e}") from None
 
 
 def _parse_vec(text: str, dim: int, flag: str) -> Vec:
@@ -178,8 +186,7 @@ def _cmd_genericity(args) -> Tuple[int, str, str]:
     rep = run_genericity(f, cfg, args.trials)
     csv_text = report_to_csv(rep)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_file(args.report, csv_text)
     lines = [
         f"trials {rep.trials}",
         f"nondegenerate {rep.unique_nondegenerate}",
@@ -215,8 +222,7 @@ def _cmd_larman(args) -> Tuple[int, str, str]:
     rep = run_larman(F, cfg, args.trials)
     csv_text = larman_to_csv(rep)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_file(args.report, csv_text)
     lines = [
         f"trials {rep.trials}",
         f"singleton_faces {rep.singleton_faces}",

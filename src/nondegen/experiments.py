@@ -29,7 +29,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegeneratePolytopeError, InfeasibleDomainError, InternalError
 from .functions import (
-    DegenerateCritical,
     Minimizer,
     Nondegenerate,
     PolyhedralFunction,
@@ -37,7 +36,14 @@ from .functions import (
     minimize_perturbed,
     subdifferential,
 )
-from .geometry import VPolytope, exposed_face, positive_span_is_subspace, translate
+from .geometry import (
+    Boundary,
+    VPolytope,
+    exposed_face,
+    positive_span_is_subspace,
+    ri_membership,
+    translate,
+)
 from .linalg import (
     ONE,
     Q,
@@ -256,11 +262,18 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
 def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     """Exhibit pairs (v, x_bar) with v on the relative boundary of the
     subdifferential at x_bar — the Lebesgue-null set the genericity theorem
-    is about.  Every emitted pair is re-verified to certify DegenerateCritical.
+    is about.  Every emitted pair is one that :func:`certify` classifies as
+    DegenerateCritical.
 
-    At each candidate point the generators of ``subdifferential(f, x)`` are
-    tried as given, rays first.  An affine subdifferential has no relative
-    boundary; any other has a generator on it, so such a point yields one pair.
+    At each candidate point ``S = subdifferential(f, x)`` is built once and
+    its generators are tried as given, rays first: ``ri_membership(S, v)``
+    says Boundary exactly when ``certify(f, v, x)`` says DegenerateCritical.
+    An affine subdifferential has no relative boundary; any other has a
+    generator on it, so such a point yields one pair.
+
+    A candidate point is a domain point, so the domain is proved feasible by
+    any candidate; only when there is none does :func:`feasible_point` run,
+    to raise ``InfeasibleDomainError`` with its Farkas vector.
 
     The candidate points come from a hyperplane-arrangement enumeration, so
     instances with more pieces plus constraints than the enumeration bound
@@ -268,14 +281,16 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     ``EnumerationBoundError``.
     """
     _check_bound(f, None)
-    fp = feasible_point(f.domain)
-    if isinstance(fp, Infeasible):
-        raise InfeasibleDomainError(fp.farkas)
+    points = _candidate_points(f)
+    if not points:
+        fp = feasible_point(f.domain)
+        if isinstance(fp, Infeasible):
+            raise InfeasibleDomainError(fp.farkas)
     pairs: List[Tuple[Vec, Vec]] = []
-    for x in _candidate_points(f):
+    for x in points:
         S = subdifferential(f, x)
         for v in S.rays + S.points:
-            if isinstance(certify(f, v, x), DegenerateCritical):
+            if isinstance(ri_membership(S, v), Boundary):
                 pairs.append((v, x))
                 break
     if pairs:

@@ -94,19 +94,25 @@ def _active_structure(f: PolyhedralFunction, x: Vec):
     """(points, rays, active piece indices, active constraint indices) at ``x``.
 
     Raises when ``x`` is outside the domain (the subdifferential is empty
-    there by convention, surfaced as an error, never as an empty set).
+    there by convention, surfaced as an error, never as an empty set), naming
+    the first violated row as :meth:`HPolyhedron.violation_index` does.  One
+    dot product per row decides both violation and activity.
     """
     if len(x) != f.dim:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
-    bad = f.domain.violation_index(x)
-    if bad is not None:
-        raise OutsideDomainError(bad)
+    active = []
+    for i, (row, rhs) in enumerate(zip(f.domain.A, f.domain.b)):
+        lhs = dot(row, x)
+        if lhs > rhs:
+            raise OutsideDomainError(i)
+        if lhs == rhs:
+            active.append(i)
+    active_cons = tuple(active)
     terms = f.terms
     values = [dot(c, x) + d for c, d in terms]
     top = max(values)
     active_pieces = tuple(j for j, val in enumerate(values) if val == top)
     points = tuple(terms[j][0] for j in active_pieces)
-    active_cons = f.domain.active_set(x)
     rays = tuple(f.domain.A[i] for i in active_cons)
     return points, rays, active_pieces, active_cons
 

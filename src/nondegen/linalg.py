@@ -7,6 +7,11 @@ denominator, so canonical form is maintained by construction.  Vectors are
 plain tuples of scalars and matrices are tuples of row tuples; all public
 operations are pure functions.
 
+:func:`dot` builds no ``Fraction`` per term: it sums the nonzero products as
+an integer numerator over an integer denominator (cross-multiplying only when
+a term's denominator differs from the running one) and normalises once, so a
+dot product pays one gcd instead of one per product and per partial sum.
+
 ``rank`` and ``solve_linear`` share one fraction-free eliminator (Edmonds):
 rows are scaled to integers, each pivot step divides exactly by the previous
 pivot, and rationals are built only from the final rows and the last pivot.
@@ -76,12 +81,20 @@ def zeros(n: int) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Rat:
+    """``Σ u_i v_i`` exactly, accumulated as ``num / den`` in integers; zero
+    terms are skipped and one ``Fraction`` (one gcd) is built at the end."""
     if len(u) != len(v):
         raise DimensionMismatchError("dot product", len(u), len(v))
-    total = ZERO
+    num, den = 0, 1
     for a, b in zip(u, v):
-        total += a * b
-    return total
+        if a and b:
+            d = a.denominator * b.denominator
+            if d == den:
+                num += a.numerator * b.numerator
+            else:
+                num = num * d + a.numerator * b.numerator * den
+                den *= d
+    return Q(num, den)
 
 
 def vsub(u: Vec, v: Vec) -> Vec:

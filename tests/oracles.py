@@ -2,6 +2,8 @@
 
 Everything here runs on `fractions.Fraction` and deliberately avoids importing
 the package under test, so a library bug cannot hide inside its own oracle.
+The one exception, `construct_degenerate_loop_oracle`, is a reference for a
+loop over the package's primitives, not for the primitives themselves.
 The implementations favour obviousness over speed; they are only ever run on
 desk-scale inputs (dim <= 3, a handful of generators).
 """
@@ -19,7 +21,9 @@ MASK64 = (1 << 64) - 1
 # exact dense linear algebra (self-contained)
 
 
-def frac_dot(u, v):
+def dot_oracle(u, v):
+    """Σ u_i v_i as a plain ``Fraction`` sum, one product and one addition
+    at a time."""
     return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
 
 
@@ -276,16 +280,16 @@ def ri_status_oracle(points, rays, dim, y):
         return "outside"
     rows = fm_h_representation(points, rays, dim)
     for a, b in rows:
-        if frac_dot(a, y) > b:
+        if dot_oracle(a, y) > b:
             return "outside"
     strict = True
     for a, b in rows:
-        implicit = all(frac_dot(a, p) == b for p in points) and all(
-            frac_dot(a, r) == 0 for r in rays
+        implicit = all(dot_oracle(a, p) == b for p in points) and all(
+            dot_oracle(a, r) == 0 for r in rays
         )
         if implicit:
             continue
-        if frac_dot(a, y) == b:
+        if dot_oracle(a, y) == b:
             strict = False
     return "interior" if strict else "boundary"
 
@@ -319,8 +323,8 @@ def lp_enum_oracle(objective, rows, rhs, dim, box=F(2) ** 80):
             x = solve_square([ext_rows[i] for i in subset], [ext_rhs[i] for i in subset])
             if x is None:
                 continue
-            if all(frac_dot(ext_rows[i], x) <= ext_rhs[i] for i in range(len(ext_rows))):
-                val = frac_dot(objective, x)
+            if all(dot_oracle(ext_rows[i], x) <= ext_rhs[i] for i in range(len(ext_rows))):
+                val = dot_oracle(objective, x)
                 if best is None or val > best:
                     best = val
         return best
@@ -634,8 +638,8 @@ def dual_witness_oracle(rows, rhs, v, xbar):
     plus the sum of the rays, or None.
     """
     m, dim = len(rows), len(xbar)
-    active = [i for i in range(m) if frac_dot(rows[i], xbar) == F(rhs[i])]
-    assert all(frac_dot(rows[i], xbar) <= F(rhs[i]) for i in range(m)), "xbar infeasible"
+    active = [i for i in range(m) if dot_oracle(rows[i], xbar) == F(rhs[i])]
+    assert all(dot_oracle(rows[i], xbar) <= F(rhs[i]) for i in range(m)), "xbar infeasible"
     vertices = []
     ray_list = []
     for size in range(0, min(len(active), dim) + 1):
@@ -716,3 +720,38 @@ def sample_vector_oracle(seed, trial_index, dim, bits=64, radius=F(1)):
         den = (raws[2 * i + 1] & mask) + 1
         coords.append(F(radius) * F(num, den * half))
     return coords
+
+
+# ---------------------------------------------------------------------------
+# the per-generator adversarial loop
+
+
+def construct_degenerate_loop_oracle(f):
+    """``construct_degenerate`` as one ``certify`` call per tried generator,
+    with the domain proved feasible by ``feasible_point`` before anything
+    else.  Unlike the rest of this module it is built on the package: it pins
+    the loop (which pairs are emitted, which error is raised), and the
+    candidate points, subdifferentials and verdicts it reads come from the
+    package's own primitives."""
+    from nondegen.errors import InfeasibleDomainError
+    from nondegen.experiments import AdversarialReport, _candidate_points
+    from nondegen.functions import DegenerateCritical, certify, subdifferential
+    from nondegen.proximal import _check_bound
+    from nondegen.simplex import Infeasible, feasible_point
+
+    _check_bound(f, None)
+    fp = feasible_point(f.domain)
+    if isinstance(fp, Infeasible):
+        raise InfeasibleDomainError(fp.farkas)
+    pairs = []
+    for x in _candidate_points(f):
+        S = subdifferential(f, x)
+        for v in S.rays + S.points:
+            if isinstance(certify(f, v, x), DegenerateCritical):
+                pairs.append((v, x))
+                break
+    if pairs:
+        return AdversarialReport(tuple(pairs), "ok")
+    return AdversarialReport(
+        (), "no candidate point has a subdifferential with nonempty relative boundary"
+    )

@@ -125,6 +125,22 @@ def test_usage_error_on_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["genericity", "larman"])
+def test_unwritable_report_path_is_usage_error(prob, capsys, tmp_path, command):
+    target = tmp_path / "no" / "such" / "dir" / "x.csv"
+    if command == "genericity":
+        inputs = [prob("box.prob", BOX)]
+    else:
+        inputs = ["--vertices", prob("square.prob", SQUARE)]
+    code, out, err = run(
+        capsys, command, *inputs, "--trials", "2", "--seed", "1", "--report", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write '{target}'")
+    assert not target.parent.exists()
+
+
 def test_parse_error_exit_code(prob, capsys):
     code, _, err = run(capsys, "minimize", prob("bad.prob", "dim 1\nwat 3\n"), "--v", "1")
     assert code == 2

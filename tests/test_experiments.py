@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_points_of, qv, rand_polyfun, to_frac, vec_frac
-from nondegen.errors import DegeneratePolytopeError, EnumerationBoundError, InternalError
+from nondegen.errors import (
+    DegeneratePolytopeError,
+    EnumerationBoundError,
+    InfeasibleDomainError,
+    InternalError,
+)
 from nondegen import experiments
 from nondegen.experiments import (
     AdversarialReport,
@@ -36,11 +41,25 @@ from nondegen.functions import (
     minimize_perturbed,
     subdifferential,
 )
-from nondegen.gallery import abs_function, box_indicator, point_indicator, square_vertices
+from nondegen.gallery import (
+    abs_function,
+    box_indicator,
+    point_indicator,
+    pyramid_indicator,
+    random_polytope,
+    simplex_indicator,
+    square_vertices,
+)
 from nondegen.geometry import VPolytope
 from nondegen.linalg import Q
 from nondegen.simplex import HPolyhedron
-from oracles import ri_status_oracle, rref, sample_vector_oracle, splitmix_oracle
+from oracles import (
+    construct_degenerate_loop_oracle,
+    ri_status_oracle,
+    rref,
+    sample_vector_oracle,
+    splitmix_oracle,
+)
 
 CFG42 = SamplerConfig(seed=42)
 
@@ -350,6 +369,57 @@ def test_constructed_pairs_on_random_instances(seed):
     report = construct_degenerate(f)
     for v, x in report.pairs:
         assert isinstance(certify(f, v, x), DegenerateCritical)
+
+
+def _pieced_functions(count):
+    """Seeded random functions with at least one affine piece."""
+    rng = random.Random(7042)
+    out = []
+    while len(out) < count:
+        f = rand_polyfun(rng, rng.randint(1, 3))
+        if f.pieces:
+            out.append(f)
+    return out
+
+
+def test_construct_degenerate_matches_the_per_generator_certify_loop():
+    """One ∂f(x) per candidate point, read by ri_membership, emits exactly
+    the report of one certify call per generator, on the criterion-2 set and
+    on seeded functions with pieces."""
+    criterion_2 = [
+        box_indicator(2),
+        box_indicator(3),
+        box_indicator(5),
+        simplex_indicator(3),
+        pyramid_indicator(),
+        abs_function(),
+        point_indicator(2),
+    ] + [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in (101, 202, 303)]
+    for f in criterion_2 + _pieced_functions(12):
+        assert repr(construct_degenerate(f)) == repr(construct_degenerate_loop_oracle(f))
+    assert construct_degenerate(point_indicator(2)).pairs == ()
+
+
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        ([(1,), (-1,)], [-1, -1]),  # x <= -1 and x >= 1
+        ([(1, 1), (-1, 0), (0, -1)], [-1, 0, 0]),  # x + y <= -1 in the first quadrant
+    ],
+)
+def test_infeasible_domain_raises_with_a_valid_farkas_vector(rows, rhs):
+    dim = len(rows[0])
+    f = PolyhedralFunction.build([((1,) * dim, 0)], rows, rhs, dim)
+    with pytest.raises(InfeasibleDomainError) as err:
+        construct_degenerate(f)
+    y = err.value.farkas
+    A, b = f.domain.A, f.domain.b
+    assert all(c >= 0 for c in y)
+    assert all(sum(c * row[k] for c, row in zip(y, A)) == 0 for k in range(dim))
+    assert sum(c * bi for c, bi in zip(y, b)) < 0
+    with pytest.raises(InfeasibleDomainError) as ref:
+        construct_degenerate_loop_oracle(f)
+    assert ref.value.farkas == y
 
 
 # ---------------------------------------------------------------------------

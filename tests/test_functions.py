@@ -40,7 +40,7 @@ from nondegen.simplex import (
     Unbounded,
     solve_lp,
 )
-from oracles import dual_witness_oracle, minimize_1d
+from oracles import dot_oracle, dual_witness_oracle, minimize_1d
 
 TIE = PolyhedralFunction.max_affine([((1,), 1), ((2,), 0)], 1)
 SIMPLEX_2D = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1)], [0, 0, 1], 2)
@@ -126,6 +126,56 @@ def test_subdifferential_smooth_region_is_singleton():
 def test_subdifferential_outside_domain_is_an_error():
     with pytest.raises(OutsideDomainError):
         subdifferential(box_indicator(2), qv(2, 0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_outside_point_names_the_first_violated_row(seed):
+    """Two or more violated rows: subdifferential and certify name the one
+    violation_index names, the lowest."""
+    rng = random.Random(seed)
+    f = rand_polyfun(rng, 2)
+    while f.domain.m == 0:
+        f = rand_polyfun(rng, 2)
+    tried = 0
+    for _ in range(100):
+        x = rand_vec(rng, 2, span=40)
+        violated = [i for i, (a, b) in enumerate(zip(f.domain.A, f.domain.b)) if dot_oracle(a, x) > b]
+        if len(violated) < 2:
+            continue
+        tried += 1
+        assert f.domain.violation_index(x) == violated[0]
+        for call in (lambda: subdifferential(f, x), lambda: certify(f, zeros(2), x)):
+            with pytest.raises(OutsideDomainError) as err:
+                call()
+            assert err.value.index == violated[0]
+    assert tried >= 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_active_rows_are_the_active_set(seed):
+    """The rays of ∂f(x) are the rows active_set(x) names, at vertices, edge
+    points and interior points."""
+    rng = random.Random(seed)
+    n = 3
+    f = box_indicator(n, Q(rng.randint(1, 4)))
+    r = f.domain.b[0]
+
+    def inside():
+        return Q(rng.randint(-9, 9), 10) * r
+
+    corner = [rng.choice((r, -r)) for _ in range(n)]
+    edge = list(corner)
+    edge[rng.randrange(n)] = inside()
+    interior = [inside() for _ in range(n)]
+    points = [tuple(corner), tuple(edge), tuple(interior)]
+    g = rand_polyfun(rng, n)
+    vertices = feasible_points_of(g, rng)
+    points_g = vertices + [tuple((a + b) / 2 for a, b in zip(u, w)) for u in vertices for w in vertices]
+    for h, xs in ((f, points), (g, points_g)):
+        for x in xs:
+            active = h.domain.active_set(x)
+            assert subdifferential(h, x).rays == tuple(h.domain.A[i] for i in active)
+    assert [len(f.domain.active_set(x)) for x in points] == [n, n - 1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact rational substrate: parsing, canonical form, linear solving, rank."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from nondegen import (
 )
 from nondegen.errors import DimensionMismatchError, RationalParseError
 from nondegen.linalg import dot, vsub
-from oracles import rref, solve_linear_oracle
+from oracles import dot_oracle, rref, solve_linear_oracle
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -148,6 +149,32 @@ def test_vector_helpers_agree_with_fractions(u, v, s):
     assert [to_frac(c) for c in vadd(tuple(u), tuple(v))] == [a + b for a, b in zip(uf, vf)]
     assert [to_frac(c) for c in vsub(tuple(u), tuple(v))] == [a - b for a, b in zip(uf, vf)]
     assert [to_frac(c) for c in vscale(s, tuple(u))] == [to_frac(s) * a for a in uf]
+
+
+def _dot_entry(rng):
+    """Zero, a plain int, a small Fraction, or one whose denominator is an
+    odd number above 2**64 (its numerator a power of two, so it stays)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(rng.choice((-1, 1)) << rng.randrange(8), (1 << 64) + 2 * rng.getrandbits(60) + 1)
+
+
+def test_dot_matches_the_fraction_sum_oracle():
+    rng = random.Random(2010)
+    for case in range(300):
+        n = case % 7  # every seventh case is a pair of empty vectors
+        u = tuple(_dot_entry(rng) for _ in range(n))
+        v = tuple(_dot_entry(rng) for _ in range(n))
+        got = dot(u, v)
+        assert type(got) is Fraction
+        assert got == dot_oracle(u, v), (u, v)
+    with pytest.raises(DimensionMismatchError):
+        dot((Q(1), Q(2)), (Q(1),))
 
 
 # ---------------------------------------------------------------------------
