@@ -262,18 +262,15 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
 def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     """Exhibit pairs (v, x_bar) with v on the relative boundary of the
     subdifferential at x_bar — the Lebesgue-null set the genericity theorem
-    is about.  Every emitted pair is one that :func:`certify` classifies as
-    DegenerateCritical.
+    is about.  Every emitted pair certifies DegenerateCritical.
 
-    At each candidate point ``S = subdifferential(f, x)`` is built once and
-    its generators are tried as given, rays first: ``ri_membership(S, v)``
-    says Boundary exactly when ``certify(f, v, x)`` says DegenerateCritical.
-    An affine subdifferential has no relative boundary; any other has a
-    generator on it, so such a point yields one pair.
-
-    A candidate point is a domain point, so the domain is proved feasible by
-    any candidate; only when there is none does :func:`feasible_point` run,
-    to raise ``InfeasibleDomainError`` with its Farkas vector.
+    At each candidate point ``S = subdifferential(f, x)`` is built once and its
+    generators are tried as given, rays first; ``ri_membership(S, v)`` is
+    Boundary exactly when ``certify(f, v, x)`` is DegenerateCritical.  An
+    affine subdifferential has no relative boundary; any other has a generator
+    on it, so such a point yields one pair.  Candidate points are domain
+    points, so :func:`feasible_point` runs only when there is none, to raise
+    ``InfeasibleDomainError`` with its Farkas vector.
 
     The candidate points come from a hyperplane-arrangement enumeration, so
     instances with more pieces plus constraints than the enumeration bound

@@ -81,8 +81,7 @@ def zeros(n: int) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Rat:
-    """``Σ u_i v_i`` exactly, accumulated as ``num / den`` in integers; zero
-    terms are skipped and one ``Fraction`` (one gcd) is built at the end."""
+    """Exact ``Σ u_i v_i``, summed in integers as the module docstring says."""
     if len(u) != len(v):
         raise DimensionMismatchError("dot product", len(u), len(v))
     num, den = 0, 1
