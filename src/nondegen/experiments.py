@@ -55,8 +55,8 @@ from .linalg import (
     Inconsistent,
     vsub,
 )
-from .proximal import _check_bound
-from .simplex import Infeasible, Unbounded, feasible_point
+from .proximal import _check_bound, _raise_if_infeasible
+from .simplex import Infeasible, Unbounded
 
 MASK64 = (1 << 64) - 1
 
@@ -280,9 +280,7 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     _check_bound(f, None)
     points = _candidate_points(f)
     if not points:
-        fp = feasible_point(f.domain)
-        if isinstance(fp, Infeasible):
-            raise InfeasibleDomainError(fp.farkas)
+        _raise_if_infeasible(f)
     pairs: List[Tuple[Vec, Vec]] = []
     for x in points:
         S = subdifferential(f, x)

@@ -139,7 +139,8 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
         maximize <v, x> - t   s.t.   <c_j, x> - t <= -d_j,   A x <= b.
 
     Returns one exact minimizer (the deterministic solver's choice), an
-    improving ray, or infeasibility (improper ``f``)."""
+    improving ray, or infeasibility (improper ``f``) with a Farkas vector over
+    the domain rows: the ``t`` column forces the term rows' multipliers to 0."""
     if len(v) != f.dim:
         raise DimensionMismatchError("tilt dimension", f.dim, len(v))
     n = f.dim
@@ -162,7 +163,7 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
         return Minimizer(x, t - dot(v, x))
     if isinstance(res, Unbounded):
         return Unbounded(res.x0[:n], res.ray[:n])
-    return res
+    return Infeasible(res.farkas[len(f.terms):])
 
 
 def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:

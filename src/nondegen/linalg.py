@@ -37,7 +37,7 @@ Mat = Tuple[Vec, ...]
 ZERO = Q(0)
 ONE = Q(1)
 
-_RATIONAL_TOKEN = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(token: str) -> Rat:

@@ -12,12 +12,17 @@ with no content sections at all is rejected.  Note the difference between an
 absent section and a present-but-empty one (``pieces 0``): the latter is how
 "the zero function on R^n" is spelled explicitly.
 
+An integer (``n``, ``k``, ``m``) is ASCII digits with an optional leading
+``-``; a rational is an integer or ``n/d`` with ASCII digits in ``d`` and
+``d > 0``.  No ``+`` sign, ``_`` separator or other digit characters.
+
 All errors carry 1-based line numbers.  ``parse_problem`` and ``serialize``
 are mutually inverse on well-formed files.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,6 +34,11 @@ from .proximal import LowerC2Instance
 from .simplex import HPolyhedron
 
 Constraint = Tuple[Vec, Rat]  # (a, b) meaning <a, x> <= b
+
+# Each section's rows hold dim + extra tokens; with extra = 1 the last token is
+# split off as the row's d (pieces) or b (constraints).
+_SECTIONS = {"pieces": 1, "constraints": 1, "vertices": 0}
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -60,124 +70,90 @@ class ProblemFile:
         return VPolytope(self.vertices)
 
 
-def _parse_row(tokens: List[str], expected: int, lineno: int) -> Tuple[Rat, ...]:
-    if len(tokens) != expected:
-        raise ProblemParseError(
-            lineno, f"expected {expected} rational tokens, got {len(tokens)}"
-        )
-    out = []
-    for tok in tokens:
-        try:
-            out.append(parse_rational(tok))
-        except RationalParseError as e:
-            raise ProblemParseError(lineno, str(e)) from None
-    return tuple(out)
-
-
-def _parse_count(tokens: List[str], lineno: int) -> int:
+def _argument(tokens: List[str], lineno: int) -> str:
     if len(tokens) != 2:
         raise ProblemParseError(lineno, f"directive '{tokens[0]}' takes exactly one argument")
+    return tokens[1]
+
+
+def _integer(token: str, lineno: int) -> int:
     try:
-        k = int(tokens[1])
-    except ValueError:
-        raise ProblemParseError(lineno, f"'{tokens[1]}' is not an integer") from None
-    if k < 0:
-        raise ProblemParseError(lineno, f"'{tokens[0]}' count must be nonnegative")
-    return k
+        if _INTEGER.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ProblemParseError(lineno, f"'{token}' is not an integer")
+
+
+def _rational(token: str, lineno: int) -> Rat:
+    try:
+        return parse_rational(token)
+    except RationalParseError as e:
+        raise ProblemParseError(lineno, str(e)) from None
+
+
+def _row(tokens: List[str], width: int, lineno: int) -> Tuple[Rat, ...]:
+    if len(tokens) != width:
+        raise ProblemParseError(lineno, f"expected {width} rational tokens, got {len(tokens)}")
+    return tuple(_rational(tok, lineno) for tok in tokens)
 
 
 def parse_problem(text: str) -> ProblemFile:
-    entries: List[Tuple[int, List[str]]] = []
-    last_line = 1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        last_line = lineno
-        if body:
-            entries.append((lineno, body.split()))
+    lines = text.splitlines()
+    entries = [(lineno, tokens) for lineno, raw in enumerate(lines, 1)
+               if (tokens := raw.split("#", 1)[0].split())]
     if not entries:
         raise ProblemParseError(1, "empty problem file (missing dim directive)")
-
     lineno, tokens = entries[0]
     if tokens[0] != "dim":
         raise ProblemParseError(lineno, f"first directive must be dim, got '{tokens[0]}'")
-    if len(tokens) != 2:
-        raise ProblemParseError(lineno, "directive 'dim' takes exactly one argument")
-    try:
-        dim = int(tokens[1])
-    except ValueError:
-        raise ProblemParseError(lineno, f"'{tokens[1]}' is not an integer") from None
+    dim = _integer(_argument(tokens, lineno), lineno)
     if dim < 1:
         raise ProblemParseError(lineno, "dim must be at least 1")
 
-    pieces: Optional[Tuple[Piece, ...]] = None
-    constraints: Optional[Tuple[Constraint, ...]] = None
-    vertices: Optional[Mat] = None
-    rho: Optional[Rat] = None
-
+    found = {}  # ProblemFile field name -> value
     pos = 1
     while pos < len(entries):
         lineno, tokens = entries[pos]
         head = tokens[0]
-        if head in ("pieces", "constraints", "vertices"):
-            already = {"pieces": pieces, "constraints": constraints, "vertices": vertices}[head]
-            if already is not None:
-                raise ProblemParseError(lineno, f"duplicate '{head}' section")
-            k = _parse_count(tokens, lineno)
-            if len(entries) - (pos + 1) < k:
+        pos += 1
+        if head == "dim" or head in found:
+            kind = "section" if head in _SECTIONS else "directive"
+            raise ProblemParseError(lineno, f"duplicate '{head}' {kind}")
+        if head in _SECTIONS:
+            k = _integer(_argument(tokens, lineno), lineno)
+            if k < 0:
+                raise ProblemParseError(lineno, f"'{head}' count must be nonnegative")
+            block = entries[pos : pos + k]
+            if len(block) < k:
                 raise ProblemParseError(
-                    lineno,
-                    f"'{head}' declares {k} rows but only {len(entries) - pos - 1} follow",
+                    lineno, f"'{head}' declares {k} rows but only {len(block)} follow"
                 )
-            width = dim if head == "vertices" else dim + 1
-            rows = []
-            for off in range(k):
-                row_lineno, row_tokens = entries[pos + 1 + off]
-                rows.append(_parse_row(row_tokens, width, row_lineno))
-            if head == "pieces":
-                pieces = tuple((r[:dim], r[dim]) for r in rows)
-            elif head == "constraints":
-                constraints = tuple((r[:dim], r[dim]) for r in rows)
-            else:
-                vertices = tuple(rows)
-            pos += 1 + k
+            rows = tuple(_row(t, dim + _SECTIONS[head], n) for n, t in block)
+            found[head] = tuple((r[:dim], r[dim]) for r in rows) if _SECTIONS[head] else rows
+            pos += k
         elif head == "rho":
-            if rho is not None:
-                raise ProblemParseError(lineno, "duplicate 'rho' directive")
-            if len(tokens) != 2:
-                raise ProblemParseError(lineno, "directive 'rho' takes exactly one argument")
-            try:
-                rho = parse_rational(tokens[1])
-            except RationalParseError as e:
-                raise ProblemParseError(lineno, str(e)) from None
-            if not rho > 0:
+            found["rho"] = _rational(_argument(tokens, lineno), lineno)
+            if not found["rho"] > 0:
                 raise ProblemParseError(lineno, "rho must be positive")
-            pos += 1
-        elif head == "dim":
-            raise ProblemParseError(lineno, "duplicate 'dim' directive")
         else:
             raise ProblemParseError(lineno, f"unknown directive '{head}'")
 
-    if pieces is None and constraints is None and vertices is None:
+    if found.keys().isdisjoint(_SECTIONS):
         raise ImproperFunctionError(
-            last_line, "no pieces, constraints, or vertices section: nothing to model"
+            len(lines), "no pieces, constraints, or vertices section: nothing to model"
         )
-    return ProblemFile(dim, pieces, constraints, vertices, rho)
+    return ProblemFile(dim, **found)
 
 
 def serialize(pf: ProblemFile) -> str:
     lines = [f"dim {pf.dim}"]
-    if pf.pieces is not None:
-        lines.append(f"pieces {len(pf.pieces)}")
-        for c, d in pf.pieces:
-            lines.append(" ".join(format_rational(t) for t in (*c, d)))
-    if pf.constraints is not None:
-        lines.append(f"constraints {len(pf.constraints)}")
-        for a, b in pf.constraints:
-            lines.append(" ".join(format_rational(t) for t in (*a, b)))
-    if pf.vertices is not None:
-        lines.append(f"vertices {len(pf.vertices)}")
-        for v in pf.vertices:
-            lines.append(" ".join(format_rational(t) for t in v))
+    for head, extra in _SECTIONS.items():
+        rows = getattr(pf, head)
+        if rows is not None:
+            lines.append(f"{head} {len(rows)}")
+            for r in rows:
+                lines.append(" ".join(map(format_rational, (*r[0], r[1]) if extra else r)))
     if pf.rho is not None:
         lines.append(f"rho {format_rational(pf.rho)}")
     return "\n".join(lines) + "\n"

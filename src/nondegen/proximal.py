@@ -77,6 +77,15 @@ def _check_bound(f: PolyhedralFunction, bound: Optional[int]) -> None:
         raise EnumerationBoundError(count, limit)
 
 
+def _raise_if_infeasible(f: PolyhedralFunction) -> None:
+    """Raise ``InfeasibleDomainError`` with a Farkas vector over ``f.domain``
+    if it is empty.  Callers whose results are domain points run this LP only
+    when they found none."""
+    fp = feasible_point(f.domain)
+    if isinstance(fp, Infeasible):
+        raise InfeasibleDomainError(fp.farkas)
+
+
 def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     """Solutions of the square stationarity systems over candidate supports.
 
@@ -132,9 +141,6 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
 def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec:
     """The unique minimizer of ``f(x) + 1/2 |x - c|^2``, exactly."""
     _check_bound(f, enum_bound)
-    fp = feasible_point(f.domain)
-    if isinstance(fp, Infeasible):
-        raise InfeasibleDomainError(fp.farkas)
     pieces = f.terms
     accepted = set()
     for x, mu, lam, J, I in _kkt_solutions(f, ONE, c):
@@ -147,6 +153,7 @@ def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec
             continue
         accepted.add(x)
     if not accepted:
+        _raise_if_infeasible(f)
         raise InternalError("no KKT candidate passed the sign checks")
     if len(accepted) > 1:
         raise InternalError("strictly convex prox objective admitted two minimizers")
@@ -177,7 +184,8 @@ def find_critical_points(
     ``x`` is critical iff ``v + rho x in dg(x)``; candidates come from the
     same support enumeration as prox (with stationarity coefficient ``-rho``),
     and each survivor is re-certified against the true subdifferential, which
-    discards supports that turned out inactive or sign-infeasible.
+    discards supports that turned out inactive or sign-infeasible.  An empty
+    domain raises ``InfeasibleDomainError``, as in :func:`prox`.
     """
     g = inst.g
     _check_bound(g, enum_bound)
@@ -192,4 +200,6 @@ def find_critical_points(
         if isinstance(cert, NotCritical):
             continue
         found[x] = cert
+    if not found:
+        _raise_if_infeasible(g)
     return sorted(found.items())

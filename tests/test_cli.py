@@ -91,10 +91,25 @@ def test_minimize_negative_tilt_both_flag_forms(prob, capsys):
     assert out1 == out2 == "MINIMIZER at (-1, -1); value -2\n"
 
 
-def test_minimize_infeasible_exit_code(prob, capsys):
-    code, out, _ = run(capsys, "minimize", prob("bad.prob", EMPTY_DOMAIN), "--v", "0")
+EMPTY_DOMAIN_ARGS = {
+    "minimize": ("--v", "0"),
+    "certify": ("--v", "0"),
+    "genericity": ("--trials", "1", "--seed", "0"),
+    "adversarial": (),
+    "prox": ("--c", "0"),
+    "critical": ("--v", "0"),
+}
+
+
+@pytest.mark.parametrize("command", list(EMPTY_DOMAIN_ARGS))
+def test_empty_domain_exit_code(prob, capsys, command):
+    path = prob("bad.prob", EMPTY_DOMAIN + "rho 1/2\n")
+    code, out, err = run(capsys, command, path, *EMPTY_DOMAIN_ARGS[command])
     assert code == 3
-    assert out == "INFEASIBLE\n"
+    if command in ("minimize", "certify"):
+        assert out == "INFEASIBLE\n"
+    else:
+        assert (out, err) == ("", "error: domain polyhedron is empty\n")
 
 
 def test_certify_at_outside_point_is_usage_error(prob, capsys):

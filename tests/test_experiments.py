@@ -52,6 +52,7 @@ from nondegen.gallery import (
 )
 from nondegen.geometry import VPolytope
 from nondegen.linalg import Q
+from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
 from oracles import (
     construct_degenerate_loop_oracle,
@@ -400,26 +401,54 @@ def test_construct_degenerate_matches_the_per_generator_certify_loop():
     assert construct_degenerate(point_indicator(2)).pairs == ()
 
 
-@pytest.mark.parametrize(
-    "rows, rhs",
-    [
-        ([(1,), (-1,)], [-1, -1]),  # x <= -1 and x >= 1
-        ([(1, 1), (-1, 0), (0, -1)], [-1, 0, 0]),  # x + y <= -1 in the first quadrant
-    ],
-)
+EMPTY_DOMAINS = [
+    ([(1,), (-1,)], [-1, -1]),  # x <= -1 and x >= 1
+    ([(1, 1), (-1, 0), (0, -1)], [-1, 0, 0]),  # x + y <= -1 in the first quadrant
+]
+
+
+def _assert_domain_farkas(f, y):
+    """y >= 0, y^T A = 0 and y^T b < 0 over the rows of ``f.domain``."""
+    A, b = f.domain.A, f.domain.b
+    assert len(y) == len(A)
+    assert all(c >= 0 for c in y)
+    assert all(sum(c * row[k] for c, row in zip(y, A)) == 0 for k in range(f.dim))
+    assert sum(c * bi for c, bi in zip(y, b)) < 0
+
+
+@pytest.mark.parametrize("rows, rhs", EMPTY_DOMAINS)
 def test_infeasible_domain_raises_with_a_valid_farkas_vector(rows, rhs):
     dim = len(rows[0])
     f = PolyhedralFunction.build([((1,) * dim, 0)], rows, rhs, dim)
     with pytest.raises(InfeasibleDomainError) as err:
         construct_degenerate(f)
     y = err.value.farkas
-    A, b = f.domain.A, f.domain.b
-    assert all(c >= 0 for c in y)
-    assert all(sum(c * row[k] for c, row in zip(y, A)) == 0 for k in range(dim))
-    assert sum(c * bi for c, bi in zip(y, b)) < 0
+    _assert_domain_farkas(f, y)
     with pytest.raises(InfeasibleDomainError) as ref:
         construct_degenerate_loop_oracle(f)
     assert ref.value.farkas == y
+
+
+_INFEASIBLE_SOURCES = {
+    "genericity_trial": lambda f: genericity_trial(f, SamplerConfig(seed=0), 0),
+    "construct_degenerate": construct_degenerate,
+    "prox": lambda f: prox(f, (Q(0),) * f.dim),
+    "find_critical_points": lambda f: find_critical_points(
+        LowerC2Instance(f, Q(1, 2)), (Q(0),) * f.dim
+    ),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_INFEASIBLE_SOURCES))
+@pytest.mark.parametrize("npieces", [0, 1, 3])
+@pytest.mark.parametrize("rows, rhs", EMPTY_DOMAINS)
+def test_every_infeasible_domain_error_carries_a_domain_farkas_vector(rows, rhs, npieces, source):
+    dim = len(rows[0])
+    pieces = [((j - 1,) * dim, j) for j in range(npieces)]
+    f = PolyhedralFunction.build(pieces, rows, rhs, dim)
+    with pytest.raises(InfeasibleDomainError) as err:
+        _INFEASIBLE_SOURCES[source](f)
+    _assert_domain_farkas(f, err.value.farkas)
 
 
 # ---------------------------------------------------------------------------

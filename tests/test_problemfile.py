@@ -116,6 +116,12 @@ def test_vertices_section():
         ("dim 1\npieces 1\n1 0\nrho -1\n", 4, "rho must be positive"),
         ("dim 1\npieces 1\n1 0\nrho abc\n", 4, "bad rational token"),
         ("dim 1\npieces 1\n1 0\nrho\n", 4, "exactly one argument"),
+        ("dim -1\npieces 0\n", 1, "dim must be at least 1"),
+        ("dim +2\npieces 0\n", 1, "'+2' is not an integer"),
+        ("dim 1\npieces 1_0\n", 2, "'1_0' is not an integer"),
+        ("dim 1\nconstraints \u0662\n1 0\n-1 0\n", 2, "is not an integer"),
+        ("dim 1\npieces 1\n\u0663 0\n", 3, "bad rational token"),
+        ("dim 1\npieces 1\n1/\u0663 0\n", 3, "bad rational token"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
