@@ -52,7 +52,7 @@ from .functions import (
     canonical_minimizer,
     certify,
 )
-from .linalg import Vec, format_rational, parse_rational
+from .linalg import Vec, _parse_integer, format_rational, parse_rational
 from .problemfile import ProblemFile, parse_problem
 from .proximal import find_critical_points, prox, resolve_enum_bound
 from .simplex import Unbounded
@@ -73,6 +73,13 @@ class _Parser(argparse.ArgumentParser):
     # UsageError so usage problems report exit code 1 instead.
     def error(self, message):
         raise UsageError(message)
+
+
+def _integer(text: str) -> int:  # the argparse type of every integer flag
+    try:
+        return _parse_integer(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _point(x: Vec) -> str:
@@ -110,6 +117,8 @@ def _load(args) -> ProblemFile:
 
 
 def _sampler(args) -> SamplerConfig:
+    if args.trials < 0:
+        raise UsageError("--trials must be nonnegative")
     try:
         return SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
     except (RationalParseError, ValueError) as e:
@@ -181,8 +190,6 @@ def _cmd_certify(args) -> Tuple[int, str, str]:
 def _cmd_genericity(args) -> Tuple[int, str, str]:
     f = _load(args).function()
     cfg = _sampler(args)
-    if args.trials < 0:
-        raise UsageError("--trials must be nonnegative")
     rep = run_genericity(f, cfg, args.trials)
     csv_text = report_to_csv(rep)
     if args.report:
@@ -217,8 +224,6 @@ def _cmd_larman(args) -> Tuple[int, str, str]:
     pf = parse_problem(_read_file(args.vertices))
     F = pf.vpolytope()
     cfg = _sampler(args)
-    if args.trials < 0:
-        raise UsageError("--trials must be nonnegative")
     rep = run_larman(F, cfg, args.trials)
     csv_text = larman_to_csv(rep)
     if args.report:
@@ -263,9 +268,9 @@ def build_parser() -> _Parser:
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
     sampler = _Parser(add_help=False)
-    sampler.add_argument("--trials", type=int, required=True)
-    sampler.add_argument("--seed", type=int, required=True)
-    sampler.add_argument("--bits", type=int, default=64)
+    sampler.add_argument("--trials", type=_integer, required=True)
+    sampler.add_argument("--seed", type=_integer, required=True)
+    sampler.add_argument("--bits", type=_integer, default=64)
     sampler.add_argument("--radius", default="1", help="sampling box half-width (rational)")
     sampler.add_argument("--report", help="also write the CSV report to this path")
 
@@ -299,7 +304,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prox", parents=[common], help="proximal point of the problem function")
     p.add_argument("file")
     p.add_argument("--c", required=True)
-    p.add_argument("--enum-bound", type=int, default=None)
+    p.add_argument("--enum-bound", type=_integer, default=None)
     p.set_defaults(run=_cmd_prox)
 
     p = sub.add_parser(
@@ -307,7 +312,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("file")
     p.add_argument("--v", required=True)
-    p.add_argument("--enum-bound", type=int, default=None)
+    p.add_argument("--enum-bound", type=_integer, default=None)
     p.set_defaults(run=_cmd_critical)
     return parser
 

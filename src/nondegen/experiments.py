@@ -111,7 +111,7 @@ def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
     return _stream_vector(stream, cfg, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial_index: int
     v: Vec

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import DimensionMismatchError, InternalError, NotOptimalError, OutsideDomainError
 from .geometry import (
@@ -81,7 +81,7 @@ class PolyhedralFunction:
         return cls.build(pieces, [], [], dim)
 
 
-def evaluate(f: PolyhedralFunction, x: Vec) -> Union[Rat, float]:
+def evaluate(f: PolyhedralFunction, x: Vec) -> Rat | float:
     """Exact value of ``f`` at ``x``; ``math.inf`` outside the domain."""
     if len(x) != f.dim:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
@@ -130,7 +130,7 @@ class Minimizer:
     value: Rat
 
 
-MinimizeOutcome = Union[Minimizer, Unbounded, Infeasible]
+MinimizeOutcome = Minimizer | Unbounded | Infeasible
 
 
 def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
@@ -239,7 +239,7 @@ class Nondegenerate:
     constraint_multipliers: Vec
 
 
-CertificationResult = Union[NotCritical, DegenerateCritical, Nondegenerate]
+CertificationResult = NotCritical | DegenerateCritical | Nondegenerate
 
 
 def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:

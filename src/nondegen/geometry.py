@@ -15,7 +15,7 @@ and exposed faces of V-polytopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DegeneratePolytopeError,
@@ -102,7 +102,7 @@ class Outside:
     pass
 
 
-RiStatus = Union[Interior, Boundary, Outside]
+RiStatus = Interior | Boundary | Outside
 
 
 # ---------------------------------------------------------------------------

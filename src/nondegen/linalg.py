@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import DimensionMismatchError, RationalParseError
 
@@ -37,20 +37,33 @@ Mat = Tuple[Vec, ...]
 ZERO = Q(0)
 ONE = Q(1)
 
-_RATIONAL_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL_TOKEN = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
+
+
+def _parse_integer(token: str) -> int:
+    """An integer of a problem file or a CLI flag: ASCII digits after an
+    optional ``-``.  Anything else raises ``ValueError``, as ``int()`` does on
+    more digits than it converts."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"'{token}' is not an integer")
+    return int(token)
 
 
 def parse_rational(token: str) -> Rat:
     """Parse ``'n'`` or ``'n/d'`` with optional leading minus and ``d > 0``.
 
     Anything else (empty string, whitespace, decimals, signs on the
-    denominator, zero denominator) raises :class:`RationalParseError`.
+    denominator, zero denominator, more digits than ``int()`` converts)
+    raises :class:`RationalParseError`.
     """
     m = _RATIONAL_TOKEN.fullmatch(token)
     if m is None:
         raise RationalParseError(token)
-    num = int(m.group(1))
-    den = 1 if m.group(2) is None else int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:
+        raise RationalParseError(token, reason="more digits than int() converts") from None
     if den == 0:
         raise RationalParseError(token, reason="denominator is zero")
     return Q(num, den)
@@ -182,7 +195,7 @@ class Inconsistent:
     pass
 
 
-SolveOutcome = Union[UniqueSolution, Underdetermined, Inconsistent]
+SolveOutcome = UniqueSolution | Underdetermined | Inconsistent
 
 
 def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None) -> SolveOutcome:

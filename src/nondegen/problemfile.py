@@ -22,14 +22,13 @@ are mutually inverse on well-formed files.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ImproperFunctionError, ProblemParseError, RationalParseError
 from .functions import Piece, PolyhedralFunction
 from .geometry import VPolytope
-from .linalg import Mat, Rat, Vec, format_rational, parse_rational
+from .linalg import Mat, Rat, Vec, _parse_integer, format_rational, parse_rational
 from .proximal import LowerC2Instance
 from .simplex import HPolyhedron
 
@@ -38,7 +37,6 @@ Constraint = Tuple[Vec, Rat]  # (a, b) meaning <a, x> <= b
 # Each section's rows hold dim + extra tokens; with extra = 1 the last token is
 # split off as the row's d (pieces) or b (constraints).
 _SECTIONS = {"pieces": 1, "constraints": 1, "vertices": 0}
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -78,11 +76,9 @@ def _argument(tokens: List[str], lineno: int) -> str:
 
 def _integer(token: str, lineno: int) -> int:
     try:
-        if _INTEGER.fullmatch(token):
-            return int(token)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ProblemParseError(lineno, f"'{token}' is not an integer")
+        return _parse_integer(token)
+    except ValueError:  # also on more digits than int() converts
+        raise ProblemParseError(lineno, f"'{token}' is not an integer") from None
 
 
 def _rational(token: str, lineno: int) -> Rat:

@@ -32,7 +32,7 @@ from .functions import (
     subdifferential,
 )
 from .geometry import member
-from .linalg import ONE, Rat, Vec, ZERO, dot, solve_linear, UniqueSolution, vsub
+from .linalg import ONE, Rat, Vec, ZERO, _parse_integer, dot, solve_linear, UniqueSolution, vsub
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
@@ -50,7 +50,7 @@ def resolve_enum_bound(bound: Optional[int]) -> int:
         if env is None:
             return DEFAULT_ENUM_BOUND
         try:
-            bound = int(env)
+            bound = _parse_integer(env)
         except ValueError:
             raise ValueError(f"{ENUM_BOUND_ENV} must be an integer, got {env!r}") from None
     if bound < 0:

@@ -38,13 +38,19 @@ a column (compared by cross-multiplication), so Bland's rule makes the same
 pivots as on the rational tableau, and the outcome is the same.  Read-out:
 ``t_j = kappa_j X_j / (sigma d)``, duals ``Y_i / (tau d)``, and the value,
 ray and Farkas vector the same way.
+
+Each outcome is then checked against the caller's own ``M``, ``rhs`` and
+``obj``, never the scaled tableau, so no check depends on ``kappa``,
+``sigma``, ``tau`` or the pivots that it is there to catch.  Every check sum
+is one :func:`nondegen.linalg.dot`: an integer numerator over an integer
+denominator, with one ``Fraction`` per sum instead of one per product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InternalError
 from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, dot, mat, vec, zeros
@@ -138,7 +144,7 @@ class Point:
     x: Vec
 
 
-LpOutcome = Union[Optimal, Unbounded, Infeasible]
+LpOutcome = Optimal | Unbounded | Infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +172,7 @@ class KernelInfeasible:
     farkas: Vec
 
 
-KernelOutcome = Union[KernelOptimal, KernelUnbounded, KernelInfeasible]
+KernelOutcome = KernelOptimal | KernelUnbounded | KernelInfeasible
 
 
 def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> KernelOutcome:
@@ -206,40 +212,21 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
 
     # Adopt existing unit columns as the initial basis where possible.
     for j in range(ncols):
-        if kappa[j] != 1:
-            continue
-        hit = None
-        usable = True
-        for i in range(nrows):
-            a = tab[i][j]
-            if a != 0:
-                if hit is None and a == 1:
-                    hit = i
-                else:
-                    usable = False
-                    break
-        if usable and hit is not None and basis[hit] == -1:
-            basis[hit] = j
+        hits = [i for i in range(nrows) if tab[i][j]] if kappa[j] == 1 else ()
+        if len(hits) == 1 and tab[hits[0]][j] == 1 and basis[hits[0]] == -1:
+            basis[hits[0]] = j
 
-    unit_col = [-1] * nrows  # a column that started as e_i, used to read duals
-    for i in range(nrows):
-        if basis[i] != -1:
-            unit_col[i] = basis[i]
+    unit_col = list(basis)  # a column that started as e_i, used to read duals
 
     need_art = [i for i in range(nrows) if basis[i] == -1]
-    total_cols = ncols
-    art_cols: List[int] = []
+    total_cols = ncols + len(need_art)
+    art_cols = list(range(ncols, total_cols))
     if need_art:
-        n_art = len(need_art)
         for row in tab:
-            row[-1:-1] = [0] * n_art
-        for k, i in enumerate(need_art):
-            col = ncols + k
+            row[-1:-1] = [0] * len(need_art)
+        for col, i in zip(art_cols, need_art):
             tab[i][col] = 1
-            basis[i] = col
-            unit_col[i] = col
-            art_cols.append(col)
-        total_cols = ncols + n_art
+            basis[i] = unit_col[i] = col
     art_set = set(art_cols)
     enterable = [True] * total_cols
     d = 1  # the shared determinant: the rational tableau is tab / d
@@ -300,16 +287,7 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
             for pos in range(len(tab)):
                 col = unit_col[pos]
                 g.append(Q(-flip[row_ids[pos]] * (d * phase1[col] - objrow[col]), d))
-            farkas = tuple(g)
-            for j in range(ncols):
-                s = ZERO
-                for i in range(nrows):
-                    s += farkas[i] * Q(M[i][j])
-                if s > 0:
-                    raise InternalError("farkas certificate fails g^T M <= 0")
-            if sum(farkas[i] * Q(rhs[i]) for i in range(nrows)) <= 0:
-                raise InternalError("farkas certificate fails g^T rhs > 0")
-            return KernelInfeasible(farkas)
+            return _verified(M, rhs, obj, KernelInfeasible(tuple(g)))
         # Feasible: drive artificial columns out of the basis, dropping any
         # row that has become identically zero (a redundant equality).
         to_drop = []
@@ -346,38 +324,46 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         ray[pc] = ONE
         for i, brow in enumerate(tab):
             ray[basis[i]] = Q(-kappa[basis[i]] * brow[pc], kappa[pc] * d)
-        t0 = current_point()
-        for i in range(nrows):
-            if sum(Q(M[i][j]) * ray[j] for j in range(ncols)) != 0:
-                raise InternalError("unbounded ray is not in the kernel of M")
-        if any(r < 0 for r in ray):
-            raise InternalError("unbounded ray has a negative component")
-        if sum(Q(obj[j]) * ray[j] for j in range(ncols)) <= 0:
-            raise InternalError("unbounded ray does not improve the objective")
-        return KernelUnbounded(t0, tuple(ray))
-
+        return _verified(M, rhs, obj, KernelUnbounded(current_point(), tuple(ray)))
     t = current_point()
     value = Q(-objrow[-1], sigma * tau * d)
     duals = [ZERO] * nrows
     for pos in range(len(tab)):
         col = unit_col[pos]
         duals[row_ids[pos]] = Q(flip[row_ids[pos]] * (d * costs2[col] - objrow[col]), tau * d)
-    # Exact optimality verification: primal feasibility, value, reduced costs,
-    # and strong duality.
+    return _verified(M, rhs, obj, KernelOptimal(t, value, tuple(duals)))
+
+
+def _verified(M, rhs, obj, out: KernelOutcome) -> KernelOutcome:
+    """``out`` if its certificate holds exactly for the program
+    :func:`solve_standard_form` was given, else :class:`InternalError`."""
+    cols = list(zip(*M)) or [()] * len(obj)
+    if isinstance(out, KernelInfeasible):
+        if any(dot(out.farkas, col) > 0 for col in cols):
+            raise InternalError("farkas certificate fails g^T M <= 0")
+        if dot(out.farkas, rhs) <= 0:
+            raise InternalError("farkas certificate fails g^T rhs > 0")
+        return out
+    t = out.t0 if isinstance(out, KernelUnbounded) else out.t
     if any(v < 0 for v in t):
         raise InternalError("primal point has a negative coordinate")
-    for i in range(nrows):
-        if sum(Q(M[i][j]) * t[j] for j in range(ncols)) != Q(rhs[i]):
-            raise InternalError("primal point violates an equality row")
-    if sum(Q(obj[j]) * t[j] for j in range(ncols)) != value:
+    if any(dot(row, t) != r for row, r in zip(M, rhs)):
+        raise InternalError("primal point violates an equality row")
+    if isinstance(out, KernelUnbounded):
+        if any(dot(row, out.ray) for row in M):
+            raise InternalError("unbounded ray is not in the kernel of M")
+        if any(r < 0 for r in out.ray):
+            raise InternalError("unbounded ray has a negative component")
+        if dot(obj, out.ray) <= 0:
+            raise InternalError("unbounded ray does not improve the objective")
+        return out
+    if dot(obj, t) != out.value:
         raise InternalError("objective value mismatch")
-    for j in range(ncols):
-        rc = Q(obj[j]) - sum(duals[i] * Q(M[i][j]) for i in range(nrows))
-        if rc > 0:
-            raise InternalError("positive reduced cost at claimed optimum")
-    if sum(duals[i] * Q(rhs[i]) for i in range(nrows)) != value:
+    if any(c > dot(out.duals, col) for c, col in zip(obj, cols)):
+        raise InternalError("positive reduced cost at claimed optimum")
+    if dot(out.duals, rhs) != out.value:
         raise InternalError("strong duality violated")
-    return KernelOptimal(t, value, tuple(duals))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +431,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     return Infeasible(farkas)
 
 
-def feasible_point(P: HPolyhedron) -> Union[Point, Infeasible]:
+def feasible_point(P: HPolyhedron) -> Point | Infeasible:
     """A feasible point of ``P``, or a Farkas certificate: :func:`solve_lp`
     with the zero objective, so the kernel stops at its first feasible basis."""
     res = solve_lp(LinearProgram(zeros(P.dim), P))

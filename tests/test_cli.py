@@ -247,6 +247,49 @@ def test_negative_trials_is_usage_error(prob, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
+@pytest.mark.parametrize("flag", ["--trials", "--seed", "--bits", "--enum-bound", "GENERIC_NONDEGEN_ENUM_BOUND"])
+def test_every_integer_follows_the_problem_file_digit_rule(prob, capsys, monkeypatch, flag, token):
+    """An integer flag or environment value is ASCII digits with an optional
+    ``-``, as in problem files; ``int()`` would read these tokens as 10, 3
+    and 3."""
+    if flag == "GENERIC_NONDEGEN_ENUM_BOUND":
+        monkeypatch.setenv(flag, token)
+        argv = ["prox", prob("box.prob", BOX), "--c", "0,0"]
+    elif flag == "--enum-bound":
+        argv = ["prox", prob("box.prob", BOX), "--c", "0,0", flag, token]
+    else:
+        values = {"--trials": "3", "--seed": "1", "--bits": "64", flag: token}
+        argv = ["genericity", prob("box.prob", BOX), *[a for kv in values.items() for a in kv]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert repr(token) in err and "integer" in err
+
+
+LONG = "1" * 5000  # more digits than int() converts from a string
+
+
+def test_long_token_in_a_problem_file_is_a_parse_error(prob, capsys):
+    code, out, err = run(capsys, "minimize", prob("big.prob", f"dim 1\npieces 1\n{LONG} 0\n"), "--v", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3: bad rational token") and "more digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "box.prob", "--v", f"{LONG},0"],
+    ["certify", "box.prob", "--v", "0,0", "--x", f"0,1/{LONG}"],
+    ["prox", "box.prob", "--c", f"-{LONG},0"],
+])
+def test_long_token_in_a_vector_flag_is_usage_error(prob, capsys, argv):
+    argv[1] = prob("box.prob", BOX)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {argv[-2]}: bad rational token") and "more digits" in err
+
+
 # ---------------------------------------------------------------------------
 # prox / critical / adversarial commands
 # ---------------------------------------------------------------------------

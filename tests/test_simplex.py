@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,12 @@ from nondegen import (
     feasible_point,
     solve_lp,
 )
+from nondegen import simplex
+from nondegen.errors import InternalError
 from nondegen.gallery import box, pyramid
 from nondegen.linalg import dot
-from nondegen.simplex import KernelOptimal, KernelUnbounded, solve_standard_form
-from oracles import bland_simplex_oracle, lp_enum_oracle
+from nondegen.simplex import KernelInfeasible, KernelOptimal, KernelUnbounded, solve_standard_form
+from oracles import bland_simplex_oracle, dot_oracle, lp_enum_oracle
 
 
 def lp(objective, rows, rhs, dim=None):
@@ -249,3 +252,94 @@ def test_kernel_matches_the_bland_oracle():
         features.update(k for k, v in feats.items() if v)
     assert min(outcomes[k] for k in ("optimal", "unbounded", "infeasible")) >= 300, outcomes
     assert min(features.values()) >= 100 and len(features) == 5, features
+
+
+# ---------------------------------------------------------------------------
+# the tolerance-free guarantee: a wrong read-out raises, it is never returned
+# ---------------------------------------------------------------------------
+
+# Every message of the kernel's certificate checks.
+KERNEL_CHECKS = {
+    "farkas certificate fails g^T M <= 0",
+    "farkas certificate fails g^T rhs > 0",
+    "primal point has a negative coordinate",
+    "primal point violates an equality row",
+    "unbounded ray is not in the kernel of M",
+    "unbounded ray has a negative component",
+    "unbounded ray does not improve the objective",
+    "objective value mismatch",
+    "positive reduced cost at claimed optimum",
+    "strong duality violated",
+}
+
+
+def _certificate_holds(M, rhs, obj, out):
+    """The kernel's outcome certificate, checked with plain ``Fraction`` sums."""
+    cols = [[row[j] for row in M] for j in range(len(obj))]
+    if isinstance(out, KernelInfeasible):
+        g = out.farkas
+        return all(dot_oracle(g, col) <= 0 for col in cols) and dot_oracle(g, rhs) > 0
+    t = out.t0 if isinstance(out, KernelUnbounded) else out.t
+    if any(a < 0 for a in t) or any(dot_oracle(row, t) != b for row, b in zip(M, rhs)):
+        return False
+    if isinstance(out, KernelUnbounded):
+        d = out.ray
+        return (all(a >= 0 for a in d) and all(dot_oracle(row, d) == 0 for row in M)
+                and dot_oracle(obj, d) > 0)
+    y = out.duals
+    return (dot_oracle(obj, t) == out.value == dot_oracle(y, rhs)
+            and all(c <= dot_oracle(y, col) for c, col in zip(obj, cols)))
+
+
+def _perturbations(out):
+    """``out`` with one entry changed, for every entry of its point, duals,
+    value, ray or Farkas vector and several changes of each."""
+    for name in [f.name for f in fields(out)]:
+        value = getattr(out, name)
+        entries = value if isinstance(value, tuple) else (value,)
+        for k, a in enumerate(entries):
+            for b in {a + 1, a - 1, a + Fraction(1, 2), -a, 2 * a, Fraction(0)} - {a}:
+                changed = entries[:k] + (b,) + entries[k + 1:]
+                yield replace(out, **{name: changed if isinstance(value, tuple) else b})
+
+
+# Small programs on which every check is the first to catch some change:
+# t0 + t1 = 1 (optimal), t0 = 1 with t1 free to grow (unbounded), 0 t0 = 1 and
+# t0 = -1 (infeasible), and a program with a negative rhs, which flips its row.
+MUTATION_PROGRAMS = [
+    ([[1, 1]], [1], [1, 0]),
+    ([[1, 0]], [1], [0, 1]),
+    ([[0]], [1], [0]),
+    ([[1, 2], [1, -1]], [-1, 2], [1, 1]),
+    ([[1, 1, 0], [1, -1, 1]], [-2, 1], [1, -1, 0]),
+    ([[2, 1, 0], [0, 1, 1]], [4, Fraction(3, 2)], [1, 1, -1]),
+]
+
+
+def test_every_perturbed_kernel_read_out_raises_or_is_a_valid_certificate(monkeypatch):
+    """Each entry that the kernel's read-out builds is changed, one at a time,
+    before the kernel checks it: the kernel either raises InternalError or
+    returns a certificate that a plain Fraction check accepts.  Every check
+    is the one that raises on some change, so deleting any check fails."""
+    rng = random.Random(9)
+    programs = MUTATION_PROGRAMS + [_standard_form_program(rng)[:3] for _ in range(40)]
+    checked = simplex._verified
+    raised, kinds = Counter(), Counter()
+    for M, rhs, obj in programs:
+        monkeypatch.setattr(simplex, "_verified", checked)
+        out = solve_standard_form(M, rhs, obj)
+        assert _certificate_holds(M, rhs, obj, out)
+        kinds[type(out).__name__] += 1
+        for changed in _perturbations(out):
+            monkeypatch.setattr(simplex, "_verified", lambda M, rhs, obj, out: checked(M, rhs, obj, changed))
+            try:
+                got = solve_standard_form(M, rhs, obj)
+            except InternalError as e:
+                raised[str(e)] += 1
+            else:
+                assert got == changed and _certificate_holds(M, rhs, obj, got), (M, rhs, obj, changed)
+    assert set(raised) == KERNEL_CHECKS, raised
+    assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
+    # With no rows every dual combination is zero, so a positive cost still fails.
+    with pytest.raises(InternalError, match="positive reduced cost"):
+        checked([], [], [Fraction(1)], KernelOptimal((Fraction(0),), Fraction(0), ()))
