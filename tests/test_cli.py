@@ -248,7 +248,9 @@ def test_negative_trials_is_usage_error(prob, capsys):
 
 
 @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
-@pytest.mark.parametrize("flag", ["--trials", "--seed", "--bits", "--enum-bound", "GENERIC_NONDEGEN_ENUM_BOUND"])
+@pytest.mark.parametrize(
+    "flag", ["--trials", "--seed", "--bits", "--enum-bound", "GENERIC_NONDEGEN_ENUM_BOUND"]
+)
 def test_every_integer_follows_the_problem_file_digit_rule(prob, capsys, monkeypatch, flag, token):
     """An integer flag or environment value is ASCII digits with an optional
     ``-``, as in problem files; ``int()`` would read these tokens as 10, 3
@@ -271,7 +273,8 @@ LONG = "1" * 5000  # more digits than int() converts from a string
 
 
 def test_long_token_in_a_problem_file_is_a_parse_error(prob, capsys):
-    code, out, err = run(capsys, "minimize", prob("big.prob", f"dim 1\npieces 1\n{LONG} 0\n"), "--v", "0")
+    big = prob("big.prob", f"dim 1\npieces 1\n{LONG} 0\n")
+    code, out, err = run(capsys, "minimize", big, "--v", "0")
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 3: bad rational token") and "more digits" in err

@@ -303,9 +303,10 @@ def _perturbations(out):
                 yield replace(out, **{name: changed if isinstance(value, tuple) else b})
 
 
-# Small programs on which every check is the first to catch some change:
-# t0 + t1 = 1 (optimal), t0 = 1 with t1 free to grow (unbounded), 0 t0 = 1 and
-# t0 = -1 (infeasible), and a program with a negative rhs, which flips its row.
+# Small programs on which, between them, each check is the first to catch some
+# change: t0 + t1 = 1 (optimal), t0 = 1 with t1 free to grow (unbounded),
+# 0 t0 = 1 (infeasible), two infeasible programs with a negative rhs, which
+# flips its row, and an optimum with rational duals.
 MUTATION_PROGRAMS = [
     ([[1, 1]], [1], [1, 0]),
     ([[1, 0]], [1], [0, 1]),
@@ -331,13 +332,15 @@ def test_every_perturbed_kernel_read_out_raises_or_is_a_valid_certificate(monkey
         assert _certificate_holds(M, rhs, obj, out)
         kinds[type(out).__name__] += 1
         for changed in _perturbations(out):
-            monkeypatch.setattr(simplex, "_verified", lambda M, rhs, obj, out: checked(M, rhs, obj, changed))
+            perturbed = lambda M, rhs, obj, _: checked(M, rhs, obj, changed)  # noqa: E731
+            monkeypatch.setattr(simplex, "_verified", perturbed)
             try:
                 got = solve_standard_form(M, rhs, obj)
             except InternalError as e:
                 raised[str(e)] += 1
             else:
-                assert got == changed and _certificate_holds(M, rhs, obj, got), (M, rhs, obj, changed)
+                assert got == changed, (M, rhs, obj, changed)
+                assert _certificate_holds(M, rhs, obj, got), (M, rhs, obj, changed)
     assert set(raised) == KERNEL_CHECKS, raised
     assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
     # With no rows every dual combination is zero, so a positive cost still fails.
