@@ -14,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from nondegen.cli import _integer  # the CLI's digit rule for integer flags
 from nondegen.errors import RationalParseError
 from nondegen.experiments import SamplerConfig, report_to_csv, run_genericity
 from nondegen.functions import PolyhedralFunction
@@ -45,9 +46,9 @@ def instance_gallery():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=1000, help="trials per instance")
-    parser.add_argument("--seed", type=int, default=42, help="base PRNG seed")
-    parser.add_argument("--bits", type=int, default=64, help="bit width of sampled rationals")
+    parser.add_argument("--trials", type=_integer, default=1000, help="trials per instance")
+    parser.add_argument("--seed", type=_integer, default=42, help="base PRNG seed")
+    parser.add_argument("--bits", type=_integer, default=64, help="bit width of sampled rationals")
     parser.add_argument("--radius", default="1", help="sampling box radius (rational token)")
     parser.add_argument(
         "--outdir", type=Path, default=Path("results/genericity"), help="CSV output directory"

@@ -8,6 +8,20 @@ for humans.
 from __future__ import annotations
 
 
+TOKEN_QUOTE_LIMIT = 64
+
+
+def quote_token(token: str, quote="'{}'".format) -> str:
+    """``quote(token)``, by default ``'token'``, for a message.  A token
+    longer than ``TOKEN_QUOTE_LIMIT`` characters is quoted by its first 32
+    and counted instead, so that a message stays one short line whatever the
+    input."""
+    if len(token) <= TOKEN_QUOTE_LIMIT:
+        return quote(token)
+    digits = sum(ch.isdigit() for ch in token)
+    return f"{quote(token[:32])}... ({len(token)} characters, {digits} digits)"
+
+
 class NondegenError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -16,7 +30,7 @@ class RationalParseError(NondegenError):
     def __init__(self, token: str, reason: str = "not of the form 'n' or 'n/d'"):
         self.token = token
         self.reason = reason
-        super().__init__(f"bad rational token {token!r}: {reason}")
+        super().__init__(f"bad rational token {quote_token(token, repr)}: {reason}")
 
 
 class DimensionMismatchError(NondegenError):

@@ -124,7 +124,7 @@ def subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratedSet:
     return GeneratedSet(points, rays, f.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Minimizer:
     x: Vec
     value: Rat
@@ -213,17 +213,17 @@ def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     return Minimizer(x_star, res.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotCritical:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegenerateCritical:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nondegenerate:
     """``v`` lies in the relative interior of the subdifferential.
 
@@ -263,7 +263,7 @@ def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
     return Nondegenerate(status.witness, tuple(pw), tuple(cm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """Dual-feasible multipliers, strictly positive exactly on the active set."""
 

@@ -75,7 +75,7 @@ class VPolytope:
         return len(self.vertices[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interior:
     """In the relative interior, witnessed by strictly positive coefficients.
 
@@ -92,12 +92,12 @@ class Interior:
         return self.point_coeffs + self.ray_coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Boundary:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outside:
     pass
 

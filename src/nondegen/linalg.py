@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import DimensionMismatchError, RationalParseError
+from .errors import DimensionMismatchError, RationalParseError, quote_token
 
 Q = Fraction
 Rat = Fraction
@@ -46,7 +46,7 @@ def _parse_integer(token: str) -> int:
     optional ``-``.  Anything else raises ``ValueError``, as ``int()`` does on
     more digits than it converts."""
     if _INTEGER.fullmatch(token) is None:
-        raise ValueError(f"'{token}' is not an integer")
+        raise ValueError(f"{quote_token(token)} is not an integer")
     return int(token)
 
 

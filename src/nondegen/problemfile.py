@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import ImproperFunctionError, ProblemParseError, RationalParseError
+from .errors import ImproperFunctionError, ProblemParseError, RationalParseError, quote_token
 from .functions import Piece, PolyhedralFunction
 from .geometry import VPolytope
 from .linalg import Mat, Rat, Vec, _parse_integer, format_rational, parse_rational
@@ -70,7 +70,7 @@ class ProblemFile:
 
 def _argument(tokens: List[str], lineno: int) -> str:
     if len(tokens) != 2:
-        raise ProblemParseError(lineno, f"directive '{tokens[0]}' takes exactly one argument")
+        raise ProblemParseError(lineno, f"directive {quote_token(tokens[0])} takes exactly one argument")
     return tokens[1]
 
 
@@ -78,7 +78,7 @@ def _integer(token: str, lineno: int) -> int:
     try:
         return _parse_integer(token)
     except ValueError:  # also on more digits than int() converts
-        raise ProblemParseError(lineno, f"'{token}' is not an integer") from None
+        raise ProblemParseError(lineno, f"{quote_token(token)} is not an integer") from None
 
 
 def _rational(token: str, lineno: int) -> Rat:
@@ -102,7 +102,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemParseError(1, "empty problem file (missing dim directive)")
     lineno, tokens = entries[0]
     if tokens[0] != "dim":
-        raise ProblemParseError(lineno, f"first directive must be dim, got '{tokens[0]}'")
+        raise ProblemParseError(lineno, f"first directive must be dim, got {quote_token(tokens[0])}")
     dim = _integer(_argument(tokens, lineno), lineno)
     if dim < 1:
         raise ProblemParseError(lineno, "dim must be at least 1")
@@ -133,7 +133,7 @@ def parse_problem(text: str) -> ProblemFile:
             if not found["rho"] > 0:
                 raise ProblemParseError(lineno, "rho must be positive")
         else:
-            raise ProblemParseError(lineno, f"unknown directive '{head}'")
+            raise ProblemParseError(lineno, f"unknown directive {quote_token(head)}")
 
     if found.keys().isdisjoint(_SECTIONS):
         raise ImproperFunctionError(

@@ -9,11 +9,19 @@ singular ones.  The x-block of every KKT system is ``x_coef * I``, so ``x`` is
 eliminated by a Schur complement: each support costs one s x s solve in its
 multipliers, s = |J| + |I| <= n + 1, built from one Gram matrix per call.
 
+Each support's system reaches the eliminator as integer rows: the Gram
+matrix and the right-hand sides are scaled to integers once per call, and
+``x`` is rebuilt as one integer sum per coordinate over a common denominator.
+
 ``minty_transport`` composes the prox of the convex part ``g`` into the map
 ``c -> (x, c - (1 + rho) x)`` that carries subgradients of ``g`` at ``x`` to
 subgradients of ``f = g - (rho/2)|.|^2`` — including their boundary/interior
 status.  ``find_critical_points`` enumerates *all* solutions of
-``v + rho x in dg(x)`` the same way and certifies each one.
+``v + rho x in dg(x)`` the same way and certifies each one.  A point reached
+by a support equal to its active set needs no LP: that support's generators
+are affinely independent, so its multipliers are the only representation of
+``v + rho x`` and their signs are the verdict.  Every other point goes
+through :func:`~nondegen.functions.certify`.
 """
 
 from __future__ import annotations
@@ -21,18 +29,22 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import List, Optional, Tuple
 
-from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError
+from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
 from .functions import (
     CertificationResult,
+    DegenerateCritical,
+    Nondegenerate,
     NotCritical,
     PolyhedralFunction,
+    _active_structure,
     certify,
     subdifferential,
 )
 from .geometry import member
-from .linalg import ONE, Rat, Vec, ZERO, _parse_integer, dot, solve_linear, UniqueSolution, vsub
+from .linalg import ONE, Q, Rat, Vec, ZERO, _parse_integer, dot, solve_linear, UniqueSolution, vsub
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
@@ -86,6 +98,11 @@ def _raise_if_infeasible(f: PolyhedralFunction) -> None:
         raise InfeasibleDomainError(fp.farkas)
 
 
+def _integer_scale(values) -> int:
+    """The lcm of the denominators of ``values``: it scales them to integers."""
+    return lcm(*[q.denominator for q in values])  # a list: *generator grows tuple free lists
+
+
 def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     """Solutions of the square stationarity systems over candidate supports.
 
@@ -101,6 +118,13 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     it leaves a system in ``z`` alone whose determinant is the full one's over
     ``x_coef**n``, so exactly the same supports are uniquely solvable.
 
+    The Gram matrix of the generators and the right-hand sides ``t`` are
+    scaled to integers once per call, by one common factor, so every
+    support's rows reach ``solve_linear`` as integers (scaling a row keeps
+    its solutions).  The generators and ``rhs_vec`` are scaled to integers
+    once too, so each coordinate of ``x`` is one integer sum over a common
+    denominator and one ``Fraction``.
+
     Yields (x, mu, lam, J, I) for every uniquely solvable system.  Supports
     exceeding the Carathéodory cap or yielding singular systems cannot hide a
     solution that no minimal support produces, so they are skipped.
@@ -111,30 +135,48 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     m = f.domain.m
     gens = [c for c, _ in pieces] + list(f.domain.A)
     gram = [[dot(g, h) for h in gens] for g in gens]
-    to_rhs = [dot(g, rhs_vec) for g in gens]
+    # the tie of j with j0 reads <c_j - c_j0, sum_g z_g g> = t[j] - t[j0], and
+    # a tight constraint <a_i, sum_g z_g g> = t[k + i]
+    offset = [x_coef * d for _, d in pieces] + [-x_coef * b for b in f.domain.b]
+    t = [dot(g, rhs_vec) + off for g, off in zip(gens, offset)]
+    scale = lcm(*[_integer_scale(row) for row in gram], _integer_scale(t))
+    gram = [[q.numerator * (scale // q.denominator) for q in row] for row in gram]
+    t = [q.numerator * (scale // q.denominator) for q in t]
+    # with the generators G / gscale and rhs_vec R / rscale, x_d is
+    # (R[d] gscale D - rscale sum_g (D z_g) G[g][d]) / (rscale gscale D x_coef)
+    # for D the lcm of the denominators of z
+    gscale = lcm(*[_integer_scale(g) for g in gens])
+    rscale = _integer_scale(rhs_vec)
+    gen_num = [[q.numerator * (gscale // q.denominator) * rscale for q in g] for g in gens]
+    rhs_num = [q.numerator * (rscale // q.denominator) * gscale for q in rhs_vec]
+    x_den = rscale * gscale * x_coef.numerator
     for jsize in range(1, min(k, n + 1) + 1):
         for J in combinations(range(k), jsize):
             j0 = J[0]
             for isize in range(0, min(m, n + 1 - jsize) + 1):
                 for I in combinations(range(m), isize):
                     support = [*J, *(k + i for i in I)]
-                    rows = [[ONE] * jsize + [ZERO] * isize]
-                    rhs = [ONE]
+                    rows = [[1] * jsize + [0] * isize]
+                    rhs = [1]
                     for j in J[1:]:
                         rows.append([gram[j][g] - gram[j0][g] for g in support])
-                        rhs.append(to_rhs[j] - to_rhs[j0] - x_coef * (pieces[j0][1] - pieces[j][1]))
+                        rhs.append(t[j] - t[j0])
                     for i in I:
                         rows.append([gram[k + i][g] for g in support])
-                        rhs.append(to_rhs[k + i] - x_coef * f.domain.b[i])
+                        rhs.append(t[k + i])
                     sol = solve_linear(rows, rhs)
                     if not isinstance(sol, UniqueSolution):
                         continue
                     z = sol.x
+                    D = _integer_scale(z)
+                    num = [r * D for r in rhs_num]
+                    for zg, g in zip(z, support):
+                        if zg:
+                            zg = zg.numerator * (D // zg.denominator)
+                            num = [a - zg * b for a, b in zip(num, gen_num[g])]
+                    den = x_den * D
                     # from a list: tuple(generator) grows the tuple free lists on every call
-                    x = tuple([
-                        (rhs_vec[d] - sum(zg * gens[g][d] for zg, g in zip(z, support))) / x_coef
-                        for d in range(n)
-                    ])
+                    x = tuple([Q(a * x_coef.denominator, den) for a in num])
                     yield x, z[:jsize], z[jsize:], J, I
 
 
@@ -175,6 +217,36 @@ def minty_transport(
     return x, h
 
 
+def _certify_from_multipliers(
+    g: PolyhedralFunction, w: Vec, mu: Vec, lam: Vec, J, I
+) -> CertificationResult:
+    """``certify(g, w, x)`` for a KKT solution ``x`` whose support ``(J, I)``
+    is the active set at ``x``, read off the solution's own multipliers.
+
+    The system of that support is uniquely solvable, so its generators are
+    affinely independent: ``(mu, lam)`` is the only way to write ``w`` as
+    ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``.  ``w`` then lies in
+    the relative interior of dg(x) iff every multiplier is positive, and in
+    dg(x) iff none is negative (Rockafellar, Thm 6.9).  The representation is
+    rebuilt exactly first; a mismatch raises ``InternalError``.
+    """
+    z = mu + lam
+    support = [g.terms[j][0] for j in J] + [g.domain.A[i] for i in I]
+    if sum(mu) != ONE or any(dot(z, column) != wd for column, wd in zip(zip(*support), w)):
+        raise InternalError("KKT multipliers do not rebuild v + rho x")
+    if any(c < 0 for c in z):
+        return NotCritical()
+    if not all(z):
+        return DegenerateCritical()
+    pw = [ZERO] * len(g.terms)
+    for coeff, j in zip(mu, J):
+        pw[j] = coeff
+    cm = [ZERO] * g.domain.m
+    for coeff, i in zip(lam, I):
+        cm[i] = coeff
+    return Nondegenerate(z, tuple(pw), tuple(cm))
+
+
 def find_critical_points(
     inst: LowerC2Instance, v: Vec, enum_bound: Optional[int] = None
 ) -> List[Tuple[Vec, CertificationResult]]:
@@ -182,24 +254,40 @@ def find_critical_points(
     nondegeneracy certification, sorted by coordinates.
 
     ``x`` is critical iff ``v + rho x in dg(x)``; candidates come from the
-    same support enumeration as prox (with stationarity coefficient ``-rho``),
-    and each survivor is re-certified against the true subdifferential, which
-    discards supports that turned out inactive or sign-infeasible.  An empty
-    domain raises ``InfeasibleDomainError``, as in :func:`prox`.
+    same support enumeration as prox (with stationarity coefficient ``-rho``).
+    A point that some candidate reaches with the active set at ``x`` as its
+    support is certified from that candidate's multipliers, with no LP.  Every
+    other point in the domain is certified by :func:`certify` once the
+    enumeration ends, which discards supports that turned out inactive or
+    sign-infeasible.  An empty domain raises ``InfeasibleDomainError``, as in
+    :func:`prox`.
     """
     g = inst.g
     _check_bound(g, enum_bound)
+    decided = set()  # outside the domain, or certified from multipliers
+    pending = {}  # point -> v + rho x, for certify
     found = {}
     for x, mu, lam, J, I in _kkt_solutions(g, -inst.rho, v):
-        if x in found:
+        if x in decided:
             continue
-        if g.domain.violation_index(x) is not None:
+        try:
+            _, _, active_pieces, active_cons = _active_structure(g, x)
+        except OutsideDomainError:
+            decided.add(x)
             continue
         w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
+        if J == active_pieces and I == active_cons:
+            decided.add(x)
+            pending.pop(x, None)
+            cert = _certify_from_multipliers(g, w, mu, lam, J, I)
+            if not isinstance(cert, NotCritical):
+                found[x] = cert
+        else:
+            pending[x] = w
+    for x, w in pending.items():
         cert = certify(g, w, x)
-        if isinstance(cert, NotCritical):
-            continue
-        found[x] = cert
+        if not isinstance(cert, NotCritical):
+            found[x] = cert
     if not found:
         _raise_if_infeasible(g)
     return sorted(found.items())

@@ -41,6 +41,20 @@ def test_parse_rejects_malformed_tokens(bad):
         parse_rational(bad)
 
 
+def test_tokens_up_to_64_characters_are_quoted_whole():
+    token = "7/" + "0" * 62
+    with pytest.raises(RationalParseError) as info:
+        parse_rational(token)
+    assert str(info.value) == f"bad rational token '{token}': denominator is zero"
+    with pytest.raises(RationalParseError) as info:
+        parse_rational(token + "0")
+    assert str(info.value) == (
+        "bad rational token '7/000000000000000000000000000000'... "
+        "(65 characters, 64 digits): denominator is zero"
+    )
+    assert info.value.token == token + "0"
+
+
 @given(rationals)
 def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x

@@ -3,6 +3,7 @@ errors."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,11 @@ def test_vertices_section():
         ("dim 1\nconstraints \u0662\n1 0\n-1 0\n", 2, "is not an integer"),
         ("dim 1\npieces 1\n\u0663 0\n", 3, "bad rational token"),
         ("dim 1\npieces 1\n1/\u0663 0\n", 3, "bad rational token"),
+        ("dim 1\npieces 1\n1/0 0\n", 3, "line 3: bad rational token '1/0': denominator is zero"),
+        ("dim 1\npieces 1\nab'c 0\n", 3, """line 3: bad rational token "ab'c": not of the form"""),
+        ("dim 1\npieces 1\n1 0\nrho 1.5\n", 4, "line 4: bad rational token '1.5': not of the form"),
+        ("dim 1\nsl'ices 2\n", 2, "line 2: unknown directive 'sl'ices'"),
+        ("dim 1\npieces " + "9" * 63 + "x\n", 2, "line 2: '" + "9" * 63 + "x' is not an integer"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -130,6 +136,34 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     assert info.value.line == line
     assert fragment in str(info.value)
     assert f"line {line}:" in str(info.value)
+
+
+LONG = "1" * 5000  # more digits than int() converts from a string
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (f"dim 1\npieces 1\n{LONG} 0\n", 3),
+        (f"dim 1\npieces 1\n1/{LONG} 0\n", 3),
+        (f"dim 1\npieces 1\n{LONG}x 0\n", 3),
+        (f"dim {LONG}\n", 1),
+        (f"dim 1\npieces {LONG}\n", 2),
+        (f"dim 1\nx{LONG} 1\n", 2),
+        (f"x{LONG} 1\n", 1),
+        (f"dim 1\npieces 1\n1 0\nrho {LONG}x\n", 4),
+    ],
+    ids=["row", "row-denominator", "row-malformed", "dim", "count", "directive", "first-directive", "rho"],
+)
+def test_long_tokens_give_short_messages(text, line):
+    """A message quotes a long token's head and counts it instead of echoing
+    thousands of characters."""
+    with pytest.raises(ProblemParseError) as info:
+        parse_problem(text)
+    assert info.value.line == line
+    message = str(info.value)
+    assert len(message) <= 150
+    assert re.search(r"'\.\.\. \(500[0-2] characters, 500[01] digits\)", message)
 
 
 def test_file_with_no_sections_is_improper():

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_points_of, qv, rand_polyfun, rand_rat, rand_vec, to_frac, vec_frac, vscale
-from nondegen.errors import EnumerationBoundError, InfeasibleDomainError
+from nondegen import proximal
+from nondegen.errors import EnumerationBoundError, InfeasibleDomainError, InternalError
 from nondegen.functions import (
     DegenerateCritical,
     Nondegenerate,
+    NotCritical,
     PolyhedralFunction,
+    certify,
     subdifferential,
 )
 from nondegen.gallery import abs_function, box_indicator
@@ -124,6 +127,61 @@ def test_critical_points_on_a_generic_tilt():
     res = find_critical_points(ABS_RHO_1, qv("1/2"))
     assert [x for x, _ in res] == [qv("-3/2"), qv(0), qv("1/2")]
     assert all(isinstance(c, Nondegenerate) for _, c in res)
+
+
+@pytest.mark.parametrize(
+    "v, expected, certified",
+    [
+        (qv(0), [(-1, Nondegenerate), (0, Nondegenerate), (1, Nondegenerate)], []),
+        # the kink is reached by the support {x} first, then by its active set
+        (qv(1), [(-2, Nondegenerate), (0, DegenerateCritical)], []),
+        # the kink's multipliers (-1, 2) rule it out; -2 is reached only by
+        # the piece x, which is not active there, so certify judges it
+        (qv(3), [(-4, Nondegenerate)], [qv(-2)]),
+    ],
+)
+def test_critical_points_reached_by_their_active_sets_need_no_lp(monkeypatch, v, expected, certified):
+    calls = []
+
+    def recording(g, w, x):
+        calls.append(x)
+        return certify(g, w, x)
+
+    monkeypatch.setattr(proximal, "certify", recording)
+    res = find_critical_points(ABS_RHO_1, v)
+    assert [(x, type(c)) for x, c in res] == [(qv(x), kind) for x, kind in expected]
+    assert calls == certified
+
+
+def _corrupting(kind):
+    """``_kkt_solutions`` with one multiplier of every solution changed."""
+    solutions = proximal._kkt_solutions
+
+    def corrupted(f, x_coef, rhs_vec):
+        for x, mu, lam, J, I in solutions(f, x_coef, rhs_vec):
+            if kind == "mu":
+                mu = (mu[0] + Q(1, 7),) + mu[1:]
+            elif kind == "shift" and len(mu) > 1:  # the sum stays 1
+                mu = (mu[0] + Q(1, 7), mu[1] - Q(1, 7)) + mu[2:]
+            elif kind == "lam" and lam:
+                lam = (lam[0] + Q(1, 7),) + lam[1:]
+            yield x, mu, lam, J, I
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "kind, inst",
+    [
+        ("mu", LowerC2Instance(box_indicator(2), Q(1))),  # the zero piece: only the sum moves
+        ("shift", ABS_RHO_1),
+        ("lam", LowerC2Instance(box_indicator(2), Q(1))),
+    ],
+)
+def test_corrupted_multipliers_fail_the_rebuild_check(monkeypatch, kind, inst):
+    monkeypatch.setattr(proximal, "_kkt_solutions", _corrupting(kind))
+    with pytest.raises(InternalError, match="do not rebuild"):
+        find_critical_points(inst, zeros(inst.g.dim))
 
 
 def test_critical_point_enumeration_respects_bound():
@@ -241,6 +299,44 @@ def test_critical_points_solve_the_inclusion(seed):
             assert isinstance(status, Interior)
         else:
             assert isinstance(status, Boundary)
+
+
+def _critical_points_reference(g, rho, v):
+    """Every in-domain solution of the full KKT systems, certified by
+    ``certify``; the points that are critical, sorted."""
+    pieces = [(vec_frac(c), to_frac(d)) for c, d in g.pieces]
+    rows = [vec_frac(row) for row in g.domain.A]
+    found = {}
+    for x, *_ in kkt_solutions_oracle(
+        pieces, rows, vec_frac(g.domain.b), g.dim, -to_frac(rho), vec_frac(v)
+    ):
+        x = tuple(Q(c) for c in x)
+        if x in found or g.domain.violation_index(x) is not None:
+            continue
+        cert = certify(g, tuple(vi + rho * xi for vi, xi in zip(v, x)), x)
+        if not isinstance(cert, NotCritical):
+            found[x] = cert
+    return sorted(found.items())
+
+
+@given(st.integers(0, 100_000))
+@settings(deadline=None, max_examples=40)
+def test_critical_points_match_certify_on_every_candidate(seed):
+    """Each returned verdict is ``certify``'s, whether it came from the
+    multipliers or from the LP, and the points are those of certifying every
+    in-domain candidate."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    g = rand_polyfun(rng, dim)
+    while not g.pieces or len(g.pieces) + g.domain.m > 8:
+        g = rand_polyfun(rng, dim)
+    for rho in (Q(1, 2), Q(2)):
+        for _ in range(3):
+            v = rand_vec(rng, dim)
+            got = find_critical_points(LowerC2Instance(g, rho), v)
+            for x, cert in got:
+                assert cert == certify(g, tuple(vi + rho * xi for vi, xi in zip(v, x)), x)
+            assert got == _critical_points_reference(g, rho, v)
 
 
 @given(st.integers(0, 100_000))

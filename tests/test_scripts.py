@@ -38,6 +38,7 @@ def test_suite_writes_one_csv_per_instance(name, instances, tmp_path, capsys):
         ["--radius", "0.5"],
         ["--jobs", "2"],
         ["--trials", "-1"],
+        *([flag, token] for flag in ("--trials", "--seed", "--bits") for token in ("1_0", "+3", "\u0663")),
     ],
 )
 def test_suite_bad_settings_are_usage_errors(name, bad, tmp_path, capsys):
