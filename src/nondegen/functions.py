@@ -254,13 +254,21 @@ def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
     if isinstance(status, Boundary):
         return DegenerateCritical()
     assert isinstance(status, Interior)
+    return _scattered(f, status.point_coeffs, status.ray_coeffs, active_pieces, active_cons)
+
+
+def _scattered(
+    f: PolyhedralFunction, point_coeffs: Vec, ray_coeffs: Vec, active_pieces, active_cons
+) -> Nondegenerate:
+    """The verdict of positive coefficients on the active piece gradients and
+    constraint normals, scattered over all pieces and constraints."""
     pw = [ZERO] * len(f.terms)
-    for coeff, j in zip(status.point_coeffs, active_pieces):
+    for coeff, j in zip(point_coeffs, active_pieces):
         pw[j] = coeff
     cm = [ZERO] * f.domain.m
-    for coeff, i in zip(status.ray_coeffs, active_cons):
+    for coeff, i in zip(ray_coeffs, active_cons):
         cm[i] = coeff
-    return Nondegenerate(status.witness, tuple(pw), tuple(cm))
+    return Nondegenerate(point_coeffs + ray_coeffs, tuple(pw), tuple(cm))
 
 
 @dataclass(frozen=True, slots=True)

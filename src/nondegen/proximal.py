@@ -36,15 +36,15 @@ from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError,
 from .functions import (
     CertificationResult,
     DegenerateCritical,
-    Nondegenerate,
     NotCritical,
     PolyhedralFunction,
     _active_structure,
+    _scattered,
     certify,
     subdifferential,
 )
 from .geometry import member
-from .linalg import ONE, Q, Rat, Vec, ZERO, _parse_integer, dot, solve_linear, UniqueSolution, vsub
+from .linalg import ONE, Q, Rat, Vec, _parse_integer, dot, solve_linear, UniqueSolution, vsub
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
@@ -118,12 +118,9 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     it leaves a system in ``z`` alone whose determinant is the full one's over
     ``x_coef**n``, so exactly the same supports are uniquely solvable.
 
-    The Gram matrix of the generators and the right-hand sides ``t`` are
-    scaled to integers once per call, by one common factor, so every
-    support's rows reach ``solve_linear`` as integers (scaling a row keeps
-    its solutions).  The generators and ``rhs_vec`` are scaled to integers
-    once too, so each coordinate of ``x`` is one integer sum over a common
-    denominator and one ``Fraction``.
+    The Gram matrix and the right-hand sides ``t`` are scaled to integers by
+    one common factor per call, which keeps every system's solutions; so are
+    the generators and ``rhs_vec``, for the integer sums that build ``x``.
 
     Yields (x, mu, lam, J, I) for every uniquely solvable system.  Supports
     exceeding the Carathéodory cap or yielding singular systems cannot hide a
@@ -238,13 +235,7 @@ def _certify_from_multipliers(
         return NotCritical()
     if not all(z):
         return DegenerateCritical()
-    pw = [ZERO] * len(g.terms)
-    for coeff, j in zip(mu, J):
-        pw[j] = coeff
-    cm = [ZERO] * g.domain.m
-    for coeff, i in zip(lam, I):
-        cm[i] = coeff
-    return Nondegenerate(z, tuple(pw), tuple(cm))
+    return _scattered(g, mu, lam, J, I)
 
 
 def find_critical_points(
@@ -264,30 +255,24 @@ def find_critical_points(
     """
     g = inst.g
     _check_bound(g, enum_bound)
-    decided = set()  # outside the domain, or certified from multipliers
-    pending = {}  # point -> v + rho x, for certify
-    found = {}
+    verdicts = {}  # outside the domain, or read off the multipliers
+    pending = {}  # point -> v + rho x, for certify once the enumeration ends
     for x, mu, lam, J, I in _kkt_solutions(g, -inst.rho, v):
-        if x in decided:
+        if x in verdicts:
             continue
         try:
             _, _, active_pieces, active_cons = _active_structure(g, x)
         except OutsideDomainError:
-            decided.add(x)
+            verdicts[x] = NotCritical()
             continue
         w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
         if J == active_pieces and I == active_cons:
-            decided.add(x)
+            verdicts[x] = _certify_from_multipliers(g, w, mu, lam, J, I)
             pending.pop(x, None)
-            cert = _certify_from_multipliers(g, w, mu, lam, J, I)
-            if not isinstance(cert, NotCritical):
-                found[x] = cert
         else:
             pending[x] = w
-    for x, w in pending.items():
-        cert = certify(g, w, x)
-        if not isinstance(cert, NotCritical):
-            found[x] = cert
+    verdicts.update((x, certify(g, w, x)) for x, w in pending.items())
+    found = sorted((x, c) for x, c in verdicts.items() if not isinstance(c, NotCritical))
     if not found:
         _raise_if_infeasible(g)
-    return sorted(found.items())
+    return found
