@@ -29,15 +29,20 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegeneratePolytopeError, InfeasibleDomainError, InternalError
 from .functions import (
+    DegenerateCritical,
     Minimizer,
     Nondegenerate,
     PolyhedralFunction,
+    _active_structure,
+    _lifted_inverse,
+    _read_off,
     certify,
     minimize_perturbed,
     subdifferential,
 )
 from .geometry import (
     Boundary,
+    GeneratedSet,
     VPolytope,
     exposed_face,
     positive_span_is_subspace,
@@ -264,9 +269,15 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     subdifferential at x_bar — the Lebesgue-null set the genericity theorem
     is about.  Every emitted pair certifies DegenerateCritical.
 
-    At each candidate point ``S = subdifferential(f, x)`` is built once and its
-    generators are tried as given, rays first; ``ri_membership(S, v)`` is
-    Boundary exactly when ``certify(f, v, x)`` is DegenerateCritical.  An
+    At each candidate point the generators of ``S = ∂f(x)`` are tried as
+    given, rays first, and the first one on the relative boundary of ``S``
+    yields the point's pair.  A generator's verdict is read off its
+    multipliers over the generators (:func:`~nondegen.functions._read_off`),
+    with the lifted generator matrix eliminated once per point; only when
+    those generators are linearly dependent does ``ri_membership(S, v)`` run,
+    which is Boundary exactly when ``certify(f, v, x)`` is
+    DegenerateCritical.  A ray need not lie on the boundary: with the point 0
+    in ``S``, the ray ``a`` is ``1·0 + 1·a``, which can be interior.  An
     affine subdifferential has no relative boundary; any other has a generator
     on it, so such a point yields one pair.  Candidate points are domain
     points, so :func:`feasible_point` runs only when there is none, to raise
@@ -283,9 +294,14 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
         _raise_if_infeasible(f)
     pairs: List[Tuple[Vec, Vec]] = []
     for x in points:
-        S = subdifferential(f, x)
+        active = _active_structure(f, x)
+        S = GeneratedSet(active[0], active[1], f.dim)
+        inverse = _lifted_inverse(S.points, S.rays)
         for v in S.rays + S.points:
-            if isinstance(ri_membership(S, v), Boundary):
+            verdict = _read_off(f, v, active, inverse=inverse)
+            if verdict is None:
+                verdict = ri_membership(S, v)
+            if isinstance(verdict, (Boundary, DegenerateCritical)):
                 pairs.append((v, x))
                 break
     if pairs:

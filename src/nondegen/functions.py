@@ -12,6 +12,13 @@ its relative interior (nondegenerate), on the relative boundary (degenerate
 critical), or outside (not critical).  :func:`strict_complementarity` exposes
 the LP face of the same trichotomy.
 
+:func:`_read_off` decides the same trichotomy with no LP when the active
+generators, lifted (a point with a trailing 1, a ray with a trailing 0), are
+linearly independent: the multipliers of the query are then its only
+representation, and their signs are the verdict.  It is the one place where
+multipliers become a verdict; ``prox``'s critical points feed it their own
+KKT multipliers, and ``construct_degenerate`` solves for them.
+
 Two conventions about the data ``(pieces, domain)`` live here and nowhere
 else: a function without pieces is the zero function on its domain, read
 through :attr:`PolyhedralFunction.terms`, and the argmin set of a tilted
@@ -32,7 +39,7 @@ from .geometry import (
     Outside,
     ri_membership,
 )
-from .linalg import ONE, Q, Rat, Vec, ZERO, dot, mat, vec, vsub, zeros
+from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, _eliminate, _integer_rows, dot, mat, vec, vsub, zeros
 from .simplex import (
     HPolyhedron,
     Infeasible,
@@ -269,6 +276,74 @@ def _scattered(
     for coeff, i in zip(ray_coeffs, active_cons):
         cm[i] = coeff
     return Nondegenerate(point_coeffs + ray_coeffs, tuple(pw), tuple(cm))
+
+
+def _lifted_inverse(points: Mat, rays: Mat):
+    """The lifted generator matrix ``L`` eliminated for queries, or None when
+    its columns are linearly dependent.
+
+    ``L`` has one column per generator: a point with a trailing 1, a ray with
+    a trailing 0.  ``[L | I]`` is eliminated fraction-free, which leaves
+    integer rows ``E`` in the identity block and a divisor ``d`` with
+    ``E L = d [I; 0]``.  Returns ``(solve, null, d)``, the rows of ``E`` at
+    and past the pivots: a query ``w`` has the multipliers
+    ``<solve_r, (w, 1)> / d``, and a null row with ``<null_r, (w, 1)> != 0``
+    proves that it has none.
+    """
+    s = len(points) + len(rays)
+    dim = len(points[0])
+    if s > dim + 1:
+        return None
+    rows = [[g[c] for g in points] + [g[c] for g in rays] for c in range(dim)]
+    rows.append([ONE] * len(points) + [ZERO] * len(rays))
+    for r, row in enumerate(rows):
+        row.extend(ONE if c == r else ZERO for c in range(dim + 1))
+    M = _integer_rows(rows)
+    pivots, d = _eliminate(M, s)
+    if len(pivots) < s:
+        return None
+    E = [row[s:] for row in M]
+    return E[:s], E[s:], d
+
+
+def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None, inverse=None):
+    """``certify(f, w, x)`` read off the multipliers of ``w`` over the active
+    generators at ``x``, with no LP; None when it cannot be.
+
+    ``active`` is ``_active_structure(f, x)``.  The multipliers ``z`` (points
+    first, then rays) are the caller's when it knows the lifted generators to
+    be linearly independent; otherwise they are solved from
+    ``inverse = _lifted_inverse(points, rays)``, and a None inverse (dependent
+    generators) leaves the verdict undecided.  Independence makes ``z`` the
+    only representation of ``w`` as ``sum mu_j c_j + sum lam_i a_i`` with
+    ``sum mu = 1``, so its signs are the verdict (Rockafellar, Thm 6.9): all
+    positive is Nondegenerate, a zero is DegenerateCritical, a negative or
+    no solution at all is NotCritical.  Each verdict is checked exactly
+    first: ``z`` must rebuild ``w``, and a row proving that there is no
+    solution must vanish on every lifted generator.  A failed check raises
+    ``InternalError``.
+    """
+    points, rays, active_pieces, active_cons = active
+    if z is None:
+        if inverse is None:
+            return None
+        solve, null, d = inverse
+        lifted = (*w, ONE)
+        for y in null:
+            if dot(y, lifted):
+                lifted_gens = [(*p, ONE) for p in points] + [(*r, ZERO) for r in rays]
+                if any(dot(y, g) for g in lifted_gens):
+                    raise InternalError("a row proving no multipliers meets a generator")
+                return NotCritical()
+        z = tuple([dot(row, lifted) / d for row in solve])
+    k = len(points)
+    if sum(z[:k]) != ONE or any(dot(z, column) != wd for column, wd in zip(zip(*points, *rays), w)):
+        raise InternalError("multipliers do not rebuild the query")
+    if any(c < 0 for c in z):
+        return NotCritical()
+    if not all(z):
+        return DegenerateCritical()
+    return _scattered(f, z[:k], z[k:], active_pieces, active_cons)
 
 
 @dataclass(frozen=True, slots=True)

@@ -117,9 +117,12 @@ def vsub(u: Vec, v: Vec) -> Vec:
 
 def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
     """Each row (of integers or rationals) scaled to integers by the lcm of
-    its denominators."""
+    its denominators; a row of ints is kept as it is."""
     out = []
     for row in map(list, rows):
+        if all(type(a) is int for a in row):
+            out.append(row)
+            continue
         scale = lcm(*[a.denominator for a in row])  # a list: *generator grows tuple free lists
         out.append([a.numerator * (scale // a.denominator) for a in row])
     return out

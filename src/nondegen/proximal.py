@@ -20,7 +20,12 @@ status.  ``find_critical_points`` enumerates *all* solutions of
 ``v + rho x in dg(x)`` the same way and certifies each one.  A point reached
 by a support equal to its active set needs no LP: that support's generators
 are affinely independent, so its multipliers are the only representation of
-``v + rho x`` and their signs are the verdict.  Every other point goes
+``v + rho x``, and the shared read-off
+(:func:`~nondegen.functions._read_off`) turns their signs into the verdict.
+A critical point is always reached by a support inside its active set with
+nonnegative multipliers (a Carathéodory representation has independent
+lifted generators, so its system is nonsingular); a point that no such
+support reaches is not critical, with no LP.  Only the points left go
 through :func:`~nondegen.functions.certify`.
 """
 
@@ -35,11 +40,10 @@ from typing import List, Optional, Tuple
 from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
 from .functions import (
     CertificationResult,
-    DegenerateCritical,
     NotCritical,
     PolyhedralFunction,
     _active_structure,
-    _scattered,
+    _read_off,
     certify,
     subdifferential,
 )
@@ -214,30 +218,6 @@ def minty_transport(
     return x, h
 
 
-def _certify_from_multipliers(
-    g: PolyhedralFunction, w: Vec, mu: Vec, lam: Vec, J, I
-) -> CertificationResult:
-    """``certify(g, w, x)`` for a KKT solution ``x`` whose support ``(J, I)``
-    is the active set at ``x``, read off the solution's own multipliers.
-
-    The system of that support is uniquely solvable, so its generators are
-    affinely independent: ``(mu, lam)`` is the only way to write ``w`` as
-    ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``.  ``w`` then lies in
-    the relative interior of dg(x) iff every multiplier is positive, and in
-    dg(x) iff none is negative (Rockafellar, Thm 6.9).  The representation is
-    rebuilt exactly first; a mismatch raises ``InternalError``.
-    """
-    z = mu + lam
-    support = [g.terms[j][0] for j in J] + [g.domain.A[i] for i in I]
-    if sum(mu) != ONE or any(dot(z, column) != wd for column, wd in zip(zip(*support), w)):
-        raise InternalError("KKT multipliers do not rebuild v + rho x")
-    if any(c < 0 for c in z):
-        return NotCritical()
-    if not all(z):
-        return DegenerateCritical()
-    return _scattered(g, mu, lam, J, I)
-
-
 def find_critical_points(
     inst: LowerC2Instance, v: Vec, enum_bound: Optional[int] = None
 ) -> List[Tuple[Vec, CertificationResult]]:
@@ -247,10 +227,11 @@ def find_critical_points(
     ``x`` is critical iff ``v + rho x in dg(x)``; candidates come from the
     same support enumeration as prox (with stationarity coefficient ``-rho``).
     A point that some candidate reaches with the active set at ``x`` as its
-    support is certified from that candidate's multipliers, with no LP.  Every
-    other point in the domain is certified by :func:`certify` once the
-    enumeration ends, which discards supports that turned out inactive or
-    sign-infeasible.  An empty domain raises ``InfeasibleDomainError``, as in
+    support is certified from that candidate's multipliers by
+    :func:`~nondegen.functions._read_off`, with no LP.  A point that some
+    support inside its active set reaches with nonnegative multipliers is
+    certified by :func:`certify` once the enumeration ends; any other point
+    is not critical.  An empty domain raises ``InfeasibleDomainError``, as in
     :func:`prox`.
     """
     g = inst.g
@@ -261,16 +242,22 @@ def find_critical_points(
         if x in verdicts:
             continue
         try:
-            _, _, active_pieces, active_cons = _active_structure(g, x)
+            active = _active_structure(g, x)
         except OutsideDomainError:
             verdicts[x] = NotCritical()
             continue
-        w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
+        _, _, active_pieces, active_cons = active
+        z = mu + lam
         if J == active_pieces and I == active_cons:
-            verdicts[x] = _certify_from_multipliers(g, w, mu, lam, J, I)
+            w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
+            verdicts[x] = _read_off(g, w, active, z)
             pending.pop(x, None)
-        else:
-            pending[x] = w
+        elif (
+            all(j in active_pieces for j in J)
+            and all(i in active_cons for i in I)
+            and all(c >= 0 for c in z)
+        ):
+            pending[x] = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
     verdicts.update((x, certify(g, w, x)) for x, w in pending.items())
     found = sorted((x, c) for x, c in verdicts.items() if not isinstance(c, NotCritical))
     if not found:

@@ -50,7 +50,7 @@ from nondegen.gallery import (
     simplex_indicator,
     square_vertices,
 )
-from nondegen.geometry import VPolytope
+from nondegen.geometry import VPolytope, ri_membership
 from nondegen.linalg import Q
 from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
@@ -383,10 +383,23 @@ def _pieced_functions(count):
     return out
 
 
+def _small_functions(count):
+    """Seeded random functions with at most 10 generators (pieces, the zero
+    piece included, plus constraints)."""
+    rng = random.Random(7042)
+    out = []
+    while len(out) < count:
+        f = rand_polyfun(rng, rng.randint(1, 3))
+        if len(f.terms) + f.domain.m <= 10:
+            out.append(f)
+    return out
+
+
 def test_construct_degenerate_matches_the_per_generator_certify_loop():
-    """One ∂f(x) per candidate point, read by ri_membership, emits exactly
-    the report of one certify call per generator, on the criterion-2 set and
-    on seeded functions with pieces."""
+    """One ∂f(x) per candidate point, read off the multipliers or by
+    ri_membership, emits exactly the report of one certify call per
+    generator, on the criterion-2 set, on 30 more random polytopes and on
+    seeded functions."""
     criterion_2 = [
         box_indicator(2),
         box_indicator(3),
@@ -396,9 +409,67 @@ def test_construct_degenerate_matches_the_per_generator_certify_loop():
         abs_function(),
         point_indicator(2),
     ] + [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in (101, 202, 303)]
-    for f in criterion_2 + _pieced_functions(12):
+    polytopes = [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in range(100, 130)]
+    for f in criterion_2 + polytopes + _pieced_functions(12) + _small_functions(30):
         assert repr(construct_degenerate(f)) == repr(construct_degenerate_loop_oracle(f))
     assert construct_degenerate(point_indicator(2)).pairs == ()
+
+
+def test_a_ray_can_be_interior_to_the_subdifferential():
+    """∂f(0) of the indicator of x <= 0 is {0} + cone{1}: the ray 1 is
+    1·0 + 1·1, interior, so the pair is the point 0, tried after it."""
+    f = PolyhedralFunction.indicator(HPolyhedron.from_rows([(1,)], [0], 1))
+    assert construct_degenerate(f).pairs == ((qv(0), qv(0)),)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [box_indicator(3), simplex_indicator(3), PolyhedralFunction.indicator(random_polytope(101, 3, 8))],
+    ids=["box3", "simplex3", "random101"],
+)
+def test_independent_generators_need_no_membership_lp(monkeypatch, f):
+    calls = []
+
+    def recording(S, v):
+        calls.append(v)
+        return ri_membership(S, v)
+
+    monkeypatch.setattr(experiments, "ri_membership", recording)
+    assert construct_degenerate(f).pairs
+    assert calls == []
+
+
+def _corrupting(kind):
+    """``_lifted_inverse`` with one part of every elimination changed."""
+    lifted_inverse = experiments._lifted_inverse
+
+    def corrupted(points, rays):
+        inverse = lifted_inverse(points, rays)
+        if inverse is None:
+            return None
+        solve, null, d = inverse
+        if kind == "divisor":
+            d *= 2
+        elif kind == "solve":
+            solve = [solve[0][:-1] + [solve[0][-1] + 1]] + solve[1:]
+        elif kind == "null" and null:
+            null = [null[0][:-1] + [null[0][-1] + 1]] + null[1:]
+        return solve, null, d
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "kind, match",
+    [("divisor", "do not rebuild"), ("solve", "do not rebuild"), ("null", "meets a generator")],
+)
+def test_corrupted_eliminations_fail_the_read_off_checks(monkeypatch, kind, match):
+    """Every multiplier the read-off solves for rebuilds the query, and every
+    row that proves a query has none vanishes on the generators; box2's edge
+    points have such rows."""
+    monkeypatch.setattr(experiments, "_lifted_inverse", _corrupting(kind))
+    with pytest.raises(InternalError, match=match):
+        construct_degenerate(box_indicator(2))
 
 
 EMPTY_DOMAINS = [

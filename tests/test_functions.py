@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import feasible_points_of, q, qv, rand_polyfun, rand_vec, to_frac, vec_frac
 from nondegen.errors import (
     DimensionMismatchError,
+    InternalError,
     NotOptimalError,
     OutsideDomainError,
 )
@@ -28,10 +29,21 @@ from nondegen.functions import (
     minimize_perturbed,
     strict_complementarity,
     subdifferential,
+    _active_structure,
+    _lifted_inverse,
+    _read_off,
 )
 from nondegen.gallery import abs_function, box, box_indicator
-from nondegen.geometry import positive_span_is_subspace, translate
-from nondegen.linalg import Q, dot, zeros
+from nondegen.geometry import (
+    Boundary,
+    GeneratedSet,
+    Interior,
+    Outside,
+    positive_span_is_subspace,
+    ri_membership,
+    translate,
+)
+from nondegen.linalg import ONE, Q, ZERO, dot, rank, zeros
 from nondegen.simplex import (
     HPolyhedron,
     Infeasible,
@@ -261,6 +273,84 @@ def test_certify_multipliers_are_positive_on_a_redundant_active_row():
     assert all(res.constraint_multipliers[i] > 0 for i in P.active_set(x))
     assert res.constraint_multipliers == qv("3/2", "1/2", 0, 0, "1/2")
     assert res.constraint_multipliers == strict_complementarity(LinearProgram(v, P), x).lam
+
+
+# ---------------------------------------------------------------------------
+# the multiplier read-off
+# ---------------------------------------------------------------------------
+
+
+def _at_origin(points, rays, dim):
+    """A function whose subdifferential at 0 is ``conv(points) + cone(rays)``:
+    one piece ``<p, x>`` per point and one row ``<r, x> <= 0`` per ray, all
+    active at 0.  Returns it with its active structure there."""
+    f = PolyhedralFunction.build([(p, 0) for p in points], rays, [0] * len(rays), dim)
+    return f, _active_structure(f, zeros(dim))
+
+
+def _agrees(verdict, status):
+    if isinstance(status, Outside):
+        return isinstance(verdict, NotCritical)
+    if isinstance(status, Boundary):
+        return isinstance(verdict, DegenerateCritical)
+    # independent generators admit one representation, so the LP's witness
+    # is the read-off's
+    return isinstance(verdict, Nondegenerate) and verdict.witness == status.witness
+
+
+@given(st.integers(0, 100_000))
+@settings(deadline=None, max_examples=60)
+def test_read_off_matches_ri_membership(seed):
+    """Whenever the read-off decides, it agrees with ``ri_membership``, and
+    it decides whenever the lifted generators have full column rank."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    points = [rand_vec(rng, dim, span=2, den=2) for _ in range(rng.randint(1, 3))]
+    rays = [rand_vec(rng, dim, span=2, den=2) for _ in range(rng.randint(0, 2))]
+    f, active = _at_origin(points, rays, dim)
+    S = GeneratedSet(active[0], active[1], dim)
+    lifted = [(*p, ONE) for p in S.points] + [(*r, ZERO) for r in S.rays]
+    independent = rank(lifted) == len(lifted)
+    inverse = _lifted_inverse(S.points, S.rays)
+    assert (inverse is not None) == independent
+    centre = tuple(sum(c) / len(points) + sum(r[d] for r in rays) for d, c in enumerate(zip(*points)))
+    queries = [rand_vec(rng, dim), centre, *points, *rays]
+    queries += [tuple(a + b for a, b in zip(p, r)) for p in points for r in rays]
+    queries += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in zip(points, points[1:])]
+    for w in queries:
+        verdict = _read_off(f, w, active, inverse=inverse)
+        assert (verdict is not None) == independent
+        if verdict is not None:
+            assert _agrees(verdict, ri_membership(S, w))
+
+
+def test_a_ray_query_can_be_interior():
+    """With the point 0 in S = {0} + cone{a}, the ray ``a`` is ``1·0 + 1·a``:
+    a ray query is solved for, not assumed to lie on the boundary."""
+    f, active = _at_origin([qv(0, 0)], [qv(1, 2)], 2)
+    inverse = _lifted_inverse(active[0], active[1])
+    verdict = _read_off(f, qv(1, 2), active, inverse=inverse)
+    assert isinstance(verdict, Nondegenerate) and verdict.witness == qv(1, 1)
+    assert isinstance(ri_membership(GeneratedSet(*active[:2], 2), qv(1, 2)), Interior)
+    assert isinstance(_read_off(f, qv(0, 0), active, inverse=inverse), DegenerateCritical)
+    assert isinstance(_read_off(f, qv(2, 1), active, inverse=inverse), NotCritical)
+
+
+def test_dependent_generators_leave_the_verdict_undecided():
+    f, active = _at_origin([qv(0), qv(1), qv(2)], [], 1)
+    assert _lifted_inverse(active[0], active[1]) is None
+    assert _read_off(f, qv(1), active, inverse=None) is None
+
+
+@pytest.mark.parametrize("z", [qv("1/2", 1, 1), qv(1, 2, 1)])
+def test_read_off_rebuilds_the_query_before_any_verdict(z):
+    """At the corner (1, 1) of the box, the query (1, 1) has the multipliers
+    (1, 1, 1): 1 on the zero piece and 1 on each active normal."""
+    f = box_indicator(2)
+    active = _active_structure(f, qv(1, 1))
+    assert isinstance(_read_off(f, qv(1, 1), active, qv(1, 1, 1)), Nondegenerate)
+    with pytest.raises(InternalError, match="do not rebuild"):
+        _read_off(f, qv(1, 1), active, z)
 
 
 # ---------------------------------------------------------------------------

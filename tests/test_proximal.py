@@ -136,8 +136,8 @@ def test_critical_points_on_a_generic_tilt():
         # the kink is reached by the support {x} first, then by its active set
         (qv(1), [(-2, Nondegenerate), (0, DegenerateCritical)], []),
         # the kink's multipliers (-1, 2) rule it out; -2 is reached only by
-        # the piece x, which is not active there, so certify judges it
-        (qv(3), [(-4, Nondegenerate)], [qv(-2)]),
+        # the piece x, which is not active there, so it is not critical
+        (qv(3), [(-4, Nondegenerate)], []),
     ],
 )
 def test_critical_points_reached_by_their_active_sets_need_no_lp(monkeypatch, v, expected, certified):

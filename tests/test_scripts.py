@@ -1,6 +1,8 @@
-"""The experiment suite scripts: a short run of each, and their usage errors."""
+"""The experiment suite scripts and the benchmark pair script: a short run
+of each, and their usage errors."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,45 @@ def test_suite_bad_settings_are_usage_errors(name, bad, tmp_path, capsys):
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+ROOT = SCRIPTS.parent
+
+
+def test_bench_pairs_alternates_the_sides_and_summarises_them(tmp_path, capsys):
+    """Two one-cycle genericity pairs of the checkout against itself."""
+    out = tmp_path / "bench.json"
+    bench = load("bench_pairs")
+    argv = [str(ROOT), str(ROOT), "--workload", "genericity", "--seeds", "0-1", "--seconds", "0", "--out", str(out)]
+    assert bench.main(argv) == 0
+    data = json.loads(out.read_text())
+    assert list(data) == ["what", "summary", "runs"]
+    assert [(r["side"], r["stamp"]["seed"]) for r in data["runs"]] == [
+        ("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
+    ]
+    assert all(r["result"]["correct"] and r["stamp"]["seconds"] == 0 for r in data["runs"])
+    end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    summary = data["summary"]["genericity"]
+    assert list(summary) == end_to_end
+    for name in end_to_end:
+        assert summary[name]["parent"]["runs"] == summary[name]["change"]["runs"] == 2
+        assert summary[name]["change_wins"] in ("0/2", "1/2", "2/2")
+
+
+def test_bench_pairs_reproduces_a_recorded_summary():
+    """The summary of BENCH_10.json, written before the script existed, is
+    the script's summary of that file's runs."""
+    bench = load("bench_pairs")
+    recorded = json.loads((ROOT / "BENCH_10.json").read_text())
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bench.summarize(recorded["runs"], end_to_end) == recorded["summary"]
+
+
+@pytest.mark.parametrize("seeds", ["", "3-1", "a-b", "-1", "1-2-3"])
+def test_bench_pairs_bad_seed_ranges_are_usage_errors(seeds, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        load("bench_pairs").main([str(ROOT), str(ROOT), "--workload", "genericity", "--seeds", seeds, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
