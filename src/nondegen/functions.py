@@ -12,12 +12,9 @@ its relative interior (nondegenerate), on the relative boundary (degenerate
 critical), or outside (not critical).  :func:`strict_complementarity` exposes
 the LP face of the same trichotomy.
 
-:func:`_read_off` decides the same trichotomy with no LP when the active
-generators, lifted (a point with a trailing 1, a ray with a trailing 0), are
-linearly independent: the multipliers of the query are then its only
-representation, and their signs are the verdict.  It is the one place where
-multipliers become a verdict; ``prox``'s critical points feed it their own
-KKT multipliers, and ``construct_degenerate`` solves for them.
+:func:`_read_off`, the one place where multipliers become a verdict, decides
+the same trichotomy with no LP when the lifted active generators are linearly
+independent.
 
 Two conventions about the data ``(pieces, domain)`` live here and nowhere
 else: a function without pieces is the zero function on its domain, read

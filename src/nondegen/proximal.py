@@ -247,9 +247,9 @@ def find_critical_points(
             verdicts[x] = NotCritical()
             continue
         _, _, active_pieces, active_cons = active
+        w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
         z = mu + lam
         if J == active_pieces and I == active_cons:
-            w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
             verdicts[x] = _read_off(g, w, active, z)
             pending.pop(x, None)
         elif (
@@ -257,7 +257,7 @@ def find_critical_points(
             and all(i in active_cons for i in I)
             and all(c >= 0 for c in z)
         ):
-            pending[x] = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
+            pending[x] = w
     verdicts.update((x, certify(g, w, x)) for x, w in pending.items())
     found = sorted((x, c) for x, c in verdicts.items() if not isinstance(c, NotCritical))
     if not found:

@@ -372,25 +372,13 @@ def test_constructed_pairs_on_random_instances(seed):
         assert isinstance(certify(f, v, x), DegenerateCritical)
 
 
-def _pieced_functions(count):
-    """Seeded random functions with at least one affine piece."""
+def _seeded_functions(count, keep):
+    """The first ``count`` seeded random functions that ``keep`` accepts."""
     rng = random.Random(7042)
     out = []
     while len(out) < count:
         f = rand_polyfun(rng, rng.randint(1, 3))
-        if f.pieces:
-            out.append(f)
-    return out
-
-
-def _small_functions(count):
-    """Seeded random functions with at most 10 generators (pieces, the zero
-    piece included, plus constraints)."""
-    rng = random.Random(7042)
-    out = []
-    while len(out) < count:
-        f = rand_polyfun(rng, rng.randint(1, 3))
-        if len(f.terms) + f.domain.m <= 10:
+        if keep(f):
             out.append(f)
     return out
 
@@ -410,7 +398,10 @@ def test_construct_degenerate_matches_the_per_generator_certify_loop():
         point_indicator(2),
     ] + [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in (101, 202, 303)]
     polytopes = [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in range(100, 130)]
-    for f in criterion_2 + polytopes + _pieced_functions(12) + _small_functions(30):
+    pieced = _seeded_functions(12, lambda f: f.pieces)
+    # at most 10 generators: pieces (the zero piece included) plus constraints
+    small = _seeded_functions(30, lambda f: len(f.terms) + f.domain.m <= 10)
+    for f in criterion_2 + polytopes + pieced + small:
         assert repr(construct_degenerate(f)) == repr(construct_degenerate_loop_oracle(f))
     assert construct_degenerate(point_indicator(2)).pairs == ()
 

@@ -73,6 +73,12 @@ def test_bench_pairs_alternates_the_sides_and_summarises_them(tmp_path, capsys):
     for name in end_to_end:
         assert summary[name]["parent"]["runs"] == summary[name]["change"]["runs"] == 2
         assert summary[name]["change_wins"] in ("0/2", "1/2", "2/2")
+    # a traced pair is kept with the others and left out of the summary
+    traced = [str(ROOT), str(ROOT), "--workload", "genericity", "--seeds", "2", "--seconds", "0", "--trace", "1"]
+    assert bench.main(traced + ["--out", str(out), "--append"]) == 0
+    appended = json.loads(out.read_text())
+    assert appended["runs"][:4] == data["runs"] and appended["summary"] == data["summary"]
+    assert [(r["side"], r["stamp"]["trace"]) for r in appended["runs"][4:]] == [("parent", 1), ("change", 1)]
 
 
 def test_bench_pairs_reproduces_a_recorded_summary():
