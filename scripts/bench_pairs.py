@@ -16,11 +16,14 @@ object) are kept under ``runs``, with the side they belong to.
 ``change_wins``: the pairs in which the change did better, out of all pairs.
 Only untraced runs (``--trace 0``) are summarised; a traced run's per-layer
 metrics are kept in ``runs`` only.  ``--append`` adds the runs to an existing
-file, so that one file can hold several workloads, and recomputes the summary
-from all of its runs.
+file, so that one file can hold several workloads, keeps its ``what`` and
+recomputes the summary from all of its runs; a seed that the file already
+holds for the same workload and ``--trace`` is a usage error.  A new file
+gets a ``what`` naming both sides' commits.
 
-Exits 1 if a run fails to start or ends without a JSON line, and writes
-nothing then; exits 2 on a usage error.
+The file is written after every pair, so a run that fails keeps the pairs
+before it.  Exits 1 if a run fails to start or ends without a JSON line;
+exits 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -112,7 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0, help="passed to run.py (default 20)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="passed to run.py (default 0)")
     parser.add_argument("--append", action="store_true", help="add the runs to an existing --out file")
-    parser.add_argument("--what", help="the file's description (default: kept, or a generated one)")
     args = parser.parse_args(argv)
     if not args.seconds >= 0:
         parser.error("--seconds must be nonnegative")
@@ -129,8 +131,17 @@ def main(argv=None) -> int:
         if not args.out.is_file():
             parser.error(f"--append: {args.out} does not exist")
         data = json.loads(args.out.read_text())
+        held = {
+            r["stamp"]["seed"]
+            for r in data["runs"]
+            if r["stamp"]["workload"] == args.workload and r["stamp"]["trace"] == args.trace
+        }
+        if held.intersection(args.seeds):
+            parser.error(
+                f"--append: {args.out} already holds {args.workload} --trace {args.trace} runs "
+                f"of seeds {sorted(held.intersection(args.seeds))}"
+            )
 
-    runs = []
     for k, seed in enumerate(args.seeds):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             try:
@@ -138,24 +149,20 @@ def main(argv=None) -> int:
             except RuntimeError as e:
                 print(f"bench_pairs: {e}", file=sys.stderr)
                 return 1
-            runs.append({"side": side, **run})
+            data["runs"].append({"side": side, **run})
             result = run["result"]
             print(
                 f"{args.workload} seed {seed} {side:<6} ops {result['attempted']} correct {result['correct']}",
                 file=sys.stderr,
             )
-
-    data["runs"] += runs
-    data["summary"] = summarize(data["runs"], end_to_end)
-    if args.what is not None:
-        data["what"] = args.what
-    elif data["what"] is None:
-        commits = {r["side"]: r["stamp"].get("commit") for r in runs}
-        data["what"] = (
-            "perfbench/run.py in alternated pairs (the side that runs first alternates); "
-            f"parent {commits['parent']}, change {commits['change']}."
-        )
-    args.out.write_text(json.dumps({k: data[k] for k in ("what", "summary", "runs")}, indent=1) + "\n")
+        if data["what"] is None:
+            commits = {r["side"]: r["stamp"].get("commit") for r in data["runs"]}
+            data["what"] = (
+                "perfbench/run.py in alternated pairs (the side that runs first alternates); "
+                f"parent {commits['parent']}, change {commits['change']}."
+            )
+        data["summary"] = summarize(data["runs"], end_to_end)
+        args.out.write_text(json.dumps({k: data[k] for k in ("what", "summary", "runs")}, indent=1) + "\n")
     return 0
 
 

@@ -34,7 +34,6 @@ from .functions import (
     Nondegenerate,
     PolyhedralFunction,
     _active_structure,
-    _lifted_inverse,
     _read_off,
     certify,
     minimize_perturbed,
@@ -272,11 +271,10 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     At each candidate point the generators of ``S = ∂f(x)`` are tried as
     given, rays first, and the first one on the relative boundary of ``S``
     yields the point's pair.  A generator's verdict is read off its
-    multipliers over the generators (:func:`~nondegen.functions._read_off`),
-    with the lifted generator matrix eliminated once per point; only when
-    those generators are linearly dependent does ``ri_membership(S, v)`` run,
-    which is Boundary exactly when ``certify(f, v, x)`` is
-    DegenerateCritical.  A ray need not lie on the boundary: with the point 0
+    multipliers over the generators (:func:`~nondegen.functions._read_off`,
+    one ``solve_linear`` per generator); only when those generators are
+    linearly dependent does ``ri_membership(S, v)`` run, which is Boundary
+    exactly when ``certify(f, v, x)`` is DegenerateCritical.  A ray need not lie on the boundary: with the point 0
     in ``S``, the ray ``a`` is ``1·0 + 1·a``, which can be interior.  An
     affine subdifferential has no relative boundary; any other has a generator
     on it, so such a point yields one pair.  Candidate points are domain
@@ -296,9 +294,8 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     for x in points:
         active = _active_structure(f, x)
         S = GeneratedSet(active[0], active[1], f.dim)
-        inverse = _lifted_inverse(S.points, S.rays)
         for v in S.rays + S.points:
-            verdict = _read_off(f, v, active, inverse=inverse)
+            verdict = _read_off(f, v, active)
             if verdict is None:
                 verdict = ri_membership(S, v)
             if isinstance(verdict, (Boundary, DegenerateCritical)):

@@ -36,7 +36,21 @@ from .geometry import (
     Outside,
     ri_membership,
 )
-from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, _eliminate, _integer_rows, dot, mat, vec, vsub, zeros
+from .linalg import (
+    ONE,
+    Q,
+    Rat,
+    Vec,
+    ZERO,
+    Inconsistent,
+    Underdetermined,
+    dot,
+    mat,
+    solve_linear,
+    vec,
+    vsub,
+    zeros,
+)
 from .simplex import (
     HPolyhedron,
     Infeasible,
@@ -275,64 +289,32 @@ def _scattered(
     return Nondegenerate(point_coeffs + ray_coeffs, tuple(pw), tuple(cm))
 
 
-def _lifted_inverse(points: Mat, rays: Mat):
-    """The lifted generator matrix ``L`` eliminated for queries, or None when
-    its columns are linearly dependent.
-
-    ``L`` has one column per generator: a point with a trailing 1, a ray with
-    a trailing 0.  ``[L | I]`` is eliminated fraction-free, which leaves
-    integer rows ``E`` in the identity block and a divisor ``d`` with
-    ``E L = d [I; 0]``.  Returns ``(solve, null, d)``, the rows of ``E`` at
-    and past the pivots: a query ``w`` has the multipliers
-    ``<solve_r, (w, 1)> / d``, and a null row with ``<null_r, (w, 1)> != 0``
-    proves that it has none.
-    """
-    s = len(points) + len(rays)
-    dim = len(points[0])
-    if s > dim + 1:
-        return None
-    rows = [[g[c] for g in points] + [g[c] for g in rays] for c in range(dim)]
-    rows.append([ONE] * len(points) + [ZERO] * len(rays))
-    for r, row in enumerate(rows):
-        row.extend(ONE if c == r else ZERO for c in range(dim + 1))
-    M = _integer_rows(rows)
-    pivots, d = _eliminate(M, s)
-    if len(pivots) < s:
-        return None
-    E = [row[s:] for row in M]
-    return E[:s], E[s:], d
-
-
-def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None, inverse=None):
+def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     """``certify(f, w, x)`` read off the multipliers of ``w`` over the active
     generators at ``x``, with no LP; None when it cannot be.
 
     ``active`` is ``_active_structure(f, x)``.  The multipliers ``z`` (points
-    first, then rays) are the caller's when it knows the lifted generators to
-    be linearly independent; otherwise they are solved from
-    ``inverse = _lifted_inverse(points, rays)``, and a None inverse (dependent
-    generators) leaves the verdict undecided.  Independence makes ``z`` the
-    only representation of ``w`` as ``sum mu_j c_j + sum lam_i a_i`` with
+    first, then rays) are the caller's when it knows the lifted generators (a
+    point with a trailing 1, a ray with a trailing 0) to be linearly
+    independent; otherwise ``sum mu_j (c_j, 1) + sum lam_i (a_i, 0) = (w, 1)``
+    is solved for them.  No solution at all is NotCritical, and dependent
+    generators leave the verdict undecided.  Independence makes ``z`` the only
+    representation of ``w`` as ``sum mu_j c_j + sum lam_i a_i`` with
     ``sum mu = 1``, so its signs are the verdict (Rockafellar, Thm 6.9): all
-    positive is Nondegenerate, a zero is DegenerateCritical, a negative or
-    no solution at all is NotCritical.  Each verdict is checked exactly
-    first: ``z`` must rebuild ``w``, and a row proving that there is no
-    solution must vanish on every lifted generator.  A failed check raises
-    ``InternalError``.
+    positive is Nondegenerate, a zero is DegenerateCritical, a negative is
+    NotCritical.  ``z`` must rebuild ``w`` exactly before any of these is
+    returned; a failed check raises ``InternalError``.
     """
     points, rays, active_pieces, active_cons = active
     if z is None:
-        if inverse is None:
+        lifted = [[g[c] for g in points] + [g[c] for g in rays] for c in range(len(w))]
+        lifted.append([ONE] * len(points) + [ZERO] * len(rays))
+        sol = solve_linear(lifted, (*w, ONE))
+        if isinstance(sol, Inconsistent):
+            return NotCritical()
+        if isinstance(sol, Underdetermined):
             return None
-        solve, null, d = inverse
-        lifted = (*w, ONE)
-        for y in null:
-            if dot(y, lifted):
-                lifted_gens = [(*p, ONE) for p in points] + [(*r, ZERO) for r in rays]
-                if any(dot(y, g) for g in lifted_gens):
-                    raise InternalError("a row proving no multipliers meets a generator")
-                return NotCritical()
-        z = tuple([dot(row, lifted) / d for row in solve])
+        z = sol.x
     k = len(points)
     if sum(z[:k]) != ONE or any(dot(z, column) != wd for column, wd in zip(zip(*points, *rays), w)):
         raise InternalError("multipliers do not rebuild the query")

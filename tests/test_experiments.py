@@ -16,7 +16,7 @@ from nondegen.errors import (
     InfeasibleDomainError,
     InternalError,
 )
-from nondegen import experiments
+from nondegen import experiments, functions
 from nondegen.experiments import (
     AdversarialReport,
     ExperimentReport,
@@ -51,7 +51,7 @@ from nondegen.gallery import (
     square_vertices,
 )
 from nondegen.geometry import VPolytope, ri_membership
-from nondegen.linalg import Q
+from nondegen.linalg import Q, UniqueSolution
 from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
 from oracles import (
@@ -431,35 +431,27 @@ def test_independent_generators_need_no_membership_lp(monkeypatch, f):
 
 
 def _corrupting(kind):
-    """``_lifted_inverse`` with one part of every elimination changed."""
-    lifted_inverse = experiments._lifted_inverse
+    """``solve_linear`` with every unique solution changed: one entry moved,
+    or every entry doubled."""
+    solve_linear = functions.solve_linear
 
-    def corrupted(points, rays):
-        inverse = lifted_inverse(points, rays)
-        if inverse is None:
-            return None
-        solve, null, d = inverse
-        if kind == "divisor":
-            d *= 2
-        elif kind == "solve":
-            solve = [solve[0][:-1] + [solve[0][-1] + 1]] + solve[1:]
-        elif kind == "null" and null:
-            null = [null[0][:-1] + [null[0][-1] + 1]] + null[1:]
-        return solve, null, d
+    def corrupted(A, b):
+        sol = solve_linear(A, b)
+        if not isinstance(sol, UniqueSolution):
+            return sol
+        if kind == "entry":
+            return UniqueSolution((sol.x[0] + 1,) + sol.x[1:])
+        return UniqueSolution(tuple(2 * a for a in sol.x))
 
     return corrupted
 
 
-@pytest.mark.parametrize(
-    "kind, match",
-    [("divisor", "do not rebuild"), ("solve", "do not rebuild"), ("null", "meets a generator")],
-)
-def test_corrupted_eliminations_fail_the_read_off_checks(monkeypatch, kind, match):
-    """Every multiplier the read-off solves for rebuilds the query, and every
-    row that proves a query has none vanishes on the generators; box2's edge
-    points have such rows."""
-    monkeypatch.setattr(experiments, "_lifted_inverse", _corrupting(kind))
-    with pytest.raises(InternalError, match=match):
+@pytest.mark.parametrize("kind", ["entry", "scale"])
+def test_corrupted_solves_fail_the_read_off_check(monkeypatch, kind):
+    """Every multiplier the read-off solves for rebuilds the generator it is
+    asked about before any verdict."""
+    monkeypatch.setattr(functions, "solve_linear", _corrupting(kind))
+    with pytest.raises(InternalError, match="do not rebuild"):
         construct_degenerate(box_indicator(2))
 
 

@@ -78,6 +78,7 @@ def test_bench_pairs_alternates_the_sides_and_summarises_them(tmp_path, capsys):
     assert bench.main(traced + ["--out", str(out), "--append"]) == 0
     appended = json.loads(out.read_text())
     assert appended["runs"][:4] == data["runs"] and appended["summary"] == data["summary"]
+    assert appended["what"] == data["what"]
     assert [(r["side"], r["stamp"]["trace"]) for r in appended["runs"][4:]] == [("parent", 1), ("change", 1)]
 
 
@@ -88,6 +89,58 @@ def test_bench_pairs_reproduces_a_recorded_summary():
     recorded = json.loads((ROOT / "BENCH_10.json").read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert bench.summarize(recorded["runs"], end_to_end) == recorded["summary"]
+
+
+FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+trace = int(sys.argv[sys.argv.index("--trace") + 1])
+if seed == 1:
+    sys.exit("seed 1 fails")
+names = [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+print("stamp " + json.dumps({"workload": "genericity", "seed": seed, "trace": trace, "commit": "fake"}))
+print(json.dumps({"attempted": 1, "correct": True, "metrics": {n: {"value": seed} for n in names}}))
+"""
+
+
+@pytest.fixture
+def fake_checkout(tmp_path):
+    """A checkout whose ``perfbench/run.py`` answers at once, and fails on
+    seed 1."""
+    root = tmp_path / "checkout"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return root
+
+
+def test_bench_pairs_keeps_the_pairs_before_a_failed_run(fake_checkout, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    argv = [str(fake_checkout)] * 2 + ["--workload", "genericity", "--seeds", "0-1", "--out", str(out)]
+    assert load("bench_pairs").main(argv) == 1
+    assert "seed 1 fails" in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    assert [(r["side"], r["stamp"]["seed"]) for r in data["runs"]] == [("parent", 0), ("change", 0)]
+    assert data["summary"]["genericity"]["ops_per_s"]["change_wins"] == "0/1"
+
+
+@pytest.mark.parametrize("trace, refused", [("0", True), ("1", False)])
+def test_bench_pairs_refuses_to_append_a_seed_it_holds(fake_checkout, tmp_path, capsys, trace, refused):
+    """Appending seed 0 again would replace its pair in the summary while
+    ``runs`` kept both; a traced run of the same seed is not summarised."""
+    out = tmp_path / "bench.json"
+    argv = [str(fake_checkout)] * 2 + ["--workload", "genericity", "--seeds", "0", "--out", str(out)]
+    bench = load("bench_pairs")
+    assert bench.main(argv) == 0
+    before = out.read_text()
+    if refused:
+        with pytest.raises(SystemExit) as exc:
+            bench.main(argv + ["--trace", trace, "--append"])
+        assert exc.value.code == 2
+        assert "already holds genericity --trace 0 runs of seeds [0]" in capsys.readouterr().err
+        assert out.read_text() == before
+    else:
+        assert bench.main(argv + ["--trace", trace, "--append"]) == 0
+        assert len(json.loads(out.read_text())["runs"]) == 4
 
 
 @pytest.mark.parametrize("seeds", ["", "3-1", "a-b", "-1", "1-2-3"])
