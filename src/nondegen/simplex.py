@@ -8,7 +8,9 @@ returning one of three certified outcomes: an optimal point with dual
 multipliers, an improving ray, or a Farkas certificate of infeasibility.
 Every certificate is verified exactly before being returned, so a bug in the
 pivoting can surface only as an :class:`InternalError`, never as a wrong
-answer.
+answer.  It is verified once, in the kernel below: :func:`solve_lp` only
+renames the kernel's columns, so each H-form identity is one of the
+standard-form identities already checked (see :func:`solve_lp`).
 
 Pivoting uses Bland's rule (lowest eligible column enters; ties in the ratio
 test break toward the lowest basic column), which guarantees termination and
@@ -43,7 +45,9 @@ Each outcome is then checked against the caller's own ``M``, ``rhs`` and
 ``obj``, never the scaled tableau, so no check depends on ``kappa``,
 ``sigma``, ``tau`` or the pivots that it is there to catch.  Every check sum
 is one :func:`nondegen.linalg.dot`: an integer numerator over an integer
-denominator, with one ``Fraction`` per sum instead of one per product.
+denominator, with one ``Fraction`` per sum instead of one per product.  This
+is the only check of an LP certificate; callers read their answers off the
+checked outcome without re-deriving it.
 """
 
 from __future__ import annotations
@@ -375,7 +379,22 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve the H-form program; outcomes are verified exactly before return.
 
     The kernel sees free variables split and slacks added: its columns are
-    ``(u, w, s)`` with ``x = u - w`` and ``A x + s = b``."""
+    ``(u, w, s)`` with ``x = u - w`` and ``A x + s = b``, and its objective is
+    ``(c, -c, 0)``.  The kernel's check of that program is the only check,
+    because each of its identities is an H-form one in these coordinates:
+
+    - ``M t = b`` with ``t >= 0``: ``x`` is feasible and ``s = b - A x``, so
+      the active set is ``{i : s_i = 0}``;
+    - no positive reduced cost: the ``u`` and ``w`` columns give
+      ``A^T y >= c`` and ``A^T y <= c``, so ``A^T y = c``, and the slack
+      columns give ``y >= 0``;
+    - strong duality ``<c, x> = <b, y>`` with ``A^T y = c`` gives
+      ``<y, s> = 0``, which with ``y, s >= 0`` is complementary slackness;
+    - a ray ``r >= 0`` with ``M r = 0`` gives ``A d = -r_s <= 0`` for
+      ``d = r_u - r_w``, and ``<c, d> = <obj, r> > 0``;
+    - a Farkas vector ``g`` with ``g^T M <= 0``: the ``u`` and ``w`` columns
+      give ``g^T A = 0`` and the slack columns ``g <= 0``, so ``-g`` is the
+      H-form certificate, and ``-g^T b < 0``."""
     P = lp.constraints
     n, m = P.dim, P.m
     M = []
@@ -387,48 +406,12 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     res = solve_standard_form(M, list(P.b), obj)
     if isinstance(res, KernelOptimal):
         x = tuple(res.t[k] - res.t[n + k] for k in range(n))
-        value = res.value
-        duals = res.duals
-        if dot(lp.objective, x) != value:
-            raise InternalError("lp value mismatch")
-        if any(l < 0 for l in duals):
-            raise InternalError("negative dual multiplier")
-        for k in range(n):
-            col = sum(duals[i] * P.A[i][k] for i in range(m)) if m else ZERO
-            if col != lp.objective[k]:
-                raise InternalError("dual feasibility A^T y = c violated")
-        if m and sum(duals[i] * P.b[i] for i in range(m)) != value:
-            raise InternalError("duality gap is nonzero")
-        active = []
-        for i in range(m):
-            slack = P.b[i] - dot(P.A[i], x)
-            if slack < 0:
-                raise InternalError("optimal point infeasible")
-            if slack == 0:
-                active.append(i)
-            elif duals[i] != 0:
-                raise InternalError("complementary slackness violated")
-        return Optimal(x, value, duals, frozenset(active))
+        active = frozenset(i for i in range(m) if res.t[2 * n + i] == 0)
+        return Optimal(x, res.value, res.duals, active)
     if isinstance(res, KernelUnbounded):
         x0 = tuple(res.t0[k] - res.t0[n + k] for k in range(n))
-        d = tuple(res.ray[k] - res.ray[n + k] for k in range(n))
-        if P.violation_index(x0) is not None:
-            raise InternalError("unbounded base point infeasible")
-        for i in range(m):
-            if dot(P.A[i], d) > 0:
-                raise InternalError("unbounded ray leaves the feasible set")
-        if dot(lp.objective, d) <= 0:
-            raise InternalError("unbounded ray does not improve the objective")
-        return Unbounded(x0, d)
-    farkas = tuple(-g for g in res.farkas)
-    if any(f < 0 for f in farkas):
-        raise InternalError("farkas multiplier negative")
-    for k in range(n):
-        if sum(farkas[i] * P.A[i][k] for i in range(m)) != 0:
-            raise InternalError("farkas combination is not the zero functional")
-    if sum(farkas[i] * P.b[i] for i in range(m)) >= 0:
-        raise InternalError("farkas certificate has nonnegative rhs combination")
-    return Infeasible(farkas)
+        return Unbounded(x0, tuple(res.ray[k] - res.ray[n + k] for k in range(n)))
+    return Infeasible(tuple(-g for g in res.farkas))
 
 
 def feasible_point(P: HPolyhedron) -> Point | Infeasible:

@@ -6,10 +6,13 @@ rational equality; the only tolerance anywhere is the 60-second wall-clock
 bound on the genericity suite.
 """
 
+import hashlib
+import json
 import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +135,17 @@ def test_criterion_1_genericity_suite(capfd, genericity_reports):
     if bad:
         detail = "; ".join(bad[:3])
     _verdict(capfd, 1, "random tilts are unique and nondegenerate", ok, detail)
+
+
+def test_criterion_1_csvs_match_the_golden_digests(genericity_reports):
+    """The criterion-1 CSVs are byte-identical to the golden copies, pinned
+    by their SHA-256 in ``golden_csv_sha256.json``."""
+    golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
+    digests = {
+        label: hashlib.sha256(csv.encode()).hexdigest()
+        for label, (_, csv) in genericity_reports[0].items()
+    }
+    assert digests == golden["genericity_seed42_1000"]
 
 
 def test_criterion_2_adversarial_suite(capfd):

@@ -1,9 +1,12 @@
 """Seeded genericity sampling, adversarial construction, and the exposed-face
 (Larman) experiment: determinism, classification tallies, CSV reports."""
 
+import hashlib
+import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,24 @@ def test_box_run_sees_no_degeneracy():
     assert report.unique_nondegenerate == 100
     assert report.seed == 42
     assert len(report.records) == 100
+
+
+def test_low_bit_box_tilts_are_non_unique_exactly_at_a_zero_coordinate():
+    """At 8 bits a tilt coordinate is 0 with probability 2^-8, so some box3
+    trials tie; the argmax of <v, x> over the box is a point iff no
+    coordinate of v is 0, and then it is the vertex sign(v).  The CSV is the
+    golden copy, the only one with non_unique rows."""
+    report = run_genericity(box_indicator(3), SamplerConfig(seed=42, bits=8), 500)
+    for r in report.records:
+        if 0 in r.v:
+            assert r.outcome == "non_unique", r
+        else:
+            assert r.outcome == "nondegenerate", r
+            assert r.minimizer == tuple(Q(1 if c > 0 else -1) for c in r.v), r
+    assert report.non_unique > 0
+    golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
+    digest = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
+    assert digest == golden["box3_bits8_seed42_500"]
 
 
 def test_zero_function_is_always_unbounded():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, rand_hpoly, rand_vec, to_frac, vec_frac
+from conftest import qv, rand_genset, rand_hpoly, rand_vec, to_frac, vec_frac
 from nondegen import (
+    GeneratedSet,
     HPolyhedron,
     Infeasible,
     LinearProgram,
@@ -26,6 +27,7 @@ from nondegen.gallery import box, pyramid
 from nondegen.linalg import dot
 from nondegen.simplex import KernelInfeasible, KernelOptimal, KernelUnbounded, solve_standard_form
 from oracles import bland_simplex_oracle, dot_oracle, lp_enum_oracle
+from test_geometry import check_trichotomy
 
 
 def lp(objective, rows, rhs, dim=None):
@@ -346,3 +348,75 @@ def test_every_perturbed_kernel_read_out_raises_or_is_a_valid_certificate(monkey
     # With no rows every dual combination is zero, so a positive cost still fails.
     with pytest.raises(InternalError, match="positive reduced cost"):
         checked([], [], [Fraction(1)], KernelOptimal((Fraction(0),), Fraction(0), ()))
+
+
+def _under_each_perturbation(monkeypatch, check):
+    """Runs ``check()`` as it is, then once for each perturbation of the read-out
+    of its first kernel LP, which ``_verified`` is handed in place of the real
+    one; later LPs (an oracle's own) are checked as they are.  A perturbed run
+    must raise one of the kernel's own checks or pass ``check``'s oracle.
+    Returns the type of the unperturbed outcome."""
+    checked = simplex._verified
+    seen = []
+    monkeypatch.setattr(simplex, "_verified", lambda M, rhs, obj, out: checked(
+        M, rhs, obj, seen.append(out) or out))
+    kind = type(check())
+    for changed in _perturbations(seen[0]):
+        calls = []
+
+        def once(M, rhs, obj, out):
+            calls.append(out)
+            return checked(M, rhs, obj, changed if len(calls) == 1 else out)
+
+        monkeypatch.setattr(simplex, "_verified", once)
+        try:
+            check()
+        except InternalError as e:
+            assert str(e) in KERNEL_CHECKS, (e, changed)
+    return kind
+
+
+def _checked_lp(program):
+    res = solve_lp(program)
+    _check_invariants(program, res)
+    return res
+
+
+def test_every_perturbed_kernel_read_out_gives_callers_an_error_or_a_valid_outcome(monkeypatch):
+    """The kernel's check is the only check of an LP certificate, and it
+    guards the callers too: with each kernel read-out entry changed in turn,
+    ``solve_lp`` either raises one of the kernel's checks or returns an
+    outcome that holds in H-form, and ``ri_membership`` either raises or
+    gives a verdict that ``check_trichotomy`` accepts."""
+    rng = random.Random(12)
+    programs = [
+        LinearProgram(qv(1, 1), box(2)),
+        LinearProgram(qv(0, 0, 1), pyramid()),
+        lp([1, 0], [[1, 0], [1, 0], [0, 1]], [1, 1, 1]),
+        lp([1, 2], [], [], 2),
+        lp([0, 0], [], [], 2),
+        lp([1], [[-1]], [0]),
+        lp([1, 1], [[1, -1], [-1, 1]], [1, 1]),
+        lp([1], [[1], [-1]], [0, -1]),
+        lp([1, 0], [[1, 1], [-1, -1]], [-1, -1]),
+        lp([0, 1], [[1, 0], [-1, 0], [0, 1]], [Fraction(1, 3), Fraction(-1, 2), 1]),
+        lp([1, 1, 1], [[1, 1, 1], [-1, -1, -1], [1, 0, 0]], [1, -2, 0]),
+        lp([1, -1], [[Fraction(1, 2), Fraction(2, 3)], [-1, 0]], [Fraction(3, 4), 0]),
+    ]
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        programs.append(LinearProgram(rand_vec(rng, dim), rand_hpoly(rng, dim, rng.randint(1, 5))))
+    kinds = Counter(_under_each_perturbation(monkeypatch, lambda: _checked_lp(p)) for p in programs)
+    assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
+
+    redundant = GeneratedSet((qv(0, 0), qv(2, 0), qv(1, 0)), (qv(1, 0), qv(2, 0)), 2)
+    queries = [(redundant, qv(3, 0)), (redundant, qv(0, 0)), (redundant, qv(0, 1))]
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        S = rand_genset(rng, dim)
+        y = S.points[rng.randrange(len(S.points))] if rng.random() < 0.6 else rand_vec(rng, dim)
+        queries.append((S, y))
+    kinds = Counter(
+        _under_each_perturbation(monkeypatch, lambda: check_trichotomy(S, y)) for S, y in queries
+    )
+    assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
