@@ -8,9 +8,9 @@ returning one of three certified outcomes: an optimal point with dual
 multipliers, an improving ray, or a Farkas certificate of infeasibility.
 Every certificate is verified exactly before being returned, so a bug in the
 pivoting can surface only as an :class:`InternalError`, never as a wrong
-answer.  It is verified once, in the kernel below: :func:`solve_lp` only
-renames the kernel's columns, so each H-form identity is one of the
-standard-form identities already checked (see :func:`solve_lp`).
+answer.  It is verified once, in the kernel below: :func:`solve_lp` splits
+free variables and adds slacks, so each H-form identity of its answer is one
+of the standard-form identities the kernel has checked (see :func:`solve_lp`).
 
 Pivoting uses Bland's rule (lowest eligible column enters; ties in the ratio
 test break toward the lowest basic column), which guarantees termination and
@@ -45,9 +45,7 @@ Each outcome is then checked against the caller's own ``M``, ``rhs`` and
 ``obj``, never the scaled tableau, so no check depends on ``kappa``,
 ``sigma``, ``tau`` or the pivots that it is there to catch.  Every check sum
 is one :func:`nondegen.linalg.dot`: an integer numerator over an integer
-denominator, with one ``Fraction`` per sum instead of one per product.  This
-is the only check of an LP certificate; callers read their answers off the
-checked outcome without re-deriving it.
+denominator, with one ``Fraction`` per sum instead of one per product.
 """
 
 from __future__ import annotations

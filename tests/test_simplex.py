@@ -358,8 +358,12 @@ def _under_each_perturbation(monkeypatch, check):
     Returns the type of the unperturbed outcome."""
     checked = simplex._verified
     seen = []
-    monkeypatch.setattr(simplex, "_verified", lambda M, rhs, obj, out: checked(
-        M, rhs, obj, seen.append(out) or out))
+
+    def record(M, rhs, obj, out):
+        seen.append(out)
+        return checked(M, rhs, obj, out)
+
+    monkeypatch.setattr(simplex, "_verified", record)
     kind = type(check())
     for changed in _perturbations(seen[0]):
         calls = []
