@@ -61,7 +61,10 @@ def main(argv=None):
         cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
     except (RationalParseError, ValueError) as e:
         parser.error(str(e))
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        parser.error(f"cannot create --outdir '{args.outdir}': {e}")
 
     header = f"{'instance':<12} {'trials':>6} {'nondeg':>7} {'degen':>6} {'non_unique':>10} {'unbounded':>9} {'secs':>6}"
     print(header)

@@ -53,7 +53,10 @@ def main(argv=None):
         cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
     except (RationalParseError, ValueError) as e:
         parser.error(str(e))
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        parser.error(f"cannot create --outdir '{args.outdir}': {e}")
 
     header = f"{'polytope':<10} {'trials':>6} {'singleton':>9} {'multi':>6} {'forced dir -> vertices':>24} {'secs':>6}"
     print(header)

@@ -15,7 +15,7 @@ from typing import List
 from .errors import InternalError
 from .experiments import SamplerConfig, SplitMix64, _stream_vector
 from .functions import PolyhedralFunction
-from .geometry import VPolytope, _cone_is_subspace
+from .geometry import GeneratedSet, VPolytope, positive_span_is_subspace
 from .linalg import ONE, Q, Rat, Vec, ZERO, rank, vsub
 from .simplex import HPolyhedron, LinearProgram, Optimal, solve_lp
 
@@ -94,7 +94,7 @@ def random_polytope(seed: int, n: int = 3, m: int = 8) -> HPolyhedron:
         for _ in range(m):
             rows.append(_stream_vector(stream, cfg, n))
             rhs.append(Q((stream.next_u64() & 0xFFFF) + 1, 1 << 16))
-        if rank(rows) == n and _cone_is_subspace(rows, n):
+        if rank(rows) == n and positive_span_is_subspace(GeneratedSet(tuple(rows), (), n)):
             return HPolyhedron(tuple(rows), tuple(rhs), n)
     raise InternalError("random polytope resampling did not terminate")
 

@@ -8,6 +8,12 @@ The relative interior of a finitely generated set is the set of strictly
 positive combinations of *all* its generators, redundant ones included
 (Rockafellar, Convex Analysis, Thm 6.9), so no generator is dropped first.
 
+Every program here is built from one lifted system, :func:`_lifted`:
+``sum mu_j p_j + sum lam_i r_i = y`` with ``sum mu = 1`` when there are
+points.  Membership, pruning and the cone tests solve it as it is
+(:func:`_in_set`), the relative-interior LP adds one column to it, and
+:func:`nondegen.functions._read_off` solves it by elimination.
+
 Also here: pruning of redundant generators, the positive-span subspace test,
 and exposed faces of V-polytopes.
 """
@@ -15,7 +21,7 @@ and exposed faces of V-polytopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import (
     DegeneratePolytopeError,
@@ -23,7 +29,7 @@ from .errors import (
     EmptyGeneratedSetError,
     InternalError,
 )
-from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, dot, mat, rank, vsub
+from .linalg import Mat, ONE, Rat, Vec, ZERO, dot, mat, rank, vsub
 from .simplex import (
     KernelInfeasible,
     KernelOptimal,
@@ -110,48 +116,25 @@ RiStatus = Interior | Boundary | Outside
 # ---------------------------------------------------------------------------
 
 
-def _combination(gens: Sequence[Vec], y: Vec, convex_count: int) -> Optional[Vec]:
-    """Coefficients ``z >= 0`` with ``sum z_i gens_i = y`` and, when
-    ``convex_count > 0``, the first ``convex_count`` coefficients summing to 1.
-    Returns None when no such combination exists."""
-    n = len(y)
-    ncols = len(gens)
-    M: List[List[Rat]] = []
-    rhs: List[Rat] = []
-    for d in range(n):
-        M.append([g[d] for g in gens])
-        rhs.append(y[d])
-    if convex_count:
-        M.append([ONE] * convex_count + [ZERO] * (ncols - convex_count))
+def _lifted(points: Mat, rays: Mat, y: Vec) -> Tuple[List[List[Rat]], List[Rat]]:
+    """The lifted system ``sum mu_j p_j + sum lam_i r_i = y`` as ``(M, rhs)``:
+    one row per coordinate, a column per point and then a column per ray, and
+    the convex row ``sum mu = 1`` when there are points."""
+    M = [[p[d] for p in points] + [r[d] for r in rays] for d in range(len(y))]
+    rhs = list(y)
+    if points:
+        M.append([ONE] * len(points) + [ZERO] * len(rays))
         rhs.append(ONE)
-    res = solve_standard_form(M, rhs, [ZERO] * ncols)
-    if isinstance(res, KernelOptimal):
-        return res.t
-    return None
+    return M, rhs
 
 
-def _cone_member(gens: Sequence[Vec], y: Vec) -> bool:
-    """Exact test ``y in cone(gens)`` (the empty cone is ``{0}``)."""
-    if not gens:
-        return all(c == 0 for c in y)
-    return _combination(gens, y, 0) is not None
-
-
-def _cone_is_subspace(gens: Sequence[Vec], dim: int) -> bool:
-    """Single-LP test that ``cone(gens)`` is a linear subspace.
-
-    The cone is a subspace iff some combination with every coefficient >= 1
-    equals zero: given such a combination, ``-g`` is a nonnegative combination
-    for each generator ``g``; conversely summing certificates ``-g in cone``
-    over all generators produces one.  Substituting coefficients ``1 + s``
-    turns the test into one cone-membership query.
-    """
-    if not gens:
-        return True
-    total = [ZERO] * dim
-    for g in gens:
-        total = [a + b for a, b in zip(total, g)]
-    return _cone_member(gens, tuple(-a for a in total))
+def _in_set(points: Mat, rays: Mat, y: Vec) -> bool:
+    """Exact test ``y in conv(points) + cone(rays)`` by one phase-one kernel
+    call on :func:`_lifted`, with ``conv()`` of no points read as ``{0}``.
+    With no columns at all the kernel itself decides ``y = 0``."""
+    M, rhs = _lifted(points, rays, y)
+    res = solve_standard_form(M, rhs, [ZERO] * (len(points) + len(rays)))
+    return isinstance(res, KernelOptimal)
 
 
 def member(S: GeneratedSet, y: Vec) -> bool:
@@ -160,8 +143,7 @@ def member(S: GeneratedSet, y: Vec) -> bool:
         raise DimensionMismatchError("query dimension", S.dim, len(y))
     if S.is_empty:
         return False
-    gens = list(S.points) + list(S.rays)
-    return _combination(gens, y, len(S.points)) is not None
+    return _in_set(S.points, S.rays, y)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +170,7 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
         i = 0
         while i < len(ray_idx):
             others = [S.rays[j] for pos, j in enumerate(ray_idx) if pos != i]
-            if _cone_member(others, S.rays[ray_idx[i]]):
+            if _in_set((), others, S.rays[ray_idx[i]]):
                 del ray_idx[i]
             else:
                 i += 1
@@ -199,11 +181,9 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
         while i < len(point_idx):
             others = [S.points[j] for pos, j in enumerate(point_idx) if pos != i]
             # conv() of no points is empty, so the last point is never
-            # redundant; without this guard _combination would degenerate to a
-            # pure cone-membership test and could drop every point.
-            if others and _combination(
-                others + rays, S.points[point_idx[i]], len(others)
-            ) is not None:
+            # redundant; without this guard _in_set would read conv() as {0}
+            # and could drop every point.
+            if others and _in_set(others, rays, S.points[point_idx[i]]):
                 del point_idx[i]
             else:
                 i += 1
@@ -220,39 +200,25 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
 
 def _max_min_coefficient(points: Mat, rays: Mat, y: Vec):
     """Maximize t with y = sum mu_j p_j + sum lam_i r_i, sum mu = 1,
-    mu_j >= t, lam_i >= t, 0 <= t <= 1.  Returns None when infeasible
-    (y outside the set), else (t*, mu, lam).
+    mu_j >= t, lam_i >= t.  Returns None when infeasible (y outside the set),
+    else (t*, mu, lam).
 
-    Substituting mu = t + e, lam = t + f (e, f >= 0) keeps the kernel tableau
-    small: columns are (e, f, t, u) with u the slack of t <= 1.
+    Substituting mu = t + e, lam = t + f (e, f >= 0) makes the program
+    :func:`_lifted` plus a ``t`` column equal to each row's sum, so the kernel
+    columns are (e, f, t).  With ``k >= 1`` points the convex row reads
+    ``k t + sum e = 1``, so ``0 <= t <= 1/k <= 1`` and the program is bounded.
     """
-    n = len(y)
     k, l = len(points), len(rays)
-    ncols = k + l + 2
-    t_col = k + l
-    M: List[List[Rat]] = []
-    rhs: List[Rat] = []
-    for d in range(n):
-        row = [p[d] for p in points] + [r[d] for r in rays]
-        gsum = ZERO
-        for c in row:
-            gsum += c
-        row.append(gsum)
-        row.append(ZERO)
-        M.append(row)
-        rhs.append(y[d])
-    M.append([ONE] * k + [ZERO] * l + [Q(k), ZERO])
-    rhs.append(ONE)
-    M.append([ZERO] * (k + l) + [ONE, ONE])
-    rhs.append(ONE)
-    obj = [ZERO] * ncols
-    obj[t_col] = ONE
+    M, rhs = _lifted(points, rays, y)
+    for row in M:
+        row.append(sum(row, ZERO))
+    obj = [ZERO] * (k + l) + [ONE]
     res = solve_standard_form(M, rhs, obj)
     if isinstance(res, KernelInfeasible):
         return None
     if not isinstance(res, KernelOptimal):
         raise InternalError("bounded auxiliary program reported unbounded")
-    t = res.t[t_col]
+    t = res.t[k + l]
     mu = tuple(t + res.t[j] for j in range(k))
     lam = tuple(t + res.t[k + i] for i in range(l))
     return t, mu, lam
@@ -283,12 +249,21 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
 def positive_span_is_subspace(S: GeneratedSet) -> bool:
     """True iff the positive span ``R+ . S`` is a linear subspace.
 
-    The positive span is the cone jointly generated by the points and rays,
-    so one :func:`_cone_is_subspace` LP decides it.
+    The positive span is the cone jointly generated by the points and rays.
+    A cone is a subspace iff some combination of its generators with every
+    coefficient >= 1 equals zero: given such a combination, ``-g`` is a
+    nonnegative combination for each generator ``g``; conversely summing
+    certificates ``-g in cone`` over all generators produces one.
+    Substituting coefficients ``1 + s`` turns the test into one
+    cone-membership query.
     """
     if S.is_empty:
         raise EmptyGeneratedSetError()
-    return _cone_is_subspace(list(S.points) + list(S.rays), S.dim)
+    gens = list(S.points) + list(S.rays)
+    total = [ZERO] * S.dim
+    for g in gens:
+        total = [a + b for a, b in zip(total, g)]
+    return _in_set((), gens, tuple(-a for a in total))
 
 
 def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:

@@ -252,11 +252,9 @@ def find_critical_points(
         if J == active_pieces and I == active_cons:
             verdicts[x] = _read_off(g, w, active, z)
             pending.pop(x, None)
-        elif (
-            all(j in active_pieces for j in J)
-            and all(i in active_cons for i in I)
-            and all(c >= 0 for c in z)
-        ):
+        # the support's system makes I tight and ties J to J[0], so the
+        # support lies in the active set iff J[0] is at the top
+        elif J[0] in active_pieces and all(c >= 0 for c in z):
             pending[x] = w
     verdicts.update((x, certify(g, w, x)) for x, w in pending.items())
     found = sorted((x, c) for x, c in verdicts.items() if not isinstance(c, NotCritical))

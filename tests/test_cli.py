@@ -140,6 +140,21 @@ def test_usage_error_on_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["certify", "larman"])
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.prob"
+    path.write_bytes(b"dim 1\npieces 1\n1 0\n# caf\xe9\n")
+    if command == "certify":
+        argv = ["certify", str(path), "--v", "0"]
+    else:
+        argv = ["larman", "--vertices", str(path), "--trials", "1", "--seed", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read '{path}'")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["genericity", "larman"])
 def test_unwritable_report_path_is_usage_error(prob, capsys, tmp_path, command):
     target = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -121,6 +121,15 @@ def test_prune_keeps_opposite_rays():
     assert ray_idx == (0, 1)
 
 
+def test_prune_drops_zero_rays_and_keeps_the_last_ray():
+    """The last ray is tested against the empty cone {0}, a kernel program
+    with no columns, and kept."""
+    S = GeneratedSet((qv(0, 0),), (qv(0, 0), qv(0, 0), qv(1, 0)), 2)
+    pruned, point_idx, ray_idx = prune(S)
+    assert pruned.rays == (qv(1, 0),)
+    assert (point_idx, ray_idx) == ((0,), (2,))
+
+
 def test_exposed_face_square():
     F = square_vertices()
     corner = exposed_face(F, qv(1, 1))

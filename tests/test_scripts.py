@@ -41,6 +41,7 @@ def test_suite_writes_one_csv_per_instance(name, instances, tmp_path, capsys):
         ["--jobs", "2"],
         ["--trials", "-1"],
         *([flag, token] for flag in ("--trials", "--seed", "--bits") for token in ("1_0", "+3", "\u0663")),
+        ["--outdir", __file__],  # an existing file, not a directory
     ],
 )
 def test_suite_bad_settings_are_usage_errors(name, bad, tmp_path, capsys):

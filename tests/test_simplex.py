@@ -308,7 +308,9 @@ def _perturbations(out):
 # Small programs on which, between them, each check is the first to catch some
 # change: t0 + t1 = 1 (optimal), t0 = 1 with t1 free to grow (unbounded),
 # 0 t0 = 1 (infeasible), two infeasible programs with a negative rhs, which
-# flips its row, and an optimum with rational duals.
+# flips its row, an optimum with rational duals, and two programs with no
+# columns, the empty cone {0} as geometry asks it: with rhs = 0 only an
+# optimum has a valid certificate, and with rhs = (1, 0) only a Farkas vector.
 MUTATION_PROGRAMS = [
     ([[1, 1]], [1], [1, 0]),
     ([[1, 0]], [1], [0, 1]),
@@ -316,6 +318,8 @@ MUTATION_PROGRAMS = [
     ([[1, 2], [1, -1]], [-1, 2], [1, 1]),
     ([[1, 1, 0], [1, -1, 1]], [-2, 1], [1, -1, 0]),
     ([[2, 1, 0], [0, 1, 1]], [4, Fraction(3, 2)], [1, 1, -1]),
+    ([[], []], [0, 0], []),
+    ([[], []], [1, 0], []),
 ]
 
 
