@@ -19,7 +19,10 @@ metrics are kept in ``runs`` only.  ``--append`` adds the runs to an existing
 file, so that one file can hold several workloads, keeps its ``what`` and
 recomputes the summary from all of its runs; a seed that the file already
 holds for the same workload and ``--trace`` is a usage error.  A new file
-gets a ``what`` naming both sides' commits.
+gets a ``what`` naming both sides' commits; a side whose stamp reads
+``"commit": "unknown"`` (a checkout without ``.git``, such as a copied
+tree) is named by its directory's name and a short SHA-256 of its ``src/``
+Python files, so that the two sides stay distinguishable.
 
 The file is written after every pair, so a run that fails keeps the pairs
 before it.  Exits 1 if a run fails to start or ends without a JSON line;
@@ -29,6 +32,7 @@ exits 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -66,6 +70,26 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
             f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
         )
     return {"stamp": json.loads(stamps[0]), "result": json.loads(lines[-1])}
+
+
+def src_digest(root: Path) -> str:
+    """SHA-256 over the path and bytes of every ``*.py`` file under
+    ``root/src``, in path order."""
+    src = root / "src"
+    h = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        h.update(path.relative_to(src).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def side_name(root: Path, stamp: dict) -> str:
+    """The stamp's commit, or the checkout directory's name and source
+    digest when ``run.py`` could not read a commit."""
+    commit = stamp.get("commit", "unknown")
+    if commit != "unknown":
+        return commit
+    return f"{root.name} (src sha256 {src_digest(root)[:12]})"
 
 
 def _stats(values) -> dict:
@@ -156,7 +180,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         if data["what"] is None:
-            commits = {r["side"]: r["stamp"].get("commit") for r in data["runs"]}
+            commits = {r["side"]: side_name(roots[r["side"]], r["stamp"]) for r in data["runs"]}
             data["what"] = (
                 "perfbench/run.py in alternated pairs (the side that runs first alternates); "
                 f"parent {commits['parent']}, change {commits['change']}."

@@ -25,6 +25,8 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegeneratePolytopeError, InfeasibleDomainError, InternalError
@@ -50,13 +52,14 @@ from .geometry import (
 )
 from .linalg import (
     ONE,
+    ZERO,
     Q,
     Rat,
     Vec,
+    _eliminate,
+    _integer_rows,
     format_rational,
     rank,
-    solve_linear,
-    Inconsistent,
     vsub,
 )
 from .proximal import _check_bound, _raise_if_infeasible
@@ -230,7 +233,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdversarialReport:
     pairs: Tuple[Tuple[Vec, Vec], ...]  # (v, x_bar) with v on rb of the subdifferential
     status: str
@@ -239,28 +242,46 @@ class AdversarialReport:
 def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
     """Domain points where the subdifferential can have a relative boundary:
     solutions of small subsets of the constraint/tie hyperplane arrangement
-    (vertices, edge points, piece-tie points)."""
+    (vertices, edge points, piece-tie points), sorted.
+
+    Every plane (the domain rows, then the ties ``<c_j - c_l, x> = d_l - d_j``
+    of pieces ``j < l``) is scaled to integers once.  Each subset of at most
+    ``dim`` planes is eliminated by :func:`~nondegen.linalg._eliminate`, and a
+    consistent one is read as integers ``X`` over the last pivot ``d``, free
+    coordinates 0 (the particular solution of ``solve_linear``).  With
+    ``d > 0`` and ``gcd(d, *X) = 1`` that pair is the point's one exact form,
+    so each distinct point is tested against the domain once, as
+    ``A_i·X <= b_i·d`` in integers, and ``Fraction`` coordinates are built
+    only for the points inside.
+    """
     n = f.dim
-    planes: List[Tuple[Vec, Rat]] = []
-    for arow, b in zip(f.domain.A, f.domain.b):
-        planes.append((arow, b))
-    for j in range(len(f.pieces)):
-        for l in range(j + 1, len(f.pieces)):
-            cj, dj = f.pieces[j]
-            cl, dl = f.pieces[l]
-            planes.append((vsub(cj, cl), dl - dj))
-    seen = set()
-    for size in range(0, n + 1):
-        for subset in combinations(range(len(planes)), size):
-            rows = [planes[i][0] for i in subset]
-            rhs = [planes[i][1] for i in subset]
-            sol = solve_linear(rows, rhs, ncols=n)
-            if isinstance(sol, Inconsistent):
+    ties = [
+        (*vsub(cj, cl), dl - dj)
+        for j, (cj, dj) in enumerate(f.pieces)
+        for cl, dl in f.pieces[j + 1 :]
+    ]
+    rows = [(*a, b) for a, b in zip(f.domain.A, f.domain.b)] + ties
+    # tuples: _eliminate rebinds the rows it changes, so the planes stay intact
+    planes = [tuple(row) for row in _integer_rows(rows)]
+    domain = planes[: f.domain.m]
+    inside = {}  # (d, *X) in lowest terms -> in the domain
+    for size in range(n + 1):
+        for subset in combinations(planes, size):
+            M = list(subset)
+            pivots, d = _eliminate(M, n)
+            if any(row[n] for row in M[len(pivots) :]):
                 continue
-            x = sol.x
-            if f.domain.violation_index(x) is None:
-                seen.add(x)
-    return sorted(seen)
+            X = [0] * n
+            for row, c in zip(M, pivots):
+                X[c] = row[n]
+            g = gcd(d, *X) if d > 0 else -gcd(d, *X)
+            point = (d // g, *[x // g for x in X])
+            if point not in inside:
+                den, *num = point
+                inside[point] = all(sum(map(mul, row, num)) <= row[n] * den for row in domain)
+    return sorted(
+        tuple(Q(x, d) if x else ZERO for x in X) for (d, *X), ok in inside.items() if ok
+    )
 
 
 def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
@@ -274,16 +295,19 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     multipliers over the generators (:func:`~nondegen.functions._read_off`,
     one ``solve_linear`` per generator); only when those generators are
     linearly dependent does ``ri_membership(S, v)`` run, which is Boundary
-    exactly when ``certify(f, v, x)`` is DegenerateCritical.  A ray need not lie on the boundary: with the point 0
-    in ``S``, the ray ``a`` is ``1·0 + 1·a``, which can be interior.  An
-    affine subdifferential has no relative boundary; any other has a generator
-    on it, so such a point yields one pair.  Candidate points are domain
-    points, so :func:`feasible_point` runs only when there is none, to raise
+    exactly when ``certify(f, v, x)`` is DegenerateCritical.  A ray need not
+    lie on the boundary: with the point 0 in ``S``, the ray ``a`` is
+    ``1·0 + 1·a``, which can be interior.  An affine subdifferential has no
+    relative boundary; any other has a generator on it, so such a point
+    yields one pair.  Candidate points are domain points, so
+    :func:`feasible_point` runs only when there is none, to raise
     ``InfeasibleDomainError`` with its Farkas vector.
 
-    The candidate points come from a hyperplane-arrangement enumeration, so
-    instances with more pieces plus constraints than the enumeration bound
-    of :func:`prox` (``$GENERIC_NONDEGEN_ENUM_BOUND``, default 20) raise
+    The candidate points come from a hyperplane-arrangement enumeration on
+    integer rows (:func:`_candidate_points`): cheap per subset, but the
+    number of subsets is exponential in the planes, so instances with more
+    pieces plus constraints than the enumeration bound of :func:`prox`
+    (``$GENERIC_NONDEGEN_ENUM_BOUND``, default 20) raise
     ``EnumerationBoundError``.
     """
     _check_bound(f, None)

@@ -241,6 +241,12 @@ class DegenerateCritical:
     pass
 
 
+# each fieldless verdict is returned as one shared instance, so a caller
+# that keeps many verdicts keeps no bytes per verdict
+NOT_CRITICAL = NotCritical()
+DEGENERATE_CRITICAL = DegenerateCritical()
+
+
 @dataclass(frozen=True, slots=True)
 class Nondegenerate:
     """``v`` lies in the relative interior of the subdifferential.
@@ -268,9 +274,9 @@ def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
     S = GeneratedSet(points, rays, f.dim)
     status = ri_membership(S, v)
     if isinstance(status, Outside):
-        return NotCritical()
+        return NOT_CRITICAL
     if isinstance(status, Boundary):
-        return DegenerateCritical()
+        return DEGENERATE_CRITICAL
     assert isinstance(status, Interior)
     return _scattered(f, status.point_coeffs, status.ray_coeffs, active_pieces, active_cons)
 
@@ -309,7 +315,7 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     if z is None:
         sol = solve_linear(*_lifted(points, rays, w))
         if isinstance(sol, Inconsistent):
-            return NotCritical()
+            return NOT_CRITICAL
         if isinstance(sol, Underdetermined):
             return None
         z = sol.x
@@ -317,9 +323,9 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     if sum(z[:k]) != ONE or any(dot(z, column) != wd for column, wd in zip(zip(*points, *rays), w)):
         raise InternalError("multipliers do not rebuild the query")
     if any(c < 0 for c in z):
-        return NotCritical()
+        return NOT_CRITICAL
     if not all(z):
-        return DegenerateCritical()
+        return DEGENERATE_CRITICAL
     return _scattered(f, z[:k], z[k:], active_pieces, active_cons)
 
 

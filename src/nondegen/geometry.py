@@ -108,6 +108,12 @@ class Outside:
     pass
 
 
+# each fieldless verdict is returned as one shared instance, so a caller
+# that keeps many verdicts keeps no bytes per verdict
+BOUNDARY = Boundary()
+OUTSIDE = Outside()
+
+
 RiStatus = Interior | Boundary | Outside
 
 
@@ -239,10 +245,10 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
         raise EmptyGeneratedSetError()
     res = _max_min_coefficient(S.points, S.rays, y)
     if res is None:
-        return Outside()
+        return OUTSIDE
     t, mu, lam = res
     if t == 0:
-        return Boundary()
+        return BOUNDARY
     return Interior(mu, lam)
 
 

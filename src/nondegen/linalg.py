@@ -12,7 +12,8 @@ an integer numerator over an integer denominator (cross-multiplying only when
 a term's denominator differs from the running one) and normalises once, so a
 dot product pays one gcd instead of one per product and per partial sum.
 
-``rank`` and ``solve_linear`` share one fraction-free eliminator (Edmonds):
+``rank``, ``solve_linear`` and the candidate-point enumeration of
+:mod:`nondegen.experiments` share one fraction-free eliminator (Edmonds):
 rows are scaled to integers, each pivot step divides exactly by the previous
 pivot, and rationals are built only from the final rows and the last pivot.
 Its row update, :func:`_bareiss_pivot`, is also the pivot of the integer

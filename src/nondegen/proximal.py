@@ -39,6 +39,7 @@ from typing import List, Optional, Tuple
 
 from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
 from .functions import (
+    NOT_CRITICAL,
     CertificationResult,
     NotCritical,
     PolyhedralFunction,
@@ -244,7 +245,7 @@ def find_critical_points(
         try:
             active = _active_structure(g, x)
         except OutsideDomainError:
-            verdicts[x] = NotCritical()
+            verdicts[x] = NOT_CRITICAL
             continue
         _, _, active_pieces, active_cons = active
         w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))

@@ -5,7 +5,8 @@ the package under test, so a library bug cannot hide inside its own oracle.
 The one exception, `construct_degenerate_loop_oracle`, is a reference for a
 loop over the package's primitives, not for the primitives themselves.
 The implementations favour obviousness over speed; they are only ever run on
-desk-scale inputs (dim <= 3, a handful of generators).
+desk-scale inputs (dim <= 3 and a handful of generators; the candidate-point
+enumeration goes to dim 5).
 """
 
 from fractions import Fraction
@@ -723,7 +724,25 @@ def sample_vector_oracle(seed, trial_index, dim, bits=64, radius=F(1)):
 
 
 # ---------------------------------------------------------------------------
-# the per-generator adversarial loop
+# the adversarial construction: candidate points and the per-generator loop
+
+
+def candidate_points_oracle(f):
+    """The sorted domain points that solve some subset of at most ``f.dim``
+    planes, the domain rows and then the piece ties ``<c_j - c_l, x> =
+    d_l - d_j`` (``j < l``): one Fraction solve per subset (free variables
+    zero), then one Fraction check per domain row."""
+    n = f.dim
+    planes = list(zip(f.domain.A, f.domain.b))
+    for (cj, dj), (cl, dl) in combinations(f.pieces, 2):
+        planes.append(([F(a) - F(b) for a, b in zip(cj, cl)], F(dl) - F(dj)))
+    seen = set()
+    for size in range(n + 1):
+        for subset in combinations(planes, size):
+            x = gauss_any_solution([row for row, _ in subset], [rhs for _, rhs in subset], n)
+            if x is not None and all(dot_oracle(row, x) <= b for row, b in zip(f.domain.A, f.domain.b)):
+                seen.add(tuple(x))
+    return sorted(seen)
 
 
 def construct_degenerate_loop_oracle(f):
@@ -731,10 +750,11 @@ def construct_degenerate_loop_oracle(f):
     with the domain proved feasible by ``feasible_point`` before anything
     else.  Unlike the rest of this module it is built on the package: it pins
     the loop (which pairs are emitted, which error is raised), and the
-    candidate points, subdifferentials and verdicts it reads come from the
-    package's own primitives."""
+    subdifferentials and verdicts it reads come from the package's own
+    primitives.  Its candidate points come from
+    :func:`candidate_points_oracle`."""
     from nondegen.errors import InfeasibleDomainError
-    from nondegen.experiments import AdversarialReport, _candidate_points
+    from nondegen.experiments import AdversarialReport
     from nondegen.functions import DegenerateCritical, certify, subdifferential
     from nondegen.proximal import _check_bound
     from nondegen.simplex import Infeasible, feasible_point
@@ -744,7 +764,7 @@ def construct_degenerate_loop_oracle(f):
     if isinstance(fp, Infeasible):
         raise InfeasibleDomainError(fp.farkas)
     pairs = []
-    for x in _candidate_points(f):
+    for x in candidate_points_oracle(f):
         S = subdifferential(f, x)
         for v in S.rays + S.points:
             if isinstance(certify(f, v, x), DegenerateCritical):

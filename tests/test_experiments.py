@@ -58,6 +58,7 @@ from nondegen.linalg import Q, UniqueSolution
 from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
 from oracles import (
+    candidate_points_oracle,
     construct_degenerate_loop_oracle,
     ri_status_oracle,
     rref,
@@ -170,6 +171,26 @@ def test_low_bit_box_tilts_are_non_unique_exactly_at_a_zero_coordinate():
     golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
     digest = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
     assert digest == golden["box3_bits8_seed42_500"]
+
+
+@pytest.mark.parametrize(
+    "label, build",
+    [
+        ("box2", lambda: box_indicator(2)),
+        ("box5", lambda: box_indicator(5)),
+        ("simplex3", lambda: simplex_indicator(3)),
+        ("pyramid", pyramid_indicator),
+        ("abs", abs_function),
+        *((f"random{s}", lambda s=s: PolyhedralFunction.indicator(random_polytope(s, 3, 8))) for s in (101, 202, 303)),
+    ],
+)
+def test_low_bit_genericity_csvs_match_the_golden_digests(label, build):
+    """The 8-bit CSVs of the other criterion-1 instances (seed 42, 500
+    trials) are byte-identical to the golden copies."""
+    report = run_genericity(build(), SamplerConfig(seed=42, bits=8), 500)
+    golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
+    digest = hashlib.sha256(report_to_csv(report).encode()).hexdigest()
+    assert digest == golden[f"{label}_bits8_seed42_500"]
 
 
 def test_zero_function_is_always_unbounded():
@@ -404,12 +425,8 @@ def _seeded_functions(count, keep):
     return out
 
 
-def test_construct_degenerate_matches_the_per_generator_certify_loop():
-    """One ∂f(x) per candidate point, read off the multipliers or by
-    ri_membership, emits exactly the report of one certify call per
-    generator, on the criterion-2 set, on 30 more random polytopes and on
-    seeded functions."""
-    criterion_2 = [
+def _criterion_2_set():
+    return [
         box_indicator(2),
         box_indicator(3),
         box_indicator(5),
@@ -418,13 +435,58 @@ def test_construct_degenerate_matches_the_per_generator_certify_loop():
         abs_function(),
         point_indicator(2),
     ] + [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in (101, 202, 303)]
-    polytopes = [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in range(100, 130)]
+
+
+def _random_polytopes():
+    return [PolyhedralFunction.indicator(random_polytope(s, 3, 8)) for s in range(100, 130)]
+
+
+def test_construct_degenerate_matches_the_per_generator_certify_loop():
+    """One ∂f(x) per candidate point, read off the multipliers or by
+    ri_membership, emits exactly the report of one certify call per
+    generator, on the criterion-2 set, on 30 more random polytopes and on
+    seeded functions."""
     pieced = _seeded_functions(12, lambda f: f.pieces)
     # at most 10 generators: pieces (the zero piece included) plus constraints
     small = _seeded_functions(30, lambda f: len(f.terms) + f.domain.m <= 10)
-    for f in criterion_2 + polytopes + pieced + small:
+    for f in _criterion_2_set() + _random_polytopes() + pieced + small:
         assert repr(construct_degenerate(f)) == repr(construct_degenerate_loop_oracle(f))
     assert construct_degenerate(point_indicator(2)).pairs == ()
+
+
+def _enumeration_instances():
+    """The criterion-2 set, 30 more random polytopes, and in each of dims 1
+    to 5 four seeded functions with pieces (so with tie planes) and four
+    without."""
+    seeded = []
+    for dim in range(1, 6):
+        rng = random.Random(7100 + dim)
+        pieced, plain = [], []
+        while len(pieced) < 4 or len(plain) < 4:
+            f = rand_polyfun(rng, dim)
+            bucket = pieced if f.pieces else plain
+            if len(bucket) < 4:
+                bucket.append(f)
+        seeded += pieced + plain
+    return _criterion_2_set() + _random_polytopes() + seeded
+
+
+def test_candidate_points_match_the_per_subset_fraction_enumeration():
+    """The integer enumeration finds exactly the points of one Fraction
+    solve and one domain check per subset, as Fractions."""
+    for f in _enumeration_instances():
+        points = experiments._candidate_points(f)
+        assert points == candidate_points_oracle(f)
+        assert all(type(c) is Fraction for x in points for c in x)
+
+
+def test_adversarial_reports_match_the_golden_digest():
+    """The reports on the enumeration instances are byte-identical to those
+    of the per-subset Fraction enumeration, pinned by the SHA-256 of their
+    repr in ``golden_csv_sha256.json``."""
+    reports = [construct_degenerate(f) for f in _enumeration_instances()]
+    golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == golden["adversarial_repr"]
 
 
 def test_a_ray_can_be_interior_to_the_subdifferential():

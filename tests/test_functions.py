@@ -246,6 +246,19 @@ def test_certify_abs_boundary_and_outside():
     assert isinstance(certify(abs_function(), qv(2), qv(0)), NotCritical)
 
 
+def test_fieldless_verdicts_are_shared_instances():
+    """A verdict with no fields is one shared object, so a caller that keeps
+    many of them keeps no bytes per verdict."""
+    f, x = box_indicator(2), qv(1, 1)
+    first, second = certify(f, qv(1, 0), x), certify(f, qv(0, 1), x)
+    assert isinstance(first, DegenerateCritical) and first is second
+    assert isinstance(certify(f, qv(-1, 0), x), NotCritical)
+    assert certify(f, qv(-1, 0), x) is certify(f, qv(0, -1), x)
+    S = GeneratedSet((qv(0, 0),), (qv(1, 0), qv(0, 1)), 2)
+    assert ri_membership(S, qv(1, 0)) is ri_membership(S, qv(0, 1))
+    assert ri_membership(S, qv(-1, 0)) is ri_membership(S, qv(0, -1))
+
+
 def test_certify_outside_domain_is_an_error():
     with pytest.raises(OutsideDomainError):
         certify(box_indicator(2), qv(0, 0), qv(2, 0))

@@ -114,6 +114,29 @@ def fake_checkout(tmp_path):
     return root
 
 
+def test_bench_pairs_names_a_side_without_a_commit_by_its_source(tmp_path, capsys):
+    """Two checkouts without ``.git``, whose stamps read ``"commit":
+    "unknown"``, are told apart in ``what`` by directory name and source
+    digest; a bytecode cache does not change the digest."""
+    bench = load("bench_pairs")
+    roots = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(FAKE_RUN.replace('"fake"', '"unknown"'))
+        (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (root / "src" / "pkg" / "mod.py").write_text(f"SIDE = {side!r}\n")
+        roots.append(root.resolve())
+    digest = bench.src_digest(roots[0])
+    (roots[0] / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"cache")
+    assert bench.src_digest(roots[0]) == digest != bench.src_digest(roots[1])
+    out = tmp_path / "bench.json"
+    assert bench.main([*map(str, roots), "--workload", "genericity", "--seeds", "0", "--out", str(out)]) == 0
+    parent, change = (f"{root.name} (src sha256 {bench.src_digest(root)[:12]})" for root in roots)
+    assert json.loads(out.read_text())["what"].endswith(f"parent {parent}, change {change}.")
+
+
 def test_bench_pairs_keeps_the_pairs_before_a_failed_run(fake_checkout, tmp_path, capsys):
     out = tmp_path / "bench.json"
     argv = [str(fake_checkout)] * 2 + ["--workload", "genericity", "--seeds", "0-1", "--out", str(out)]
