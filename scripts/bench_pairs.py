@@ -25,8 +25,9 @@ tree) is named by its directory's name and a short SHA-256 of its ``src/``
 Python files, so that the two sides stay distinguishable.
 
 The file is written after every pair, so a run that fails keeps the pairs
-before it.  Exits 1 if a run fails to start or ends without a JSON line;
-exits 2 on a usage error.
+before it.  Exits 1 if a run fails to start, ends without a JSON line, or
+ends with one that does not read ``"correct": true`` (an output check
+failed, so its timings are not the program's); exits 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def parse_seeds(text: str) -> range:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``root``: its stamp and its result."""
+    """One ``perfbench/run.py`` run in ``root``: its stamp and its result.
+    Raises ``RuntimeError`` if the run failed, its output checks included."""
     cmd = [
         sys.executable, str(root / "perfbench" / "run.py"),
         "--workload", workload, "--seed", str(seed),
@@ -69,7 +71,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -
         raise RuntimeError(
             f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
         )
-    return {"stamp": json.loads(stamps[0]), "result": json.loads(lines[-1])}
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} failed its output check: {lines[-1][:2000]}")
+    return {"stamp": json.loads(stamps[0]), "result": result}
 
 
 def src_digest(root: Path) -> str:

@@ -57,10 +57,8 @@ from .linalg import (
     Rat,
     Vec,
     _eliminate,
-    _integer_rows,
     format_rational,
     rank,
-    vsub,
 )
 from .proximal import _check_bound, _raise_if_infeasible
 from .simplex import Infeasible, Unbounded
@@ -244,8 +242,12 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
     solutions of small subsets of the constraint/tie hyperplane arrangement
     (vertices, edge points, piece-tie points), sorted.
 
-    Every plane (the domain rows, then the ties ``<c_j - c_l, x> = d_l - d_j``
-    of pieces ``j < l``) is scaled to integers once.  Each subset of at most
+    Every plane is an integer row kept by ``f``: the domain rows are
+    :attr:`~nondegen.simplex.HPolyhedron.integer_rows`, and the tie
+    ``<c_j - c_l, x> = d_l - d_j`` of pieces ``j < l`` is the difference
+    ``(*(C_j - C_l), E_l - E_j)`` of two rows of
+    :attr:`~nondegen.functions.PolyhedralFunction.integer_terms`, whose scale
+    ``L`` is common.  Each subset of at most
     ``dim`` planes is eliminated by :func:`~nondegen.linalg._eliminate`, and a
     consistent one is read as integers ``X`` over the last pivot ``d``, free
     coordinates 0 (the particular solution of ``solve_linear``).  With
@@ -255,15 +257,16 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
     only for the points inside.
     """
     n = f.dim
+    # a function without pieces has one term and so no ties
+    terms = f.integer_terms[0]
     ties = [
-        (*vsub(cj, cl), dl - dj)
-        for j, (cj, dj) in enumerate(f.pieces)
-        for cl, dl in f.pieces[j + 1 :]
+        (*[a - b for a, b in zip(tj[:n], tl)], tl[n] - tj[n])
+        for j, tj in enumerate(terms)
+        for tl in terms[j + 1 :]
     ]
-    rows = [(*a, b) for a, b in zip(f.domain.A, f.domain.b)] + ties
     # tuples: _eliminate rebinds the rows it changes, so the planes stay intact
-    planes = [tuple(row) for row in _integer_rows(rows)]
-    domain = planes[: f.domain.m]
+    domain = f.domain.integer_rows
+    planes = [*domain, *ties]
     inside = {}  # (d, *X) in lowest terms -> in the domain
     for size in range(n + 1):
         for subset in combinations(planes, size):

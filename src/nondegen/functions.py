@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import DimensionMismatchError, InternalError, NotOptimalError, OutsideDomainError
@@ -45,6 +47,7 @@ from .linalg import (
     ZERO,
     Inconsistent,
     Underdetermined,
+    _integer_point,
     dot,
     mat,
     solve_linear,
@@ -85,6 +88,17 @@ class PolyhedralFunction:
         """The pieces, or the single zero piece ``(0, 0)`` when there are none."""
         return self.pieces if self.pieces else ((zeros(self.dim), ZERO),)
 
+    @cached_property
+    def integer_terms(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """The rows ``(*C_j, E_j) = L·(*c_j, d_j)`` of :attr:`terms` and ``L``,
+        the lcm of all their denominators.  The scale is common to all terms,
+        so the piece values at a point compare as the rows' values do.  Kept
+        from the first use; not a field, so ``==``, ``hash`` and ``repr`` do
+        not see it."""
+        rows = [(*c, d) for c, d in self.terms]
+        L = math.lcm(*[q.denominator for row in rows for q in row])
+        return tuple(tuple(q.numerator * (L // q.denominator) for q in row) for row in rows), L
+
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
         ps = tuple((vec(c), Q(d)) for c, d in pieces)
@@ -101,12 +115,16 @@ class PolyhedralFunction:
 
 
 def evaluate(f: PolyhedralFunction, x: Vec) -> Rat | float:
-    """Exact value of ``f`` at ``x``; ``math.inf`` outside the domain."""
+    """Exact value of ``f`` at ``x``; ``math.inf`` outside the domain.  With
+    ``x = X / D``, it is ``max_j (C_j·X + E_j·D) / (L·D)`` on
+    :attr:`PolyhedralFunction.integer_terms`."""
     if len(x) != f.dim:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
     if f.domain.violation_index(x) is not None:
         return math.inf
-    return max(dot(c, x) + d for c, d in f.terms)
+    X, D = _integer_point(x)
+    rows, L = f.integer_terms
+    return Q(max(sum(map(mul, row, X)) + row[-1] * D for row in rows), L * D)
 
 
 def _active_structure(f: PolyhedralFunction, x: Vec):
@@ -114,23 +132,31 @@ def _active_structure(f: PolyhedralFunction, x: Vec):
 
     Raises when ``x`` is outside the domain (the subdifferential is empty
     there by convention, surfaced as an error, never as an empty set), naming
-    the first violated row as :meth:`HPolyhedron.violation_index` does.  One
-    dot product per row decides both violation and activity.
+    the first violated row as :meth:`HPolyhedron.violation_index` does.
+
+    Every test is in integers, with ``x = X / D``: one integer sum per domain
+    row of :attr:`HPolyhedron.integer_rows` decides both violation,
+    ``N_i·X > B_i·D``, and activity, equality; the active pieces are those
+    where ``C_j·X + E_j·D`` takes its maximum over the rows of
+    :attr:`PolyhedralFunction.integer_terms`.
     """
     if len(x) != f.dim:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
+    X, D = _integer_point(x)
     active = []
-    for i, (row, rhs) in enumerate(zip(f.domain.A, f.domain.b)):
-        lhs = dot(row, x)
+    for i, row in enumerate(f.domain.integer_rows):
+        # map stops at the end of X, so the sum leaves out the last entry
+        lhs = sum(map(mul, row, X))
+        rhs = row[-1] * D
         if lhs > rhs:
             raise OutsideDomainError(i)
         if lhs == rhs:
             active.append(i)
     active_cons = tuple(active)
-    terms = f.terms
-    values = [dot(c, x) + d for c, d in terms]
+    values = [sum(map(mul, row, X)) + row[-1] * D for row in f.integer_terms[0]]
     top = max(values)
     active_pieces = tuple(j for j, val in enumerate(values) if val == top)
+    terms = f.terms
     points = tuple(terms[j][0] for j in active_pieces)
     rays = tuple(f.domain.A[i] for i in active_cons)
     return points, rays, active_pieces, active_cons

@@ -12,6 +12,13 @@ an integer numerator over an integer denominator (cross-multiplying only when
 a term's denominator differs from the running one) and normalises once, so a
 dot product pays one gcd instead of one per product and per partial sum.
 
+The exact row scans (activity and violation at a point, and the value of a
+max of affine pieces) run on integers too.  A polyhedron keeps its rows
+scaled to integers and a polyhedral function its pieces, both computed once
+and kept, and a point becomes integers over the lcm of its denominators
+(:func:`_integer_point`), so each row test is an integer comparison and
+builds no ``Fraction``.
+
 ``rank``, ``solve_linear`` and the candidate-point enumeration of
 :mod:`nondegen.experiments` share one fraction-free eliminator (Edmonds):
 rows are scaled to integers, each pivot step divides exactly by the previous
@@ -127,6 +134,13 @@ def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
         scale = lcm(*[a.denominator for a in row])  # a list: *generator grows tuple free lists
         out.append([a.numerator * (scale // a.denominator) for a in row])
     return out
+
+
+def _integer_point(x: Vec) -> Tuple[List[int], int]:
+    """``x`` as integers ``X`` over ``D``, the lcm of its denominators:
+    ``x = X / D`` with ``D > 0``."""
+    D = lcm(*[a.denominator for a in x])  # a list: *generator grows tuple free lists
+    return [a.numerator * (D // a.denominator) for a in x], D
 
 
 def _bareiss_pivot(M: List[list], r: int, c: int, d: int) -> int:

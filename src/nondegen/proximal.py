@@ -185,15 +185,16 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
 def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec:
     """The unique minimizer of ``f(x) + 1/2 |x - c|^2``, exactly."""
     _check_bound(f, enum_bound)
-    pieces = f.terms
     accepted = set()
     for x, mu, lam, J, I in _kkt_solutions(f, ONE, c):
         if any(w < 0 for w in mu) or any(w < 0 for w in lam):
             continue
-        if f.domain.violation_index(x) is not None:
+        try:
+            _, _, active_pieces, _ = _active_structure(f, x)
+        except OutsideDomainError:
             continue
-        top = max(dot(cj, x) + dj for cj, dj in pieces)
-        if dot(pieces[J[0]][0], x) + pieces[J[0]][1] != top:
+        # the support ties J to J[0], so its pieces are at the top iff J[0] is
+        if J[0] not in active_pieces:
             continue
         accepted.add(x)
     if not accepted:

@@ -51,11 +51,15 @@ denominator, with one ``Fraction`` per sum instead of one per product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InternalError
-from .linalg import Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, dot, mat, vec, zeros
+from .linalg import (
+    Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, _integer_point, _integer_rows, dot, mat, vec, zeros
+)
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,33 @@ class HPolyhedron:
     def contains(self, x: Vec) -> bool:
         return self.violation_index(x) is None
 
+    @cached_property
+    def integer_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rows ``(*N_i, B_i)``: ``(*a_i, b_i)`` scaled to integers by the
+        lcm of its own denominators, so ``a_i·x <= b_i`` iff ``N_i·x <= B_i``.
+        Kept from the first use; not a field, so ``==``, ``hash`` and
+        ``repr`` do not see it."""
+        return tuple(map(tuple, _integer_rows((*a, b) for a, b in zip(self.A, self.b))))
+
     def violation_index(self, x: Vec) -> Optional[int]:
-        """Index of the first violated constraint, or None if ``x`` is feasible."""
+        """Index of the first violated constraint, or None if ``x`` is feasible.
+
+        With ``x = X / D`` (:func:`~nondegen.linalg._integer_point`), row ``i``
+        is violated when ``N_i·X > B_i·D``, on :attr:`integer_rows`."""
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension", self.dim, len(x))
-        for i, (row, rhs) in enumerate(zip(self.A, self.b)):
-            if dot(row, x) > rhs:
+        X, D = _integer_point(x)
+        for i, row in enumerate(self.integer_rows):
+            # map stops at the end of X, so the sum leaves out B_i
+            if sum(map(mul, row, X)) > row[-1] * D:
                 return i
         return None
 
     def active_set(self, x: Vec) -> Tuple[int, ...]:
-        """Indices of constraints satisfied with exact equality at ``x``."""
+        """Indices of constraints satisfied with exact equality at ``x``.
+
+        One :func:`~nondegen.linalg.dot` per row on the rationals as given,
+        independent of the integer scans that the tests check against it."""
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension", self.dim, len(x))
         return tuple(i for i, (row, rhs) in enumerate(zip(self.A, self.b)) if dot(row, x) == rhs)

@@ -1,14 +1,18 @@
 """Polyhedral functions: evaluation, subdifferentials, tilted minimization,
 and the nondegeneracy certifier."""
 
+import dataclasses
 import math
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_points_of, q, qv, rand_polyfun, rand_vec, to_frac, vec_frac
+from conftest import feasible_points_of, q, qv, rand_hpoly, rand_polyfun, rand_vec, to_frac, vec_frac
 from nondegen.errors import (
     DimensionMismatchError,
     InternalError,
@@ -187,6 +191,161 @@ def test_active_rows_are_the_active_set(seed):
             active = h.domain.active_set(x)
             assert subdifferential(h, x).rays == tuple(h.domain.A[i] for i in active)
     assert [len(f.domain.active_set(x)) for x in points] == [n, n - 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# integer row scans against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def _big_rational(rng):
+    """A rational whose denominator is drawn up to 2**64."""
+    return Q(rng.randrange(-(1 << 66), 1 << 66), rng.randrange(1, (1 << 64) + 1))
+
+
+def _scan_functions(rng, dim):
+    """A seeded function of each kind: ``rand_polyfun``'s, one without
+    pieces on its domain, one on a ``rand_hpoly`` domain, and one whose
+    pieces and rows have denominators near 2**64."""
+    f = rand_polyfun(rng, dim)
+    pieces = f.pieces or ((rand_vec(rng, dim), Q(rng.randint(-4, 4))),)
+    wide = PolyhedralFunction(
+        tuple((tuple(c + Q(1, (1 << 64) + 1) for c in cj), d - Q(1, (1 << 64) - 1)) for cj, d in pieces),
+        HPolyhedron(f.domain.A, tuple(b + Q(1, 1 << 64) for b in f.domain.b), dim),
+        dim,
+    )
+    return [
+        f,
+        PolyhedralFunction((), f.domain, dim),
+        PolyhedralFunction(pieces, rand_hpoly(rng, dim, rng.randint(2, 6)), dim),
+        wide,
+    ]
+
+
+def _scan_points(rng, f):
+    """Domain vertices (active rows), their midpoints, points a 2**-64 step
+    off a vertex, far points (several violated rows) and points with
+    denominators up to 2**64."""
+    dim = f.dim
+    vertices = feasible_points_of(f, rng)
+    points = list(vertices)
+    points += [tuple((a + b) / 2 for a, b in zip(u, w)) for u in vertices for w in vertices]
+    for u in vertices:
+        step = Q(rng.choice((-1, 1)), (1 << 64) + rng.randrange(3))
+        points.append(tuple(a + step * rng.randint(-1, 1) for a in u))
+    points += [tuple(Q(rng.randint(-100, 100)) for _ in range(dim)) for _ in range(4)]
+    points += [tuple(_big_rational(rng) for _ in range(dim)) for _ in range(4)]
+    return points
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_scans_match_the_fraction_references(dim, seed):
+    """``_active_structure``, ``violation_index`` and ``evaluate`` scan the
+    kept integer rows; each answer is the one that ``Fraction`` sums
+    (``dot_oracle``) and ``HPolyhedron.active_set`` give, and a point outside
+    names its first violated row."""
+    rng = random.Random(1000 * dim + seed)
+    multi = 0
+    for f in _scan_functions(rng, dim):
+        A, b, terms = f.domain.A, f.domain.b, f.terms
+        for x in _scan_points(rng, f):
+            xf = vec_frac(x)
+            lhs = [dot_oracle(vec_frac(a), xf) for a in A]
+            violated = [i for i, (l, bi) in enumerate(zip(lhs, b)) if l > to_frac(bi)]
+            values = [dot_oracle(vec_frac(c), xf) + to_frac(d) for c, d in terms]
+            assert f.domain.violation_index(x) == (violated[0] if violated else None)
+            if violated:
+                multi += len(violated) >= 2
+                assert evaluate(f, x) == math.inf
+                with pytest.raises(OutsideDomainError) as err:
+                    _active_structure(f, x)
+                assert err.value.index == violated[0]
+                continue
+            top = max(values)
+            active_pieces = tuple(j for j, val in enumerate(values) if val == top)
+            active_cons = f.domain.active_set(x)
+            assert active_cons == tuple(i for i, (l, bi) in enumerate(zip(lhs, b)) if l == to_frac(bi))
+            value = evaluate(f, x)
+            assert type(value) is Fraction and value == top
+            assert _active_structure(f, x) == (
+                tuple(terms[j][0] for j in active_pieces),
+                tuple(A[i] for i in active_cons),
+                active_pieces,
+                active_cons,
+            )
+    assert multi >= 1
+
+
+def test_integer_scans_check_the_dimension_first():
+    f = PolyhedralFunction.build([((1, 2), 0)], [(1, 0)], [-1], 2)
+    calls = (
+        lambda: _active_structure(f, qv(5)),
+        lambda: evaluate(f, qv(5)),
+        lambda: f.domain.violation_index(qv(5)),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
+def _fresh_function():
+    return PolyhedralFunction.build(
+        [((1, 0), 0), ((0, 1), 0), (("-1/3", "-1/3"), "1/7")],
+        [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
+        [1, 1, 1, 1, "3/2"],
+        2,
+    )
+
+
+def test_the_kept_integer_form_is_invisible():
+    """The integer rows are kept on first use, outside the fields: ``==``,
+    ``hash``, ``repr`` and ``dataclasses.fields`` read the same before and
+    after the first scan, and a scanned object equals an unscanned one."""
+    f, unscanned = _fresh_function(), _fresh_function()
+    objects = [(f, unscanned), (f.domain, unscanned.domain)]
+    before = [(hash(o), repr(o), dataclasses.fields(o), o == twin) for o, twin in objects]
+    _active_structure(f, qv(1, "1/2"))
+    assert evaluate(f, qv(0, 0)) == Q(1, 7)
+    assert f.domain.violation_index(qv(1, 1)) == 4
+    assert "integer_terms" in vars(f) and "integer_rows" in vars(f.domain)
+    assert "integer_terms" not in vars(unscanned) and "integer_rows" not in vars(unscanned.domain)
+    after = [(hash(o), repr(o), dataclasses.fields(o), o == twin) for o, twin in objects]
+    assert after == before
+    assert all(eq for *_, eq in after)
+    assert {f, unscanned} == {f} and {f.domain, unscanned.domain} == {f.domain}
+
+
+def test_threads_certifying_on_one_fresh_function_agree():
+    """Four threads first touch the kept integer form of one shared function
+    together (``cached_property`` takes no lock on Python 3.12 and later),
+    and each certifies the same queries as a single thread does."""
+    queries = [
+        (v, x)
+        for x in (qv(1, "1/2"), qv("1/2", 1), qv(0, 0), qv(-1, -1), qv("3/4", "3/4"))
+        for v in (qv(1, 0), qv(0, 1), qv("1/2", "1/2"), qv(-1, 0), qv(2, 2))
+    ]
+    reference = [certify(_fresh_function(), v, x) for v, x in queries]
+    shared = _fresh_function()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        start.wait(timeout=30)
+        results[k] = [certify(shared, v, x) for v, x in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [reference] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,23 @@ def test_bench_pairs_keeps_the_pairs_before_a_failed_run(fake_checkout, tmp_path
     assert data["summary"]["genericity"]["ops_per_s"]["change_wins"] == "0/1"
 
 
+def test_bench_pairs_stops_at_a_run_whose_output_check_failed(fake_checkout, tmp_path, capsys):
+    """A run that ends with ``"correct": false`` is a failed run: it enters
+    neither the medians nor ``change_wins``, and the pairs before it stay."""
+    run = fake_checkout / "perfbench" / "run.py"
+    run.write_text(FAKE_RUN.replace('sys.exit("seed 1 fails")', "pass").replace('"correct": True', '"correct": seed != 1'))
+    out = tmp_path / "bench.json"
+    argv = [str(fake_checkout)] * 2 + ["--workload", "genericity", "--seeds", "0-2", "--out", str(out)]
+    assert load("bench_pairs").main(argv) == 1
+    assert 'failed its output check: {"attempted": 1, "correct": false' in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    assert [(r["side"], r["stamp"]["seed"]) for r in data["runs"]] == [("parent", 0), ("change", 0)]
+    assert all(r["result"]["correct"] for r in data["runs"])
+    cell = data["summary"]["genericity"]["ops_per_s"]
+    assert cell["parent"]["runs"] == cell["change"]["runs"] == 1
+    assert cell["change_wins"] == "0/1"
+
+
 @pytest.mark.parametrize("trace, refused", [("0", True), ("1", False)])
 def test_bench_pairs_refuses_to_append_a_seed_it_holds(fake_checkout, tmp_path, capsys, trace, refused):
     """Appending seed 0 again would replace its pair in the summary while
