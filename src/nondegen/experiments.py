@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegeneratePolytopeError, InfeasibleDomainError, InternalError
 from .functions import (
-    DegenerateCritical,
+    DEGENERATE_CRITICAL,
     Minimizer,
     Nondegenerate,
     PolyhedralFunction,
@@ -42,12 +42,9 @@ from .functions import (
     subdifferential,
 )
 from .geometry import (
-    Boundary,
-    GeneratedSet,
     VPolytope,
     exposed_face,
     positive_span_is_subspace,
-    ri_membership,
     translate,
 )
 from .linalg import (
@@ -294,11 +291,11 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
 
     At each candidate point the generators of ``S = ∂f(x)`` are tried as
     given, rays first, and the first one on the relative boundary of ``S``
-    yields the point's pair.  A generator's verdict is read off its
-    multipliers over the generators (:func:`~nondegen.functions._read_off`,
-    one ``solve_linear`` per generator); only when those generators are
-    linearly dependent does ``ri_membership(S, v)`` run, which is Boundary
-    exactly when ``certify(f, v, x)`` is DegenerateCritical.  A ray need not
+    yields the point's pair.  Every verdict comes from
+    :mod:`~nondegen.functions`: it is read off the generator's multipliers
+    over the generators (:func:`~nondegen.functions._read_off`, one
+    ``solve_linear`` per generator), and only when those generators are
+    linearly dependent does :func:`certify` run its LP.  A ray need not
     lie on the boundary: with the point 0 in ``S``, the ray ``a`` is
     ``1·0 + 1·a``, which can be interior.  An affine subdifferential has no
     relative boundary; any other has a generator on it, so such a point
@@ -320,12 +317,8 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     pairs: List[Tuple[Vec, Vec]] = []
     for x in points:
         active = _active_structure(f, x)
-        S = GeneratedSet(active[0], active[1], f.dim)
-        for v in S.rays + S.points:
-            verdict = _read_off(f, v, active)
-            if verdict is None:
-                verdict = ri_membership(S, v)
-            if isinstance(verdict, (Boundary, DegenerateCritical)):
+        for v in active[1] + active[0]:
+            if (_read_off(f, v, active) or certify(f, v, x)) is DEGENERATE_CRITICAL:
                 pairs.append((v, x))
                 break
     if pairs:

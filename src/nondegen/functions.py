@@ -326,16 +326,18 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     generators at ``x``, with no LP; None when it cannot be.
 
     ``active`` is ``_active_structure(f, x)``.  The multipliers ``z`` (points
-    first, then rays) are the caller's when it knows the lifted generators (a
-    point with a trailing 1, a ray with a trailing 0) to be linearly
-    independent; otherwise ``sum mu_j (c_j, 1) + sum lam_i (a_i, 0) = (w, 1)``,
-    the system of :func:`~nondegen.geometry._lifted`, is solved for them.  No
+    first, then rays) may be the caller's; otherwise
+    ``sum mu_j (c_j, 1) + sum lam_i (a_i, 0) = (w, 1)``, the system of
+    :func:`~nondegen.geometry._lifted` over the lifted generators (a point
+    with a trailing 1, a ray with a trailing 0), is solved for them.  No
     solution at all is NotCritical, and dependent generators leave the verdict
     undecided.  Independence makes ``z`` the only representation of ``w`` as
     ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``, so its signs are the
     verdict (Rockafellar, Thm 6.9): all positive is Nondegenerate, a zero is
-    DegenerateCritical, a negative is NotCritical.  ``z`` must rebuild ``w`` exactly before any of these is
-    returned; a failed check raises ``InternalError``.
+    DegenerateCritical, a negative is NotCritical.  ``z`` must rebuild ``w``
+    exactly before any verdict is returned; a failed check raises
+    ``InternalError``.  The check holds for any given ``z``, but the verdict
+    counts only when the lifted generators are independent.
     """
     points, rays, active_pieces, active_cons = active
     if z is None:

@@ -85,7 +85,11 @@ def random_polytope(seed: int, n: int = 3, m: int = 8) -> HPolyhedron:
     Normals are sampled in [-1, 1]^n with positive right-hand sides (so 0 is
     always strictly feasible); the batch is resampled until the normals
     positively span R^n, which is exactly boundedness of the polytope.
+    Fewer than ``n + 1`` normals never do, so ``m <= n`` raises
+    ``ValueError``.
     """
+    if m <= n:
+        raise ValueError(f"{m} facet normals cannot positively span R^{n}; need at least {n + 1}")
     stream = SplitMix64(seed)
     cfg = SamplerConfig(seed=seed, bits=16)
     for _ in range(1000):

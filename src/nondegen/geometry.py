@@ -204,51 +204,42 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def _max_min_coefficient(points: Mat, rays: Mat, y: Vec):
-    """Maximize t with y = sum mu_j p_j + sum lam_i r_i, sum mu = 1,
-    mu_j >= t, lam_i >= t.  Returns None when infeasible (y outside the set),
-    else (t*, mu, lam).
+def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
+    """Classify ``y`` against ``S``: Interior (with a witness strictly
+    positive on every generator), Boundary, or Outside.
 
+    One LP maximizes t with y = sum mu_j p_j + sum lam_i r_i, sum mu = 1,
+    mu_j >= t, lam_i >= t: infeasible is Outside, ``t* = 0`` is Boundary.
     Substituting mu = t + e, lam = t + f (e, f >= 0) makes the program
-    :func:`_lifted` plus a ``t`` column equal to each row's sum, so the kernel
-    columns are (e, f, t).  With ``k >= 1`` points the convex row reads
-    ``k t + sum e = 1``, so ``0 <= t <= 1/k <= 1`` and the program is bounded.
-    """
-    k, l = len(points), len(rays)
-    M, rhs = _lifted(points, rays, y)
+    :func:`_lifted` plus a ``t`` column equal to each row's sum, so the
+    kernel columns are (e, f, t).  With ``k >= 1`` points the convex row
+    reads ``k t + sum e = 1``, so ``0 <= t <= 1/k <= 1`` and the program is
+    bounded.
+
+    The kernel's exact check of this program is the witness check.  It
+    checks ``e, f, t >= 0``, so at ``t != 0`` every ``mu = t + e`` and
+    ``lam = t + f`` is positive, and it checks the first ``dim`` rows,
+    ``sum e_j p_j + sum f_i r_i + t (sum p_j + sum r_i) = y``, which is
+    ``sum mu_j p_j + sum lam_i r_i = y`` regrouped."""
+    if len(y) != S.dim:
+        raise DimensionMismatchError("query dimension", S.dim, len(y))
+    if S.is_empty:
+        raise EmptyGeneratedSetError()
+    k, l = len(S.points), len(S.rays)
+    M, rhs = _lifted(S.points, S.rays, y)
     for row in M:
         row.append(sum(row, ZERO))
     obj = [ZERO] * (k + l) + [ONE]
     res = solve_standard_form(M, rhs, obj)
     if isinstance(res, KernelInfeasible):
-        return None
+        return OUTSIDE
     if not isinstance(res, KernelOptimal):
         raise InternalError("bounded auxiliary program reported unbounded")
     t = res.t[k + l]
-    mu = tuple(t + res.t[j] for j in range(k))
-    lam = tuple(t + res.t[k + i] for i in range(l))
-    return t, mu, lam
-
-
-def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
-    """Classify ``y`` against ``S``: Interior (with a witness strictly
-    positive on every generator), Boundary, or Outside.
-
-    The kernel's exact check of :func:`_max_min_coefficient`'s program is
-    the witness check.  It checks ``e, f, t >= 0``, so at ``t != 0`` every
-    ``mu = t + e`` and ``lam = t + f`` is positive, and it checks the first
-    ``dim`` rows, ``sum e_j p_j + sum f_i r_i + t (sum p_j + sum r_i) = y``,
-    which is ``sum mu_j p_j + sum lam_i r_i = y`` regrouped."""
-    if len(y) != S.dim:
-        raise DimensionMismatchError("query dimension", S.dim, len(y))
-    if S.is_empty:
-        raise EmptyGeneratedSetError()
-    res = _max_min_coefficient(S.points, S.rays, y)
-    if res is None:
-        return OUTSIDE
-    t, mu, lam = res
     if t == 0:
         return BOUNDARY
+    mu = tuple(t + res.t[j] for j in range(k))
+    lam = tuple(t + res.t[k + i] for i in range(l))
     return Interior(mu, lam)
 
 

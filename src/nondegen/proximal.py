@@ -17,16 +17,17 @@ matrix and the right-hand sides are scaled to integers once per call, and
 ``c -> (x, c - (1 + rho) x)`` that carries subgradients of ``g`` at ``x`` to
 subgradients of ``f = g - (rho/2)|.|^2`` — including their boundary/interior
 status.  ``find_critical_points`` enumerates *all* solutions of
-``v + rho x in dg(x)`` the same way and certifies each one.  A point reached
-by a support equal to its active set needs no LP: that support's generators
-are affinely independent, so its multipliers are the only representation of
-``v + rho x``, and the shared read-off
-(:func:`~nondegen.functions._read_off`) turns their signs into the verdict.
-A critical point is always reached by a support inside its active set with
-nonnegative multipliers (a Carathéodory representation has independent
-lifted generators, so its system is nonsingular); a point that no such
-support reaches is not critical, with no LP.  Only the points left go
-through :func:`~nondegen.functions.certify`.
+``v + rho x in dg(x)`` the same way and certifies each one.  Both run one
+candidate loop, :func:`_stationary_points`, whose certificate check is the
+exact rebuild in the shared read-off (:func:`~nondegen.functions._read_off`),
+so ``prox`` runs no LP.  A critical point reached by a support equal to its
+active set takes the read-off's verdict: that support's generators are
+affinely independent, so its multipliers are the only representation of
+``v + rho x``.  A critical point is always reached by a support inside its
+active set with nonnegative multipliers (a Carathéodory representation has
+independent lifted generators, so its system is nonsingular); a point that
+no such support reaches is not critical, with no LP.  Only the points left
+go through :func:`~nondegen.functions.certify`.
 """
 
 from __future__ import annotations
@@ -39,17 +40,14 @@ from typing import List, Optional, Tuple
 
 from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
 from .functions import (
-    NOT_CRITICAL,
     CertificationResult,
     NotCritical,
     PolyhedralFunction,
     _active_structure,
     _read_off,
     certify,
-    subdifferential,
 )
-from .geometry import member
-from .linalg import ONE, Q, Rat, Vec, _parse_integer, dot, solve_linear, UniqueSolution, vsub
+from .linalg import ONE, Q, Rat, Vec, ZERO, _parse_integer, dot, solve_linear, UniqueSolution
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
@@ -182,29 +180,52 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
                     yield x, z[:jsize], z[jsize:], J, I
 
 
-def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec:
-    """The unique minimizer of ``f(x) + 1/2 |x - c|^2``, exactly."""
-    _check_bound(f, enum_bound)
-    accepted = set()
-    for x, mu, lam, J, I in _kkt_solutions(f, ONE, c):
-        if any(w < 0 for w in mu) or any(w < 0 for w in lam):
+def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
+    """Every domain point ``x`` that a support of :func:`_kkt_solutions`
+    inside its active set reaches with nonnegative multipliers, mapped to
+    ``(w, verdict)`` for ``w = rhs_vec - x_coef x``.
+
+    The multipliers, spread over the active generators with zeros off the
+    support, pass :func:`~nondegen.functions._read_off`'s exact rebuild of
+    ``w``; its verdict is kept when the support is the whole active set and
+    is None otherwise.  Skipping an exact support with a negative multiplier
+    loses nothing: its system is uniquely solvable, so no nonnegative smaller
+    support, padded with zeros, solves it too.
+    """
+    found = {}
+    for x, mu, lam, J, I in _kkt_solutions(g, x_coef, rhs_vec):
+        # the sign test first: it is the cheapest filter
+        if any(c < 0 for c in mu) or any(c < 0 for c in lam) or (x in found and found[x][1]):
             continue
         try:
-            _, _, active_pieces, _ = _active_structure(f, x)
+            active = _active_structure(g, x)
         except OutsideDomainError:
             continue
-        # the support ties J to J[0], so its pieces are at the top iff J[0] is
+        _, _, active_pieces, active_cons = active
+        # the support ties J to J[0] and makes I tight, so it lies in the
+        # active set iff J[0] is at the top
         if J[0] not in active_pieces:
             continue
-        accepted.add(x)
+        w = tuple(r - x_coef * xi for r, xi in zip(rhs_vec, x))
+        on_j, on_i = dict(zip(J, mu)), dict(zip(I, lam))
+        z = (*[on_j.get(j, ZERO) for j in active_pieces], *[on_i.get(i, ZERO) for i in active_cons])
+        verdict = _read_off(g, w, active, z)
+        found[x] = (w, verdict if J == active_pieces and I == active_cons else None)
+    return found
+
+
+def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec:
+    """The unique minimizer of ``f(x) + 1/2 |x - c|^2``, exactly: the one
+    point of :func:`_stationary_points` with ``x_coef = 1``.  No LP runs
+    unless there is none, to raise ``InfeasibleDomainError``."""
+    _check_bound(f, enum_bound)
+    accepted = _stationary_points(f, ONE, c)
     if not accepted:
         _raise_if_infeasible(f)
         raise InternalError("no KKT candidate passed the sign checks")
     if len(accepted) > 1:
         raise InternalError("strictly convex prox objective admitted two minimizers")
     (x_star,) = accepted
-    if not member(subdifferential(f, x_star), vsub(c, x_star)):
-        raise InternalError("prox optimality condition fails membership check")
     return x_star
 
 
@@ -226,39 +247,19 @@ def find_critical_points(
     """All critical points of ``f_v = g - (rho/2)|.|^2 - <v, .>`` with their
     nondegeneracy certification, sorted by coordinates.
 
-    ``x`` is critical iff ``v + rho x in dg(x)``; candidates come from the
-    same support enumeration as prox (with stationarity coefficient ``-rho``).
-    A point that some candidate reaches with the active set at ``x`` as its
-    support is certified from that candidate's multipliers by
-    :func:`~nondegen.functions._read_off`, with no LP.  A point that some
-    support inside its active set reaches with nonnegative multipliers is
-    certified by :func:`certify` once the enumeration ends; any other point
-    is not critical.  An empty domain raises ``InfeasibleDomainError``, as in
+    ``x`` is critical iff ``v + rho x in dg(x)``; the candidates are
+    :func:`_stationary_points` with ``x_coef = -rho``, as in prox.  A point
+    that some candidate reaches with the active set at ``x`` as its support
+    keeps the verdict :func:`~nondegen.functions._read_off` gave that
+    candidate's multipliers, with no LP; any other point in the map is
+    certified by :func:`certify`, and a point outside the map is not
+    critical.  An empty domain raises ``InfeasibleDomainError``, as in
     :func:`prox`.
     """
     g = inst.g
     _check_bound(g, enum_bound)
-    verdicts = {}  # outside the domain, or read off the multipliers
-    pending = {}  # point -> v + rho x, for certify once the enumeration ends
-    for x, mu, lam, J, I in _kkt_solutions(g, -inst.rho, v):
-        if x in verdicts:
-            continue
-        try:
-            active = _active_structure(g, x)
-        except OutsideDomainError:
-            verdicts[x] = NOT_CRITICAL
-            continue
-        _, _, active_pieces, active_cons = active
-        w = tuple(vi + inst.rho * xi for vi, xi in zip(v, x))
-        z = mu + lam
-        if J == active_pieces and I == active_cons:
-            verdicts[x] = _read_off(g, w, active, z)
-            pending.pop(x, None)
-        # the support's system makes I tight and ties J to J[0], so the
-        # support lies in the active set iff J[0] is at the top
-        elif J[0] in active_pieces and all(c >= 0 for c in z):
-            pending[x] = w
-    verdicts.update((x, certify(g, w, x)) for x, w in pending.items())
+    points = _stationary_points(g, -inst.rho, v)
+    verdicts = {x: verdict or certify(g, w, x) for x, (w, verdict) in points.items()}
     found = sorted((x, c) for x, c in verdicts.items() if not isinstance(c, NotCritical))
     if not found:
         _raise_if_infeasible(g)

@@ -53,7 +53,7 @@ from nondegen.gallery import (
     simplex_indicator,
     square_vertices,
 )
-from nondegen.geometry import VPolytope, ri_membership
+from nondegen.geometry import VPolytope
 from nondegen.linalg import Q, UniqueSolution
 from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
@@ -99,6 +99,16 @@ def test_sampler_config_validation():
         SamplerConfig(seed=0, bits=65)
     with pytest.raises(ValueError):
         SamplerConfig(seed=0, box_radius=Q(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_polytope_needs_more_normals_than_dimensions(n):
+    """Fewer than ``n + 1`` normals never positively span R^n, so they are
+    refused before any sampling; ``n + 1`` normals can bound a polytope."""
+    for m in range(n + 1):
+        with pytest.raises(ValueError, match="cannot positively span"):
+            random_polytope(1, n, m)
+    assert random_polytope(1, n, n + 1).m == n + 1
 
 
 def test_sample_objective_is_deterministic():
@@ -443,7 +453,7 @@ def _random_polytopes():
 
 def test_construct_degenerate_matches_the_per_generator_certify_loop():
     """One ∂f(x) per candidate point, read off the multipliers or by
-    ri_membership, emits exactly the report of one certify call per
+    certify's LP, emits exactly the report of one certify call per
     generator, on the criterion-2 set, on 30 more random polytopes and on
     seeded functions."""
     pieced = _seeded_functions(12, lambda f: f.pieces)
@@ -504,11 +514,11 @@ def test_a_ray_can_be_interior_to_the_subdifferential():
 def test_independent_generators_need_no_membership_lp(monkeypatch, f):
     calls = []
 
-    def recording(S, v):
+    def recording(f, v, x):
         calls.append(v)
-        return ri_membership(S, v)
+        return certify(f, v, x)
 
-    monkeypatch.setattr(experiments, "ri_membership", recording)
+    monkeypatch.setattr(experiments, "certify", recording)
     assert construct_degenerate(f).pairs
     assert calls == []
 

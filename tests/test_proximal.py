@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_points_of, qv, rand_polyfun, rand_rat, rand_vec, to_frac, vec_frac, vscale
-from nondegen import proximal
+from nondegen import geometry, proximal, simplex
 from nondegen.errors import EnumerationBoundError, InfeasibleDomainError, InternalError
 from nondegen.functions import (
     DegenerateCritical,
@@ -18,7 +18,7 @@ from nondegen.functions import (
     certify,
     subdifferential,
 )
-from nondegen.gallery import abs_function, box_indicator
+from nondegen.gallery import abs_function, box_indicator, pyramid_indicator
 from nondegen.geometry import Boundary, Interior, member, ri_membership, translate
 from nondegen.linalg import Q, dot, vsub, zeros
 from nondegen.proximal import (
@@ -170,18 +170,55 @@ def _corrupting(kind):
     return corrupted
 
 
+CALLS = {
+    "find_critical_points": find_critical_points,
+    "prox": lambda inst, c: prox(inst.g, c),
+    "minty_transport": minty_transport,
+}
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
 @pytest.mark.parametrize(
-    "kind, inst",
+    "kind, inst, c",
     [
-        ("mu", LowerC2Instance(box_indicator(2), Q(1))),  # the zero piece: only the sum moves
-        ("shift", ABS_RHO_1),
-        ("lam", LowerC2Instance(box_indicator(2), Q(1))),
+        ("mu", LowerC2Instance(box_indicator(2), Q(1)), qv(3, 0)),  # the zero piece: only the sum moves
+        ("shift", ABS_RHO_1, qv(0)),
+        # from (3, 0) the facet x_1 <= 1 has a positive multiplier in prox too
+        ("lam", LowerC2Instance(box_indicator(2), Q(1)), qv(3, 0)),
     ],
 )
-def test_corrupted_multipliers_fail_the_rebuild_check(monkeypatch, kind, inst):
+def test_corrupted_multipliers_fail_the_rebuild_check(monkeypatch, call, kind, inst, c):
     monkeypatch.setattr(proximal, "_kkt_solutions", _corrupting(kind))
     with pytest.raises(InternalError, match="do not rebuild"):
-        find_critical_points(inst, zeros(inst.g.dim))
+        CALLS[call](inst, c)
+
+
+def test_prox_runs_no_kernel_call(monkeypatch):
+    """prox's certificate check is the read-off's exact rebuild, not an LP:
+    no kernel call at either binding, on a domain that has points."""
+    calls = []
+    kernel = simplex.solve_standard_form
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(simplex, "solve_standard_form", recording)
+    monkeypatch.setattr(geometry, "solve_standard_form", recording)
+    cases = [
+        (abs_function(), [qv(3), qv("1/2"), qv(0), qv(-2)]),
+        (box_indicator(2), [qv(3, 0), qv("1/2", -5), qv(0, 0), qv(2, 2)]),
+        (pyramid_indicator(), [qv(0, 0, 2), qv(1, -1, "1/3"), qv(5, 5, -5)]),
+    ]
+    for g, centres in cases:
+        for c in centres:
+            x = prox(g, c)
+            assert minty_transport(LowerC2Instance(g, Q(1)), c)[0] == x
+    assert calls == []
+    # both recording bindings are live: an LP through either module is seen
+    geometry.member(subdifferential(abs_function(), qv(0)), qv(0))
+    simplex.feasible_point(box_indicator(2).domain)
+    assert len(calls) == 2
 
 
 def test_critical_point_enumeration_respects_bound():
