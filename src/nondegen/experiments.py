@@ -99,11 +99,12 @@ def _stream_vector(stream: SplitMix64, cfg: SamplerConfig, dim: int) -> Vec:
     a positive bits-wide denominator, scaled into [-box_radius, box_radius]."""
     mask = (1 << cfg.bits) - 1
     half = 1 << (cfg.bits - 1)
+    r = Q(cfg.box_radius)
     coords = []
     for _ in range(dim):
         num = (stream.next_u64() & mask) - half
         den = (stream.next_u64() & mask) + 1
-        coords.append(Q(cfg.box_radius) * Q(num) / (Q(den) * half))
+        coords.append(Q(r.numerator * num, r.denominator * den * half))
     return tuple(coords)
 
 

@@ -91,13 +91,14 @@ class PolyhedralFunction:
     @cached_property
     def integer_terms(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
         """The rows ``(*C_j, E_j) = L·(*c_j, d_j)`` of :attr:`terms` and ``L``,
-        the lcm of all their denominators.  The scale is common to all terms,
-        so the piece values at a point compare as the rows' values do.  Kept
-        from the first use; not a field, so ``==``, ``hash`` and ``repr`` do
-        not see it."""
-        rows = [(*c, d) for c, d in self.terms]
-        L = math.lcm(*[q.denominator for row in rows for q in row])
-        return tuple(tuple(q.numerator * (L // q.denominator) for q in row) for row in rows), L
+        their common denominator: one :func:`~nondegen.linalg._integer_point`
+        of the flattened terms.  The scale is common to all terms, so the
+        piece values at a point compare as the rows' values do.  Kept from
+        the first use; not a field, so ``==``, ``hash`` and ``repr`` do not
+        see it."""
+        flat, L = _integer_point([q for c, d in self.terms for q in (*c, d)])
+        w = self.dim + 1
+        return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w)), L
 
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
@@ -187,27 +188,24 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     improving ray, or infeasibility (improper ``f``) with a Farkas vector over
     the domain rows: the ``t`` column forces the term rows' multipliers to 0.
     At the checked optimum ``t = f(x)``: the rows give ``t >= f(x)``, and a
-    slack ``t`` could be lowered to beat the optimal value."""
+    slack ``t`` could be lowered to beat the optimal value.  The rows are
+    tuples of ``f``'s own rationals, not re-wrapped: the kernel converts its
+    inputs once; only the caller's tilt goes through ``vec``."""
     if len(v) != f.dim:
         raise DimensionMismatchError("tilt dimension", f.dim, len(v))
     n = f.dim
-    rows: List[List[Rat]] = []
-    rhs: List[Rat] = []
-    for c, d in f.terms:
-        rows.append(list(c) + [-ONE])
-        rhs.append(-d)
-    for arow, b in zip(f.domain.A, f.domain.b):
-        rows.append(list(arow) + [ZERO])
-        rhs.append(b)
-    P = HPolyhedron(mat(rows), vec(rhs), n + 1)
-    objective = vec(list(v) + [-ONE])
+    terms = f.terms
+    rows = tuple((*c, -ONE) for c, _ in terms) + tuple((*a, ZERO) for a in f.domain.A)
+    rhs = tuple(-d for _, d in terms) + tuple(f.domain.b)
+    P = HPolyhedron(rows, rhs, n + 1)
+    objective = vec((*v, -ONE))
     res = solve_lp(LinearProgram(objective, P))
     if isinstance(res, Optimal):
         x = res.x[:n]
         return Minimizer(x, res.x[n] - dot(v, x))
     if isinstance(res, Unbounded):
         return Unbounded(res.x0[:n], res.ray[:n])
-    return Infeasible(res.farkas[len(f.terms):])
+    return Infeasible(res.farkas[len(terms):])
 
 
 def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:
@@ -240,7 +238,7 @@ def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     x = list(res.x)
     for d in range(n):
         e_d = tuple(ONE if j == d else ZERO for j in range(n))
-        face = HPolyhedron(mat(rows), vec(rhs), n)
+        face = HPolyhedron(tuple(rows), tuple(rhs), n)
         step = solve_lp(LinearProgram(e_d, face))
         if isinstance(step, Optimal):
             x = list(step.x)

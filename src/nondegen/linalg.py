@@ -15,9 +15,13 @@ dot product pays one gcd instead of one per product and per partial sum.
 The exact row scans (activity and violation at a point, and the value of a
 max of affine pieces) run on integers too.  A polyhedron keeps its rows
 scaled to integers and a polyhedral function its pieces, both computed once
-and kept, and a point becomes integers over the lcm of its denominators
-(:func:`_integer_point`), so each row test is an integer comparison and
-builds no ``Fraction``.
+and kept, and a point becomes integers over the lcm of its denominators, so
+each row test is an integer comparison and builds no ``Fraction``.
+
+:func:`_integer_point` is the one scaling of rationals to integers outside
+the simplex kernel: :func:`_integer_rows` maps it over rows (for ``rank``,
+``solve_linear`` and ``HPolyhedron.integer_rows``), and ``integer_terms``,
+every row scan and ``proximal._kkt_solutions`` call it directly.
 
 ``rank``, ``solve_linear`` and the candidate-point enumeration of
 :mod:`nondegen.experiments` share one fraction-free eliminator (Edmonds):
@@ -33,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, RationalParseError, quote_token
 
@@ -123,24 +127,19 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def _integer_point(values: Sequence) -> Tuple[List[int], int]:
+    """``values`` (integers or rationals) as integers ``X`` over ``D``, the
+    lcm of their denominators: ``values = X / D`` with ``D > 0``.  The one
+    such scaling outside the simplex kernel (see the module docstring)."""
+    D = lcm(*[a.denominator for a in values])  # a list: *generator grows tuple free lists
+    return [a.numerator * (D // a.denominator) for a in values], D
+
+
 def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
-    """Each row (of integers or rationals) scaled to integers by the lcm of
-    its denominators; a row of ints is kept as it is."""
-    out = []
-    for row in map(list, rows):
-        if all(type(a) is int for a in row):
-            out.append(row)
-            continue
-        scale = lcm(*[a.denominator for a in row])  # a list: *generator grows tuple free lists
-        out.append([a.numerator * (scale // a.denominator) for a in row])
-    return out
-
-
-def _integer_point(x: Vec) -> Tuple[List[int], int]:
-    """``x`` as integers ``X`` over ``D``, the lcm of its denominators:
-    ``x = X / D`` with ``D > 0``."""
-    D = lcm(*[a.denominator for a in x])  # a list: *generator grows tuple free lists
-    return [a.numerator * (D // a.denominator) for a in x], D
+    """Each row (of integers or rationals) scaled to integers by
+    :func:`_integer_point`; a row of ints is kept as it is."""
+    rows = [list(row) for row in rows]
+    return [row if all(type(a) is int for a in row) else _integer_point(row)[0] for row in rows]
 
 
 def _bareiss_pivot(M: List[list], r: int, c: int, d: int) -> int:

@@ -35,19 +35,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
 from .functions import (
+    NOT_CRITICAL,
     CertificationResult,
-    NotCritical,
     PolyhedralFunction,
     _active_structure,
     _read_off,
     certify,
 )
-from .linalg import ONE, Q, Rat, Vec, ZERO, _parse_integer, dot, solve_linear, UniqueSolution
+from .linalg import (
+    ONE, Q, Rat, Vec, ZERO, UniqueSolution, _integer_point, _parse_integer, dot, solve_linear
+)
 from .simplex import Infeasible, feasible_point
 
 DEFAULT_ENUM_BOUND = 20
@@ -101,11 +102,6 @@ def _raise_if_infeasible(f: PolyhedralFunction) -> None:
         raise InfeasibleDomainError(fp.farkas)
 
 
-def _integer_scale(values) -> int:
-    """The lcm of the denominators of ``values``: it scales them to integers."""
-    return lcm(*[q.denominator for q in values])  # a list: *generator grows tuple free lists
-
-
 def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     """Solutions of the square stationarity systems over candidate supports.
 
@@ -121,9 +117,11 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     it leaves a system in ``z`` alone whose determinant is the full one's over
     ``x_coef**n``, so exactly the same supports are uniquely solvable.
 
-    The Gram matrix and the right-hand sides ``t`` are scaled to integers by
-    one common factor per call, which keeps every system's solutions; so are
-    the generators and ``rhs_vec``, for the integer sums that build ``x``.
+    Every scaling to integers is one :func:`~nondegen.linalg._integer_point`:
+    of the Gram matrix and the right-hand sides ``t`` together (one common
+    factor per call, which keeps every system's solutions), of the
+    generators and of ``rhs_vec`` (for the integer sums that build ``x``),
+    and of each support's multipliers ``z = Z / D``.
 
     Yields (x, mu, lam, J, I) for every uniquely solvable system.  Supports
     exceeding the Carathéodory cap or yielding singular systems cannot hide a
@@ -134,21 +132,19 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     k = len(pieces)
     m = f.domain.m
     gens = [c for c, _ in pieces] + list(f.domain.A)
-    gram = [[dot(g, h) for h in gens] for g in gens]
+    nk = len(gens)
     # the tie of j with j0 reads <c_j - c_j0, sum_g z_g g> = t[j] - t[j0], and
     # a tight constraint <a_i, sum_g z_g g> = t[k + i]
     offset = [x_coef * d for _, d in pieces] + [-x_coef * b for b in f.domain.b]
     t = [dot(g, rhs_vec) + off for g, off in zip(gens, offset)]
-    scale = lcm(*[_integer_scale(row) for row in gram], _integer_scale(t))
-    gram = [[q.numerator * (scale // q.denominator) for q in row] for row in gram]
-    t = [q.numerator * (scale // q.denominator) for q in t]
-    # with the generators G / gscale and rhs_vec R / rscale, x_d is
-    # (R[d] gscale D - rscale sum_g (D z_g) G[g][d]) / (rscale gscale D x_coef)
-    # for D the lcm of the denominators of z
-    gscale = lcm(*[_integer_scale(g) for g in gens])
-    rscale = _integer_scale(rhs_vec)
-    gen_num = [[q.numerator * (gscale // q.denominator) * rscale for q in g] for g in gens]
-    rhs_num = [q.numerator * (rscale // q.denominator) * gscale for q in rhs_vec]
+    flat, _ = _integer_point([dot(g, h) for g in gens for h in gens] + t)
+    gram, t = [flat[i * nk : i * nk + nk] for i in range(nk)], flat[nk * nk :]
+    # with generator g as G_g / gscale, rhs_vec R / rscale and z = Z / D, x_d is
+    # (R[d] gscale D - rscale sum_g Z_g G_g[d]) / (rscale gscale D x_coef)
+    G, gscale = _integer_point([q for g in gens for q in g])
+    R, rscale = _integer_point(rhs_vec)
+    gen_num = [[a * rscale for a in G[i * n : i * n + n]] for i in range(nk)]
+    rhs_num = [a * gscale for a in R]
     x_den = rscale * gscale * x_coef.numerator
     for jsize in range(1, min(k, n + 1) + 1):
         for J in combinations(range(k), jsize):
@@ -168,11 +164,10 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
                     if not isinstance(sol, UniqueSolution):
                         continue
                     z = sol.x
-                    D = _integer_scale(z)
+                    Z, D = _integer_point(z)
                     num = [r * D for r in rhs_num]
-                    for zg, g in zip(z, support):
+                    for zg, g in zip(Z, support):
                         if zg:
-                            zg = zg.numerator * (D // zg.denominator)
                             num = [a - zg * b for a, b in zip(num, gen_num[g])]
                     den = x_den * D
                     # from a list: tuple(generator) grows the tuple free lists on every call
@@ -253,14 +248,18 @@ def find_critical_points(
     keeps the verdict :func:`~nondegen.functions._read_off` gave that
     candidate's multipliers, with no LP; any other point in the map is
     certified by :func:`certify`, and a point outside the map is not
-    critical.  An empty domain raises ``InfeasibleDomainError``, as in
-    :func:`prox`.
+    critical.  A point in the map has ``v + rho x`` rebuilt from nonnegative
+    multipliers over its active generators, so a NotCritical verdict for it
+    raises ``InternalError``.  An empty domain raises
+    ``InfeasibleDomainError``, as in :func:`prox`.
     """
     g = inst.g
     _check_bound(g, enum_bound)
     points = _stationary_points(g, -inst.rho, v)
     verdicts = {x: verdict or certify(g, w, x) for x, (w, verdict) in points.items()}
-    found = sorted((x, c) for x, c in verdicts.items() if not isinstance(c, NotCritical))
+    if NOT_CRITICAL in verdicts.values():
+        raise InternalError("a stationary point was certified not critical")
+    found = sorted(verdicts.items())
     if not found:
         _raise_if_infeasible(g)
     return found

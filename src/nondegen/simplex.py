@@ -96,8 +96,8 @@ class HPolyhedron:
 
     @cached_property
     def integer_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """The rows ``(*N_i, B_i)``: ``(*a_i, b_i)`` scaled to integers by the
-        lcm of its own denominators, so ``a_i·x <= b_i`` iff ``N_i·x <= B_i``.
+        """The rows ``(*N_i, B_i)``: ``(*a_i, b_i)`` scaled to integers by
+        :func:`~nondegen.linalg._integer_rows`, so ``a_i·x <= b_i`` iff ``N_i·x <= B_i``.
         Kept from the first use; not a field, so ``==``, ``hash`` and
         ``repr`` do not see it."""
         return tuple(map(tuple, _integer_rows((*a, b) for a, b in zip(self.A, self.b))))

@@ -56,9 +56,9 @@ from nondegen.geometry import (
     ri_membership,
     translate,
 )
-from nondegen.linalg import Q, dot, vsub
+from nondegen.linalg import Q, vsub
 from nondegen.proximal import LowerC2Instance, minty_transport, prox
-from nondegen.simplex import Infeasible, LinearProgram, Optimal, Unbounded, solve_lp
+from nondegen.simplex import LinearProgram, Optimal, Unbounded, solve_lp
 from oracles import lp_enum_oracle, ri_status_oracle
 
 CFG = SamplerConfig(seed=42)

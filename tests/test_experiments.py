@@ -9,10 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_points_of, qv, rand_polyfun, to_frac, vec_frac
+from conftest import feasible_points_of, qv, rand_polyfun, vec_frac
 from nondegen.errors import (
     DegeneratePolytopeError,
     EnumerationBoundError,
@@ -21,8 +21,6 @@ from nondegen.errors import (
 )
 from nondegen import experiments, functions
 from nondegen.experiments import (
-    AdversarialReport,
-    ExperimentReport,
     SamplerConfig,
     SplitMix64,
     construct_degenerate,
@@ -132,13 +130,19 @@ def test_sample_objective_regression_vectors():
     assert v0 != v1
 
 
-@given(st.integers(0, (1 << 64) - 1), st.integers(0, 1000))
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, 1000),
+    st.sampled_from([8, 16, 33, 64]),
+    st.sampled_from([Q(1), Q(3, 2), Q(7, 3), 2]),  # the last radius is an int
+)
+@example(seed=5, trial=7, bits=33, radius=2)
 @settings(deadline=None, max_examples=40)
-def test_sample_objective_matches_oracle(seed, trial):
-    cfg = SamplerConfig(seed=seed, bits=16, box_radius=Q(3, 2))
+def test_sample_objective_matches_oracle(seed, trial, bits, radius):
+    cfg = SamplerConfig(seed=seed, bits=bits, box_radius=radius)
     got = sample_objective(cfg, trial, 2)
     assert tuple(vec_frac(got)) == tuple(
-        sample_vector_oracle(seed, trial, 2, bits=16, radius=Fraction(3, 2))
+        sample_vector_oracle(seed, trial, 2, bits=bits, radius=Fraction(radius))
     )
 
 

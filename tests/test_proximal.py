@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_points_of, qv, rand_polyfun, rand_rat, rand_vec, to_frac, vec_frac, vscale
+from conftest import feasible_points_of, qv, rand_polyfun, rand_vec, to_frac, vec_frac, vscale
 from nondegen import geometry, proximal, simplex
 from nondegen.errors import EnumerationBoundError, InfeasibleDomainError, InternalError
 from nondegen.functions import (
+    NOT_CRITICAL,
     DegenerateCritical,
     Nondegenerate,
     NotCritical,
@@ -20,7 +21,7 @@ from nondegen.functions import (
 )
 from nondegen.gallery import abs_function, box_indicator, pyramid_indicator
 from nondegen.geometry import Boundary, Interior, member, ri_membership, translate
-from nondegen.linalg import Q, dot, vsub, zeros
+from nondegen.linalg import Q, vsub, zeros
 from nondegen.proximal import (
     LowerC2Instance,
     _kkt_solutions,
@@ -151,6 +152,23 @@ def test_critical_points_reached_by_their_active_sets_need_no_lp(monkeypatch, v,
     res = find_critical_points(ABS_RHO_1, v)
     assert [(x, type(c)) for x, c in res] == [(qv(x), kind) for x, kind in expected]
     assert calls == certified
+
+
+@pytest.mark.parametrize(
+    "name, inst, v",
+    [
+        # the apex is the one point of the pyramid that goes through certify
+        ("certify", LowerC2Instance(pyramid_indicator(), Q(1)), qv(0, 0, 1)),
+        ("_read_off", ABS_RHO_1, qv(0)),
+    ],
+)
+def test_a_stationary_point_certified_not_critical_raises(monkeypatch, name, inst, v):
+    """Every mapped point has ``v + rho x`` rebuilt from nonnegative
+    multipliers over its active generators, so a NotCritical verdict for it
+    is a solver bug: it raises instead of dropping the point."""
+    monkeypatch.setattr(proximal, name, lambda *args: NOT_CRITICAL)
+    with pytest.raises(InternalError, match="not critical"):
+        find_critical_points(inst, v)
 
 
 def _corrupting(kind):
