@@ -7,16 +7,14 @@ CSV per instance; a summary table is printed at the end.  Reports are
 bit-identical for a fixed (instance, seed, trials) triple.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # _suite, which adds src/
 
-from nondegen.cli import _integer  # the CLI's digit rule for integer flags
-from nondegen.errors import RationalParseError
-from nondegen.experiments import SamplerConfig, report_to_csv, run_genericity
+from _suite import settings
+from nondegen.experiments import report_to_csv, run_genericity
 from nondegen.functions import PolyhedralFunction
 from nondegen.gallery import (
     abs_function,
@@ -26,7 +24,6 @@ from nondegen.gallery import (
     random_polytope,
     simplex_indicator,
 )
-from nondegen.linalg import parse_rational
 
 
 def instance_gallery():
@@ -45,26 +42,7 @@ def instance_gallery():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=_integer, default=1000, help="trials per instance")
-    parser.add_argument("--seed", type=_integer, default=42, help="base PRNG seed")
-    parser.add_argument("--bits", type=_integer, default=64, help="bit width of sampled rationals")
-    parser.add_argument("--radius", default="1", help="sampling box radius (rational token)")
-    parser.add_argument(
-        "--outdir", type=Path, default=Path("results/genericity"), help="CSV output directory"
-    )
-    args = parser.parse_args(argv)
-
-    if args.trials < 0:
-        parser.error("--trials must be nonnegative")
-    try:
-        cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
-    except (RationalParseError, ValueError) as e:
-        parser.error(str(e))
-    try:
-        args.outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        parser.error(f"cannot create --outdir '{args.outdir}': {e}")
+    args, cfg = settings(__doc__, "trials per instance", "results/genericity", argv)
 
     header = f"{'instance':<12} {'trials':>6} {'nondeg':>7} {'degen':>6} {'non_unique':>10} {'unbounded':>9} {'secs':>6}"
     print(header)

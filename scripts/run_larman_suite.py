@@ -8,23 +8,20 @@ cones, so the sampled multi-vertex count should be zero; a forced direction
 per polytope (an axis or edge normal) demonstrates that such faces do exist.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # _suite, which adds src/
 
-from nondegen.cli import _integer  # the CLI's digit rule for integer flags
-from nondegen.errors import RationalParseError
-from nondegen.experiments import SamplerConfig, larman_to_csv, run_larman
+from _suite import settings
+from nondegen.experiments import larman_to_csv, run_larman
 from nondegen.gallery import (
     cube_vertices,
     edge_direction,
     random_vpolytope,
     square_vertices,
 )
-from nondegen.linalg import parse_rational
 
 
 def polytope_gallery():
@@ -37,26 +34,7 @@ def polytope_gallery():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=_integer, default=1000, help="directions per polytope")
-    parser.add_argument("--seed", type=_integer, default=42, help="base PRNG seed")
-    parser.add_argument("--bits", type=_integer, default=64, help="bit width of sampled rationals")
-    parser.add_argument("--radius", default="1", help="sampling box radius (rational token)")
-    parser.add_argument(
-        "--outdir", type=Path, default=Path("results/larman"), help="CSV output directory"
-    )
-    args = parser.parse_args(argv)
-
-    if args.trials < 0:
-        parser.error("--trials must be nonnegative")
-    try:
-        cfg = SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
-    except (RationalParseError, ValueError) as e:
-        parser.error(str(e))
-    try:
-        args.outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        parser.error(f"cannot create --outdir '{args.outdir}': {e}")
+    args, cfg = settings(__doc__, "directions per polytope", "results/larman", argv)
 
     header = f"{'polytope':<10} {'trials':>6} {'singleton':>9} {'multi':>6} {'forced dir -> vertices':>24} {'secs':>6}"
     print(header)

@@ -68,12 +68,14 @@ class NotOptimalError(NondegenError):
 
 
 class EnumerationBoundError(NondegenError):
-    def __init__(self, count: int, bound: int):
+    """An enumeration the bound refuses: ``count`` generators above ``bound``,
+    or, with ``subsets``, ``count`` plane subsets above ``2^bound``."""
+
+    def __init__(self, count: int, bound: int, subsets: bool = False):
         self.count = count
         self.bound = bound
-        super().__init__(
-            f"instance has {count} generators, above the enumeration bound {bound}"
-        )
+        what = f"plane subsets, above 2^{bound} for" if subsets else "generators, above"
+        super().__init__(f"instance has {count} {what} the enumeration bound {bound}")
 
 
 class InfeasibleDomainError(NondegenError):

@@ -25,11 +25,13 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DegeneratePolytopeError, InfeasibleDomainError, InternalError
+from .errors import (
+    DegeneratePolytopeError, EnumerationBoundError, InfeasibleDomainError, InternalError
+)
 from .functions import (
     DEGENERATE_CRITICAL,
     Minimizer,
@@ -306,12 +308,19 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
 
     The candidate points come from a hyperplane-arrangement enumeration on
     integer rows (:func:`_candidate_points`): cheap per subset, but the
-    number of subsets is exponential in the planes, so instances with more
-    pieces plus constraints than the enumeration bound of :func:`prox`
-    (``$GENERIC_NONDEGEN_ENUM_BOUND``, default 20) raise
-    ``EnumerationBoundError``.
+    number of subsets is exponential in the planes, so it obeys the
+    enumeration bound ``B`` of :func:`prox` (``$GENERIC_NONDEGEN_ENUM_BOUND``,
+    default 20).  ``EnumerationBoundError`` refuses, before any subset is
+    eliminated, more than ``B`` pieces plus constraints, and more than ``2^B``
+    subsets ``sum_{s <= min(n, p)} C(p, s)`` of the ``p = m + C(k, 2)``
+    planes: the ``m`` domain rows and one tie per pair of the ``k`` terms.
+    ``2^B`` is the most supports the bound lets :func:`prox` try.
     """
-    _check_bound(f, None)
+    limit = _check_bound(f, None)
+    p = f.domain.m + comb(len(f.terms), 2)
+    count = sum(comb(p, s) for s in range(min(f.dim, p) + 1))
+    if (count - 1).bit_length() > limit:  # count > 2^limit, without building 2^limit
+        raise EnumerationBoundError(count, limit, subsets=True)
     points = _candidate_points(f)
     if not points:
         _raise_if_infeasible(f)

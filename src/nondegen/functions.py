@@ -226,8 +226,11 @@ def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
 
     Each coordinate is maximized over the :func:`argmin_face` in turn, fixing
     the result before moving to the next.  When the argmin set is unbounded in
-    some coordinate direction, that coordinate is kept from the base solve
-    (still deterministic, no longer canonical)."""
+    some coordinate direction, that coordinate is kept from the point of the
+    last Optimal refinement, else of the base solve (still deterministic, no
+    longer canonical).  That point minimizes: the base one by the epigraph
+    LP's checked optimum, a refinement's as the kernel checked it against
+    every :func:`argmin_face` row, so ``f(x) - <v, x> <= value``."""
     res = minimize_perturbed(f, v)
     if not isinstance(res, Minimizer):
         return res
@@ -249,10 +252,7 @@ def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
         rhs.append(x[d])
         rows.append(tuple(-a for a in e_d))
         rhs.append(-x[d])
-    x_star = tuple(x)
-    if evaluate(f, x_star) - dot(v, x_star) != res.value:
-        raise InternalError("lexicographic refinement left the argmin set")
-    return Minimizer(x_star, res.value)
+    return Minimizer(tuple(x), res.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,25 +366,24 @@ def strict_complementarity(lp: LinearProgram, x_bar: Vec) -> Optional[Witness]:
     """A strictly complementary dual solution at the optimum ``x_bar`` of
     ``max <objective, x> over constraints``, or None when none exists.
 
-    Existence is equivalent to ``certify(indicator, objective, x_bar)`` being
-    Nondegenerate; the returned multipliers cover every constraint, strictly
-    positive exactly on those active at ``x_bar``.  They are dual feasible,
-    ``A^T lam = objective``, because they are :func:`ri_membership`'s witness
-    for ``objective`` over the active rows, which the kernel checks exactly.
+    It is the kernel-checked witness of ``certify(indicator, objective,
+    x_bar)``: positive exactly on the rows active at ``x_bar``, with
+    ``A^T lam = objective``.  That verdict decides optimality as well, being
+    NotCritical iff the objective is outside the normal cone at ``x_bar``;
+    only then does :func:`solve_lp` run, for the exact ``gap`` or unboundedness.
     """
-    P = lp.constraints
-    bad = P.violation_index(x_bar)
-    if bad is not None:
-        raise NotOptimalError(f"point violates constraint {bad}")
-    res = solve_lp(lp)
-    if isinstance(res, Unbounded):
-        raise NotOptimalError("objective is unbounded above on the feasible set")
-    if isinstance(res, Infeasible):
-        raise InternalError("feasible point exists but the solver reports infeasible")
-    gap = res.value - dot(lp.objective, x_bar)
-    if gap != 0:
+    try:
+        cert = certify(PolyhedralFunction.indicator(lp.constraints), lp.objective, x_bar)
+    except OutsideDomainError as e:
+        raise NotOptimalError(f"point violates constraint {e.index}") from None
+    if cert is NOT_CRITICAL:
+        res = solve_lp(lp)
+        if isinstance(res, Unbounded):
+            raise NotOptimalError("objective is unbounded above on the feasible set")
+        gap = res.value - dot(lp.objective, x_bar)
+        if gap == 0:
+            raise InternalError("the point is optimal, but its objective is not in the normal cone")
         raise NotOptimalError("point is suboptimal", gap=gap)
-    cert = certify(PolyhedralFunction.indicator(P), lp.objective, x_bar)
-    if not isinstance(cert, Nondegenerate):
+    if cert is DEGENERATE_CRITICAL:
         return None
     return Witness(cert.constraint_multipliers)

@@ -86,11 +86,13 @@ class LowerC2Instance:
             raise ValueError("rho must be positive")
 
 
-def _check_bound(f: PolyhedralFunction, bound: Optional[int]) -> None:
+def _check_bound(f: PolyhedralFunction, bound: Optional[int]) -> int:
+    """The resolved bound, once ``f`` has no more generators than it."""
     limit = resolve_enum_bound(bound)
     count = len(f.pieces) + f.domain.m
     if count > limit:
         raise EnumerationBoundError(count, limit)
+    return limit
 
 
 def _raise_if_infeasible(f: PolyhedralFunction) -> None:

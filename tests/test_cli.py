@@ -25,6 +25,8 @@ SQUARE = "dim 2\nvertices 4\n1 1\n1 -1\n-1 1\n-1 -1\n"
 BOX11 = "dim 11\nconstraints 22\n" + "".join(
     " ".join(["0"] * i + [s] + ["0"] * (10 - i)) + " 1\n" for s in ("1", "-1") for i in range(11)
 )
+# 20 pieces in R^3: 20 generators, but 1 143 326 subsets of at most 3 planes
+PIECES20 = "dim 3\npieces 20\n" + "".join(f"{j} {j * j} 1 {-j}\n" for j in range(20))
 
 
 @pytest.fixture
@@ -346,9 +348,13 @@ def test_adversarial_command(prob, capsys):
     assert "no candidate point" in out
 
 
-def test_adversarial_above_the_enumeration_bound_exit_code(prob, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "name, text", [("box11.prob", BOX11), ("pieces20.prob", PIECES20)], ids=["box11", "pieces20"]
+)
+def test_adversarial_above_the_enumeration_bound_exit_code(prob, capsys, monkeypatch, name, text):
+    """Above the bound in generators (box11) or in plane subsets (pieces20)."""
     monkeypatch.delenv("GENERIC_NONDEGEN_ENUM_BOUND", raising=False)
-    code, out, err = run(capsys, "adversarial", prob("box11.prob", BOX11))
+    code, out, err = run(capsys, "adversarial", prob(name, text))
     assert code == 3
     assert out == ""
     assert "enumeration bound" in err

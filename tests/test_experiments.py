@@ -391,6 +391,23 @@ def test_construct_degenerate_refuses_instances_above_the_enumeration_bound(monk
         construct_degenerate(box_indicator(2))
 
 
+def test_construct_degenerate_refuses_more_plane_subsets_than_two_to_the_bound(monkeypatch):
+    """20 pieces in R^3 pass the generator count of 20, but their 190 ties
+    give 1 143 326 subsets of at most 3 planes, above 2^20: refused before
+    any subset is solved.  7 pieces in R^1 give 21 planes, 22 subsets."""
+    monkeypatch.delenv("GENERIC_NONDEGEN_ENUM_BOUND", raising=False)
+    tilted = PolyhedralFunction.max_affine([((j, j * j, 1), -j) for j in range(20)], 3)
+    with monkeypatch.context() as patched:
+        patched.setattr(experiments, "_candidate_points", lambda f: pytest.fail("enumeration started"))
+        with pytest.raises(EnumerationBoundError, match="1143326 plane subsets, above 2\\^20") as err:
+            construct_degenerate(tilted)
+    assert (err.value.count, err.value.bound) == (1143326, 20)
+    parabola = PolyhedralFunction.max_affine([((j,), -j * j) for j in range(7)], 1)
+    report = construct_degenerate(parabola)
+    assert report.pairs
+    assert all(isinstance(certify(parabola, v, x), DegenerateCritical) for v, x in report.pairs)
+
+
 def test_all_constructed_pairs_certify_degenerate():
     for f in (box_indicator(2), abs_function(), box_indicator(3)):
         report = construct_degenerate(f)

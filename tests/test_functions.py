@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feasible_points_of, q, qv, rand_hpoly, rand_polyfun, rand_vec, to_frac, vec_frac
+from nondegen import geometry, simplex
 from nondegen.errors import (
     DimensionMismatchError,
     InternalError,
@@ -563,6 +564,29 @@ def test_strict_complementarity_reports_exact_gap():
     assert info.value.gap == Q(2)
 
 
+@pytest.mark.parametrize(
+    "lp, x_bar, expected",
+    [
+        (LinearProgram(qv(1, 1), box(2)), qv(1, 1), Witness(qv(1, 1, 0, 0))),
+        (LinearProgram(qv(1, 0), box(2)), qv(1, 1), None),
+        (LinearProgram(qv(2, 1), SIMPLEX_2D), qv(1, 0), Witness(qv(0, 1, 2))),
+    ],
+)
+def test_strict_complementarity_runs_one_kernel_call_at_an_optimum(monkeypatch, lp, x_bar, expected):
+    """certify's LP decides an optimal point alone: no solve_lp before it."""
+    calls = []
+    kernel = simplex.solve_standard_form
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(simplex, "solve_standard_form", recording)
+    monkeypatch.setattr(geometry, "solve_standard_form", recording)
+    assert strict_complementarity(lp, x_bar) == expected
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -609,6 +633,35 @@ def test_certificate_matches_positive_span_test(seed):
         res = certify(f, v, x)
         shifted = translate(subdifferential(f, x), v)
         assert isinstance(res, Nondegenerate) == positive_span_is_subspace(shifted)
+
+
+@given(st.integers(0, 100_000))
+@settings(deadline=None, max_examples=60)
+def test_strict_complementarity_matches_the_lp_and_the_dual_oracle(seed):
+    """At a feasible point that is not optimal: the LP's exact gap, or its
+    unboundedness; at an optimal one: a witness iff the oracle finds one."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    P = rand_hpoly(rng, dim, rng.randint(1, 5))
+    lp = LinearProgram(rand_vec(rng, dim), P)
+    res = solve_lp(lp)
+    points = feasible_points_of(PolyhedralFunction.indicator(P), rng)
+    if isinstance(res, Optimal):
+        points.append(res.x)
+    for x_bar in points:
+        if isinstance(res, Unbounded):
+            with pytest.raises(NotOptimalError, match="unbounded") as info:
+                strict_complementarity(lp, x_bar)
+            assert info.value.gap is None
+        elif res.value != dot(lp.objective, x_bar):
+            with pytest.raises(NotOptimalError, match="suboptimal") as info:
+                strict_complementarity(lp, x_bar)
+            assert info.value.gap == res.value - dot(lp.objective, x_bar)
+        else:
+            oracle = dual_witness_oracle(
+                [vec_frac(row) for row in P.A], vec_frac(P.b), vec_frac(lp.objective), vec_frac(x_bar)
+            )
+            assert (strict_complementarity(lp, x_bar) is None) == (oracle is None)
 
 
 @given(st.integers(0, 100_000))
