@@ -26,7 +26,6 @@ import io
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
-from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -88,6 +87,10 @@ class SamplerConfig:
     box_radius: Rat = ONE
 
     def __post_init__(self):
+        for name in ("seed", "bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not (8 <= self.bits <= 64):
@@ -252,9 +255,9 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
     consistent one is read as integers ``X`` over the last pivot ``d``, free
     coordinates 0 (the particular solution of ``solve_linear``).  With
     ``d > 0`` and ``gcd(d, *X) = 1`` that pair is the point's one exact form,
-    so each distinct point is tested against the domain once, as
-    ``A_i·X <= b_i·d`` in integers, and ``Fraction`` coordinates are built
-    only for the points inside.
+    so each distinct point is tested against the domain once, by
+    :meth:`~nondegen.simplex.HPolyhedron._scan`, and ``Fraction``
+    coordinates are built only for the points inside.
     """
     n = f.dim
     # a function without pieces has one term and so no ties
@@ -265,8 +268,7 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
         for tl in terms[j + 1 :]
     ]
     # tuples: _eliminate rebinds the rows it changes, so the planes stay intact
-    domain = f.domain.integer_rows
-    planes = [*domain, *ties]
+    planes = [*f.domain.integer_rows, *ties]
     inside = {}  # (d, *X) in lowest terms -> in the domain
     for size in range(n + 1):
         for subset in combinations(planes, size):
@@ -280,8 +282,7 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
             g = gcd(d, *X) if d > 0 else -gcd(d, *X)
             point = (d // g, *[x // g for x in X])
             if point not in inside:
-                den, *num = point
-                inside[point] = all(sum(map(mul, row, num)) <= row[n] * den for row in domain)
+                inside[point] = f.domain._scan(point[1:], point[0])[0] is None
     return sorted(
         tuple(Q(x, d) if x else ZERO for x in X) for (d, *X), ok in inside.items() if ok
     )

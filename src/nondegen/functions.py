@@ -117,13 +117,13 @@ class PolyhedralFunction:
 
 def evaluate(f: PolyhedralFunction, x: Vec) -> Rat | float:
     """Exact value of ``f`` at ``x``; ``math.inf`` outside the domain.  With
-    ``x = X / D``, it is ``max_j (C_j·X + E_j·D) / (L·D)`` on
-    :attr:`PolyhedralFunction.integer_terms`."""
+    ``x = X / D``, converted once for :meth:`HPolyhedron._scan` and the pieces,
+    it is ``max_j (C_j·X + E_j·D) / (L·D)`` on :attr:`PolyhedralFunction.integer_terms`."""
     if len(x) != f.dim:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
-    if f.domain.violation_index(x) is not None:
-        return math.inf
     X, D = _integer_point(x)
+    if f.domain._scan(X, D)[0] is not None:
+        return math.inf
     rows, L = f.integer_terms
     return Q(max(sum(map(mul, row, X)) + row[-1] * D for row in rows), L * D)
 
@@ -133,27 +133,18 @@ def _active_structure(f: PolyhedralFunction, x: Vec):
 
     Raises when ``x`` is outside the domain (the subdifferential is empty
     there by convention, surfaced as an error, never as an empty set), naming
-    the first violated row as :meth:`HPolyhedron.violation_index` does.
+    the first violated row.
 
-    Every test is in integers, with ``x = X / D``: one integer sum per domain
-    row of :attr:`HPolyhedron.integer_rows` decides both violation,
-    ``N_i·X > B_i·D``, and activity, equality; the active pieces are those
-    where ``C_j·X + E_j·D`` takes its maximum over the rows of
-    :attr:`PolyhedralFunction.integer_terms`.
+    With ``x = X / D``, :meth:`HPolyhedron._scan` gives the violated and the
+    active rows; the active pieces are those where ``C_j·X + E_j·D`` takes
+    its maximum over the rows of :attr:`PolyhedralFunction.integer_terms`.
     """
     if len(x) != f.dim:
         raise DimensionMismatchError("point dimension", f.dim, len(x))
     X, D = _integer_point(x)
-    active = []
-    for i, row in enumerate(f.domain.integer_rows):
-        # map stops at the end of X, so the sum leaves out the last entry
-        lhs = sum(map(mul, row, X))
-        rhs = row[-1] * D
-        if lhs > rhs:
-            raise OutsideDomainError(i)
-        if lhs == rhs:
-            active.append(i)
-    active_cons = tuple(active)
+    violated, active_cons = f.domain._scan(X, D)
+    if violated is not None:
+        raise OutsideDomainError(violated)
     values = [sum(map(mul, row, X)) + row[-1] * D for row in f.integer_terms[0]]
     top = max(values)
     active_pieces = tuple(j for j, val in enumerate(values) if val == top)

@@ -12,8 +12,9 @@ an integer numerator over an integer denominator (cross-multiplying only when
 a term's denominator differs from the running one) and normalises once, so a
 dot product pays one gcd instead of one per product and per partial sum.
 
-The exact row scans (activity and violation at a point, and the value of a
-max of affine pieces) run on integers too.  A polyhedron keeps its rows
+The exact row scans run on integers too: ``HPolyhedron._scan`` is the one
+test of a point against the domain rows (violation and activity), and a max
+of affine pieces is one integer sum per piece.  A polyhedron keeps its rows
 scaled to integers and a polyhedral function its pieces, both computed once
 and kept, and a point becomes integers over the lcm of its denominators, so
 each row test is an integer comparison and builds no ``Fraction``.
@@ -21,7 +22,8 @@ each row test is an integer comparison and builds no ``Fraction``.
 :func:`_integer_point` is the one scaling of rationals to integers outside
 the simplex kernel: :func:`_integer_rows` maps it over rows (for ``rank``,
 ``solve_linear`` and ``HPolyhedron.integer_rows``), and ``integer_terms``,
-every row scan and ``proximal._kkt_solutions`` call it directly.
+the point of each ``evaluate``, ``_active_structure`` and ``violation_index``
+call, and ``proximal._kkt_solutions`` call it directly.
 
 ``rank``, ``solve_linear`` and the candidate-point enumeration of
 :mod:`nondegen.experiments` share one fraction-free eliminator (Edmonds):
@@ -137,8 +139,12 @@ def _integer_point(values: Sequence) -> Tuple[List[int], int]:
 
 def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
     """Each row (of integers or rationals) scaled to integers by
-    :func:`_integer_point`; a row of ints is kept as it is."""
+    :func:`_integer_point`; a row of ints is kept as it is.  Rows must all
+    have the first row's width, as in :func:`mat`."""
     rows = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise DimensionMismatchError(f"matrix row {i}", len(rows[0]), len(row))
     return [row if all(type(a) is int for a in row) else _integer_point(row)[0] for row in rows]
 
 
@@ -221,7 +227,8 @@ def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None
     ``ncols`` is only needed when ``A`` has no rows (the variable count cannot
     be inferred).  For underdetermined systems the particular solution sets all
     free variables to zero and the nullspace basis has one vector per free
-    column (that column set to one).
+    column (that column set to one).  Rows of different widths raise
+    ``DimensionMismatchError``, with the widths of ``[A | b]``.
     """
     rows = [list(r) for r in A]
     rhs = list(b)

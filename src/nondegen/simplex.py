@@ -99,28 +99,37 @@ class HPolyhedron:
         """The rows ``(*N_i, B_i)``: ``(*a_i, b_i)`` scaled to integers by
         :func:`~nondegen.linalg._integer_rows`, so ``a_i·x <= b_i`` iff ``N_i·x <= B_i``.
         Kept from the first use; not a field, so ``==``, ``hash`` and
-        ``repr`` do not see it."""
+        ``repr`` do not see it.  :meth:`_scan` tests points against them."""
         return tuple(map(tuple, _integer_rows((*a, b) for a, b in zip(self.A, self.b))))
 
-    def violation_index(self, x: Vec) -> Optional[int]:
-        """Index of the first violated constraint, or None if ``x`` is feasible.
-
-        With ``x = X / D`` (:func:`~nondegen.linalg._integer_point`), row ``i``
-        is violated when ``N_i·X > B_i·D``, on :attr:`integer_rows`."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError("point dimension", self.dim, len(x))
-        X, D = _integer_point(x)
+    def _scan(self, X: Sequence[int], D: int) -> Tuple[Optional[int], Tuple[int, ...]]:
+        """(first violated row or None, tight rows) at ``x = X / D``, ``D > 0``: the
+        one test of a point against the domain rows.  On :attr:`integer_rows`, row
+        ``i`` is violated when ``N_i·X > B_i·D`` and tight on equality, in integers;
+        the scan stops at the first violated row, and then reports no tight rows."""
+        tight = []
         for i, row in enumerate(self.integer_rows):
             # map stops at the end of X, so the sum leaves out B_i
-            if sum(map(mul, row, X)) > row[-1] * D:
-                return i
-        return None
+            lhs = sum(map(mul, row, X))
+            rhs = row[-1] * D
+            if lhs > rhs:
+                return i, ()
+            if lhs == rhs:
+                tight.append(i)
+        return None, tuple(tight)
+
+    def violation_index(self, x: Vec) -> Optional[int]:
+        """Index of the first violated constraint (:meth:`_scan`), or None if
+        ``x`` is feasible."""
+        if len(x) != self.dim:
+            raise DimensionMismatchError("point dimension", self.dim, len(x))
+        return self._scan(*_integer_point(x))[0]
 
     def active_set(self, x: Vec) -> Tuple[int, ...]:
         """Indices of constraints satisfied with exact equality at ``x``.
 
         One :func:`~nondegen.linalg.dot` per row on the rationals as given,
-        independent of the integer scans that the tests check against it."""
+        independent of :meth:`_scan`, which the tests check against it."""
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension", self.dim, len(x))
         return tuple(i for i, (row, rhs) in enumerate(zip(self.A, self.b)) if dot(row, x) == rhs)

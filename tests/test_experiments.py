@@ -99,6 +99,17 @@ def test_sampler_config_validation():
         SamplerConfig(seed=0, box_radius=Q(0))
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [({"seed": 0, "bits": 8.5}, "bits"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed")],
+)
+def test_sampler_config_refuses_a_seed_or_bits_that_is_not_an_int(kwargs, field):
+    """A float would fail later in ``sample_objective`` and a bool would
+    sample as 0 or 1; both are refused up front, naming the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        SamplerConfig(**kwargs)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_polytope_needs_more_normals_than_dimensions(n):
     """Fewer than ``n + 1`` normals never positively span R^n, so they are

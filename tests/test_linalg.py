@@ -111,6 +111,27 @@ def test_rank_examples():
     assert rank([]) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_linear([[1, 0], [0, 1, 7]], [1, 2]),
+        lambda: solve_linear([[1], [1, 5]], [1, 2]),
+        lambda: solve_linear([[1, 2], [1]], [1, 1]),
+        lambda: rank([[1], [0, 1]]),
+        lambda: rank([[1, 0], [0, 1, 1]]),
+        lambda: rank([[1, 2], [1]]),
+        lambda: rank([[Q(1, 2)], [Q(1), Q(3)]]),
+    ],
+    ids=["solve-longer", "solve-short-first", "solve-shorter", "rank-short-first", "rank-longer",
+         "rank-shorter", "rank-rational"],
+)
+def test_ragged_rows_raise_dimension_mismatch(call):
+    """Every row must have the first row's width, as ``mat`` requires;
+    otherwise a wrong answer or an ``IndexError`` could come back."""
+    with pytest.raises(DimensionMismatchError, match="matrix row 1"):
+        call()
+
+
 def mat_vec(A, x):
     return tuple(dot(row, x) for row in A)
 
