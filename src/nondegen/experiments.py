@@ -80,6 +80,15 @@ class SplitMix64:
         return (z ^ (z >> 31)) & MASK64
 
 
+def _require_exact(name: str, value, fraction_ok: bool = False) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an ``int`` (or, with
+    ``fraction_ok``, a ``Fraction``): a ``bool`` would count as 0 or 1, and a
+    float is not exact."""
+    if isinstance(value, bool) or not isinstance(value, (int, Q) if fraction_ok else int):
+        what = "an int or a Fraction" if fraction_ok else "an int"
+        raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int
@@ -87,10 +96,9 @@ class SamplerConfig:
     box_radius: Rat = ONE
 
     def __post_init__(self):
-        for name in ("seed", "bits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+        _require_exact("seed", self.seed)
+        _require_exact("bits", self.bits)
+        _require_exact("box_radius", self.box_radius, fraction_ok=True)
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not (8 <= self.bits <= 64):
@@ -186,9 +194,15 @@ def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
     )
 
 
-def run_genericity(f: PolyhedralFunction, cfg: SamplerConfig, trials: int) -> ExperimentReport:
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count that is not a nonnegative ``int``."""
+    _require_exact("trials", trials)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+
+
+def run_genericity(f: PolyhedralFunction, cfg: SamplerConfig, trials: int) -> ExperimentReport:
+    _check_trials(trials)
     return merge_trials(
         (genericity_trial(f, cfg, i) for i in range(trials)), cfg.seed
     )
@@ -384,8 +398,7 @@ def run_larman(
     ``forced`` directions are evaluated and reported separately; they never
     contribute to the sampled tallies.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    _check_trials(trials)
     distinct_vertices = set(F.vertices)
     if len(distinct_vertices) < 2:
         raise DegeneratePolytopeError("fewer than 2 distinct vertices")

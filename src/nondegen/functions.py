@@ -324,21 +324,23 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``, so its signs are the
     verdict (Rockafellar, Thm 6.9): all positive is Nondegenerate, a zero is
     DegenerateCritical, a negative is NotCritical.  ``z`` must rebuild ``w``
-    exactly before any verdict is returned; a failed check raises
-    ``InternalError``.  The check holds for any given ``z``, but the verdict
-    counts only when the lifted generators are independent.
+    exactly before any verdict is returned: it is checked against each row of
+    that one lifted system, which the solve uses too, and a failed check
+    raises ``InternalError``.  The check holds for any given ``z``, but the
+    verdict counts only when the lifted generators are independent.
     """
     points, rays, active_pieces, active_cons = active
+    M, rhs = _lifted(points, rays, w)
     if z is None:
-        sol = solve_linear(*_lifted(points, rays, w))
+        sol = solve_linear(M, rhs)
         if isinstance(sol, Inconsistent):
             return NOT_CRITICAL
         if isinstance(sol, Underdetermined):
             return None
         z = sol.x
-    k = len(points)
-    if sum(z[:k]) != ONE or any(dot(z, column) != wd for column, wd in zip(zip(*points, *rays), w)):
+    if any(dot(row, z) != r for row, r in zip(M, rhs)):
         raise InternalError("multipliers do not rebuild the query")
+    k = len(points)
     if any(c < 0 for c in z):
         return NOT_CRITICAL
     if not all(z):

@@ -122,8 +122,8 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     Every scaling to integers is one :func:`~nondegen.linalg._integer_point`:
     of the Gram matrix and the right-hand sides ``t`` together (one common
     factor per call, which keeps every system's solutions), of the
-    generators and of ``rhs_vec`` (for the integer sums that build ``x``),
-    and of each support's multipliers ``z = Z / D``.
+    generators and ``rhs_vec`` together (for the integer sums that build
+    ``x``), and of each support's multipliers ``z = Z / D``.
 
     Yields (x, mu, lam, J, I) for every uniquely solvable system.  Supports
     exceeding the Carathéodory cap or yielding singular systems cannot hide a
@@ -141,13 +141,12 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     t = [dot(g, rhs_vec) + off for g, off in zip(gens, offset)]
     flat, _ = _integer_point([dot(g, h) for g in gens for h in gens] + t)
     gram, t = [flat[i * nk : i * nk + nk] for i in range(nk)], flat[nk * nk :]
-    # with generator g as G_g / gscale, rhs_vec R / rscale and z = Z / D, x_d is
-    # (R[d] gscale D - rscale sum_g Z_g G_g[d]) / (rscale gscale D x_coef)
-    G, gscale = _integer_point([q for g in gens for q in g])
-    R, rscale = _integer_point(rhs_vec)
-    gen_num = [[a * rscale for a in G[i * n : i * n + n]] for i in range(nk)]
-    rhs_num = [a * gscale for a in R]
-    x_den = rscale * gscale * x_coef.numerator
+    # with generator g as G_g / hscale, rhs_vec as R / hscale and z = Z / D, x_d
+    # is (R[d] D - sum_g Z_g G_g[d]) / (hscale D x_coef)
+    H, hscale = _integer_point([q for g in gens for q in g] + list(rhs_vec))
+    gen_num = [H[i * n : i * n + n] for i in range(nk)]
+    rhs_num = H[nk * n :]
+    x_den = hscale * x_coef.numerator
     for jsize in range(1, min(k, n + 1) + 1):
         for J in combinations(range(k), jsize):
             j0 = J[0]

@@ -12,9 +12,10 @@ answer.  It is verified once, in the kernel below: :func:`solve_lp` splits
 free variables and adds slacks, so each H-form identity of its answer is one
 of the standard-form identities the kernel has checked (see :func:`solve_lp`).
 
-Pivoting uses Bland's rule (lowest eligible column enters; ties in the ratio
-test break toward the lowest basic column), which guarantees termination and
-makes every outcome a deterministic function of the input.
+Pivoting uses Bland's rule (the lowest column with a positive reduced cost
+enters, among the program's own: artificials start basic and are not needed
+once they leave; ratio ties go to the lowest basic column), which guarantees
+termination and makes every outcome a deterministic function of the input.
 
 Internally everything reduces to a dense-tableau kernel for the standard form
 
@@ -251,15 +252,12 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
 
     need_art = [i for i in range(nrows) if basis[i] == -1]
     total_cols = ncols + len(need_art)
-    art_cols = list(range(ncols, total_cols))
     if need_art:
         for row in tab:
             row[-1:-1] = [0] * len(need_art)
-        for col, i in zip(art_cols, need_art):
+        for col, i in enumerate(need_art, ncols):
             tab[i][col] = 1
             basis[i] = unit_col[i] = col
-    art_set = set(art_cols)
-    enterable = [True] * total_cols
     d = 1  # the shared determinant: the rational tableau is tab / d
 
     def pivot(pr: int, pc: int) -> None:
@@ -285,7 +283,7 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         tab.append(objrow)
         while True:
             objrow = tab[m]
-            pc = next((j for j in range(total_cols) if enterable[j] and objrow[j] > 0), -1)
+            pc = next((j for j in range(ncols) if objrow[j] > 0), -1)
             if pc < 0:
                 break
             # Ratio test by cross-multiplication; ties go to the lowest
@@ -301,14 +299,11 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
                         best, best_a, best_b = i, a, b
             if best < 0:
                 break
-            leaving = basis[best]
             pivot(best, pc)
-            if leaving in art_set:
-                enterable[leaving] = False
         return tab.pop(), pc
 
-    if art_cols:
-        phase1 = [0] * ncols + [-1] * len(art_cols)
+    if need_art:
+        phase1 = [0] * ncols + [-1] * len(need_art)
         objrow, pc = run(phase1)
         if pc >= 0:
             raise InternalError("phase-1 objective is bounded above by zero")
@@ -323,7 +318,7 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         # row that has become identically zero (a redundant equality).
         to_drop = []
         for i in range(len(tab)):
-            if basis[i] in art_set:
+            if basis[i] >= ncols:
                 pc = next((j for j in range(ncols) if tab[i][j]), -1)
                 if pc < 0:
                     if tab[i][-1] != 0:
@@ -333,8 +328,6 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
                     pivot(i, pc)
         for i in reversed(to_drop):
             del tab[i], basis[i], unit_col[i], row_ids[i]
-        for c in art_cols:
-            enterable[c] = False
 
     costs2 = [k * c.numerator * (tau // c.denominator) for k, c in zip(kappa, qobj)]
     costs2 += [0] * (total_cols - ncols)

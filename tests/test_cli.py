@@ -85,6 +85,15 @@ def test_minimize_box_edge_tilt(prob, capsys):
     assert out == "MINIMIZER at (1, 1); value -1\n"
 
 
+def test_certify_witness_of_a_function_with_pieces(prob, capsys):
+    """The witness lists the piece weights before the (here no) constraint
+    multipliers; a ``rho`` line does not change certify's output."""
+    for text in (ABS, ABS_RHO):
+        code, out, _ = run(capsys, "certify", prob("abs.prob", text), "--v", "1/2")
+        assert code == 0
+        assert out == "NONDEGENERATE at (0); witness 3/4,1/4\n"
+
+
 def test_minimize_negative_tilt_both_flag_forms(prob, capsys):
     path = prob("box.prob", BOX)
     code1, out1, _ = run(capsys, "minimize", path, "--v", "-1,-1")
@@ -418,6 +427,46 @@ def test_genericity_text_summary(prob, capsys):
     assert lines[3] == "non_unique 0"
     assert lines[4] == "unbounded 0"
     assert lines[5] == "seed 42"
+
+
+def test_genericity_csv_leaves_the_cells_of_an_unbounded_trial_empty(prob, capsys):
+    """|x| tilted by |v| > 1 has no minimizer: the row names the outcome and
+    leaves the minimizer and witness cells empty."""
+    code, out, _ = run(
+        capsys, "genericity", prob("abs.prob", ABS), "--trials", "6", "--seed", "42",
+        "--bits", "8", "--radius", "100", "--format", "csv",
+    )
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[1] == "0,525/128,unbounded,,"
+    assert rows[3] == "2,-1375/448,unbounded,,"
+    assert rows[5] == "4,-275/64,unbounded,,"
+
+
+def test_genericity_text_lists_a_non_unique_hit(prob, capsys):
+    """At 8 bits trial 177 samples v = (0, 7/960), which exposes an edge of
+    the box: the summary counts it and its hit line names it."""
+    code, out, _ = run(
+        capsys, "genericity", prob("box.prob", BOX), "--trials", "178", "--seed", "42",
+        "--bits", "8",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3] == "non_unique 1"
+    assert lines[-1] == "hit trial=177 outcome=non_unique v=0;7/960"
+
+
+def test_larman_text_lists_a_multi_vertex_hit(prob, capsys):
+    """The same stream gives c = (0, 7/960) on the square, which exposes an
+    edge: it is counted and listed as a hit."""
+    code, out, _ = run(
+        capsys, "larman", "--vertices", prob("square.prob", SQUARE), "--trials", "178",
+        "--seed", "42", "--bits", "8",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "multi_vertex_faces 1"
+    assert lines[-1] == "hit trial=177 c=0;7/960"
 
 
 def test_larman_output_matches_library(prob, capsys):

@@ -110,6 +110,27 @@ def test_sampler_config_refuses_a_seed_or_bits_that_is_not_an_int(kwargs, field)
         SamplerConfig(**kwargs)
 
 
+@pytest.mark.parametrize("radius", [True, "1", float("inf"), 0.1])
+def test_sampler_config_refuses_a_radius_that_is_not_exact(radius):
+    """``True`` would sample with radius 1, a float is not exact (0.1 is the
+    double nearest to it, inf overflows at the first sample) and a string
+    fails at the comparison with 0; each is refused, naming the field."""
+    with pytest.raises(ValueError, match="^box_radius must be an int or a Fraction"):
+        SamplerConfig(seed=1, box_radius=radius)
+
+
+@pytest.mark.parametrize("trials", [True, 2.0])
+@pytest.mark.parametrize("run", ["genericity", "larman"])
+def test_trial_counts_that_are_not_ints_are_refused(run, trials):
+    """``True`` would run one trial (and larman would report ``trials=True``)
+    and ``2.0`` fails in ``range``; both are refused, naming the field."""
+    with pytest.raises(ValueError, match="^trials must be an int"):
+        if run == "genericity":
+            run_genericity(box_indicator(2), SamplerConfig(seed=1), trials)
+        else:
+            run_larman(square_vertices(), SamplerConfig(seed=1), trials)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_polytope_needs_more_normals_than_dimensions(n):
     """Fewer than ``n + 1`` normals never positively span R^n, so they are

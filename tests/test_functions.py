@@ -712,6 +712,14 @@ def test_univariate_minimization_matches_breakpoint_scan(seed):
         assert evaluate(f, res.x) - dot(v, res.x) == res.value
 
 
+def test_canonical_minimizer_keeps_an_unbounded_coordinate_from_the_last_optimal_step():
+    """The argmin of max(x_1, -x_1) on x_2 >= -5 is the half-line x_1 = 0,
+    x_2 >= -5: maximizing x_1 is Optimal, maximizing x_2 is Unbounded, so
+    x_2 is kept from the point of the first refinement, as documented."""
+    f = PolyhedralFunction.build([((1, 0), 0), ((-1, 0), 0)], [[0, -1]], [5], 2)
+    assert canonical_minimizer(f, qv(0, 0)) == Minimizer(qv(0, -5), q(0))
+
+
 @given(st.integers(0, 100_000))
 @settings(deadline=None, max_examples=40)
 def test_canonical_minimizer_is_lex_greatest_and_order_independent(seed):
