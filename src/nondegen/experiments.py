@@ -55,8 +55,10 @@ from .linalg import (
     Rat,
     Vec,
     _eliminate,
+    _exact,
     format_rational,
     rank,
+    vec,
 )
 from .proximal import _check_bound, _raise_if_infeasible
 from .simplex import Infeasible, Unbounded
@@ -80,15 +82,6 @@ class SplitMix64:
         return (z ^ (z >> 31)) & MASK64
 
 
-def _require_exact(name: str, value, fraction_ok: bool = False) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an ``int`` (or, with
-    ``fraction_ok``, a ``Fraction``): a ``bool`` would count as 0 or 1, and a
-    float is not exact."""
-    if isinstance(value, bool) or not isinstance(value, (int, Q) if fraction_ok else int):
-        what = "an int or a Fraction" if fraction_ok else "an int"
-        raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int
@@ -96,9 +89,9 @@ class SamplerConfig:
     box_radius: Rat = ONE
 
     def __post_init__(self):
-        _require_exact("seed", self.seed)
-        _require_exact("bits", self.bits)
-        _require_exact("box_radius", self.box_radius, fraction_ok=True)
+        _exact(self.seed, "seed", fraction_ok=False)
+        _exact(self.bits, "bits", fraction_ok=False)
+        _exact(self.box_radius, "box_radius")
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not (8 <= self.bits <= 64):
@@ -112,7 +105,7 @@ def _stream_vector(stream: SplitMix64, cfg: SamplerConfig, dim: int) -> Vec:
     a positive bits-wide denominator, scaled into [-box_radius, box_radius]."""
     mask = (1 << cfg.bits) - 1
     half = 1 << (cfg.bits - 1)
-    r = Q(cfg.box_radius)
+    r = cfg.box_radius
     coords = []
     for _ in range(dim):
         num = (stream.next_u64() & mask) - half
@@ -122,7 +115,10 @@ def _stream_vector(stream: SplitMix64, cfg: SamplerConfig, dim: int) -> Vec:
 
 
 def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
-    """Deterministic tilt vector for (seed, trial_index); stream = seed XOR trial."""
+    """Deterministic tilt vector for (seed, trial_index); stream = seed XOR trial.
+    A ``trial_index`` that is not a nonnegative ``int`` raises ``ValueError``."""
+    if _exact(trial_index, "trial_index", fraction_ok=False) < 0:
+        raise ValueError("trial_index must be nonnegative")
     stream = SplitMix64(cfg.seed ^ trial_index)
     return _stream_vector(stream, cfg, dim)
 
@@ -196,7 +192,7 @@ def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
 
 def _check_trials(trials: int) -> None:
     """Refuse a trial count that is not a nonnegative ``int``."""
-    _require_exact("trials", trials)
+    _exact(trials, "trials", fraction_ok=False)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
 
@@ -414,7 +410,8 @@ def run_larman(
         if rec.distinct_vertices > 1:
             multi += 1
     forced_records = tuple(
-        _larman_trial(F, tuple(Q(x) for x in c), f"F{k}") for k, c in enumerate(forced)
+        _larman_trial(F, vec(c, what=f"forced direction {k}"), f"F{k}")
+        for k, c in enumerate(forced)
     )
     return LarmanReport(
         trials=trials,

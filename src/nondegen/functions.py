@@ -47,6 +47,7 @@ from .linalg import (
     ZERO,
     Inconsistent,
     Underdetermined,
+    _exact,
     _integer_point,
     dot,
     mat,
@@ -102,9 +103,12 @@ class PolyhedralFunction:
 
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
-        ps = tuple((vec(c), Q(d)) for c, d in pieces)
-        domain = HPolyhedron(mat(constraint_rows), vec(constraint_rhs), dim)
-        return cls(ps, domain, dim)
+        ps = tuple(
+            (vec(c, what=f"piece {j} gradient"), Q(_exact(d, f"piece {j} offset")))
+            for j, (c, d) in enumerate(pieces)
+        )
+        A, b = mat(constraint_rows), vec(constraint_rhs, what="right-hand side")
+        return cls(ps, HPolyhedron(A, b, dim), dim)
 
     @classmethod
     def indicator(cls, P: HPolyhedron) -> "PolyhedralFunction":
@@ -119,8 +123,7 @@ def evaluate(f: PolyhedralFunction, x: Vec) -> Rat | float:
     """Exact value of ``f`` at ``x``; ``math.inf`` outside the domain.  With
     ``x = X / D``, converted once for :meth:`HPolyhedron._scan` and the pieces,
     it is ``max_j (C_j·X + E_j·D) / (L·D)`` on :attr:`PolyhedralFunction.integer_terms`."""
-    if len(x) != f.dim:
-        raise DimensionMismatchError("point dimension", f.dim, len(x))
+    x = vec(x, f.dim, "point dimension")
     X, D = _integer_point(x)
     if f.domain._scan(X, D)[0] is not None:
         return math.inf
@@ -157,7 +160,7 @@ def _active_structure(f: PolyhedralFunction, x: Vec):
 def subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratedSet:
     """The convex subdifferential at a domain point: convex hull of active
     piece gradients plus the cone of active constraint normals."""
-    points, rays, _, _ = _active_structure(f, x)
+    points, rays, _, _ = _active_structure(f, vec(x, f.dim, "point dimension"))
     return GeneratedSet(points, rays, f.dim)
 
 
@@ -182,15 +185,13 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     slack ``t`` could be lowered to beat the optimal value.  The rows are
     tuples of ``f``'s own rationals, not re-wrapped: the kernel converts its
     inputs once; only the caller's tilt goes through ``vec``."""
-    if len(v) != f.dim:
-        raise DimensionMismatchError("tilt dimension", f.dim, len(v))
+    v = vec(v, f.dim, "tilt dimension")
     n = f.dim
     terms = f.terms
     rows = tuple((*c, -ONE) for c, _ in terms) + tuple((*a, ZERO) for a in f.domain.A)
     rhs = tuple(-d for _, d in terms) + tuple(f.domain.b)
     P = HPolyhedron(rows, rhs, n + 1)
-    objective = vec((*v, -ONE))
-    res = solve_lp(LinearProgram(objective, P))
+    res = solve_lp(LinearProgram((*v, -ONE), P))
     if isinstance(res, Optimal):
         x = res.x[:n]
         return Minimizer(x, res.x[n] - dot(v, x))
@@ -205,6 +206,8 @@ def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:
         {x : A x <= b,  <c_j - v, x> <= value - d_j for every term j},
 
     with the domain rows first, then one row per term in order."""
+    v = vec(v, f.dim, "tilt dimension")
+    value = _exact(value, "value")
     terms = f.terms
     rows = list(f.domain.A) + [vsub(c, v) for c, _ in terms]
     rhs = list(f.domain.b) + [value - d for _, d in terms]
@@ -283,8 +286,8 @@ CertificationResult = NotCritical | DegenerateCritical | Nondegenerate
 
 def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
     """Trichotomy of ``v`` against the subdifferential at ``x_bar``."""
-    if len(v) != f.dim:
-        raise DimensionMismatchError("direction dimension", f.dim, len(v))
+    v = vec(v, f.dim, "direction dimension")
+    x_bar = vec(x_bar, f.dim, "point dimension")
     points, rays, active_pieces, active_cons = _active_structure(f, x_bar)
     S = GeneratedSet(points, rays, f.dim)
     status = ri_membership(S, v)

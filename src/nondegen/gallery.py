@@ -5,7 +5,9 @@ dimensions (deliberately degenerate), the absolute value, and seeded random
 polytopes in both H- and V-representation.  Random constructions resample
 deterministically from a single stream until the stated shape properties
 (nonempty, bounded, enough distinct vertices) hold exactly, so a given seed
-always names the same instance.
+always names the same instance.  Every size (``n``, ``m``, ``k``) must be an
+``int`` of at least 1, as a problem file's ``dim`` must; anything else
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,14 +18,22 @@ from .errors import InternalError
 from .experiments import SamplerConfig, SplitMix64, _stream_vector
 from .functions import PolyhedralFunction
 from .geometry import GeneratedSet, VPolytope, positive_span_is_subspace
-from .linalg import ONE, Q, Rat, Vec, ZERO, rank, vsub
+from .linalg import ONE, Q, Rat, Vec, ZERO, _exact, rank, vsub
 from .simplex import HPolyhedron, LinearProgram, Optimal, solve_lp
+
+
+def _size(value, name: str) -> int:
+    """``value`` when it is an ``int`` of at least 1, else ``ValueError``."""
+    if _exact(value, name, fraction_ok=False) < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
 
 
 def box(n: int, radius: Rat = ONE) -> HPolyhedron:
     """The box ``[-radius, radius]^n``: rows x_k <= r, then -x_k <= r."""
+    n = _size(n, "n")
     rows = []
-    r = Q(radius)
+    r = Q(_exact(radius, "radius"))
     for sign in (ONE, -ONE):
         for k in range(n):
             row = [ZERO] * n
@@ -38,6 +48,7 @@ def box_indicator(n: int, radius: Rat = ONE) -> PolyhedralFunction:
 
 def standard_simplex(n: int = 3) -> HPolyhedron:
     """{x : x_k >= 0, sum x <= 1}."""
+    n = _size(n, "n")
     rows = []
     for k in range(n):
         row = [ZERO] * n
@@ -88,10 +99,10 @@ def random_polytope(seed: int, n: int = 3, m: int = 8) -> HPolyhedron:
     Fewer than ``n + 1`` normals never do, so ``m <= n`` raises
     ``ValueError``.
     """
-    if m <= n:
+    if _exact(m, "m", fraction_ok=False) <= _size(n, "n"):
         raise ValueError(f"{m} facet normals cannot positively span R^{n}; need at least {n + 1}")
-    stream = SplitMix64(seed)
     cfg = SamplerConfig(seed=seed, bits=16)
+    stream = SplitMix64(seed)
     for _ in range(1000):
         rows: List[Vec] = []
         rhs: List[Rat] = []
@@ -118,8 +129,9 @@ def cube_vertices() -> VPolytope:
 
 def random_vpolytope(seed: int, n: int = 3, k: int = 10) -> VPolytope:
     """``k`` random points in [-1, 1]^n (resampled until all distinct)."""
-    stream = SplitMix64(seed)
+    n, k = _size(n, "n"), _size(k, "k")
     cfg = SamplerConfig(seed=seed, bits=32)
+    stream = SplitMix64(seed)
     for _ in range(1000):
         pts = tuple(_stream_vector(stream, cfg, n) for _ in range(k))
         if len(set(pts)) == k:

@@ -29,7 +29,7 @@ from .errors import (
     EmptyGeneratedSetError,
     InternalError,
 )
-from .linalg import Mat, ONE, Rat, Vec, ZERO, dot, mat, rank, vsub
+from .linalg import Mat, ONE, Rat, Vec, ZERO, dot, mat, rank, vec, vsub
 from .simplex import (
     KernelInfeasible,
     KernelOptimal,
@@ -145,8 +145,7 @@ def _in_set(points: Mat, rays: Mat, y: Vec) -> bool:
 
 def member(S: GeneratedSet, y: Vec) -> bool:
     """Exact test ``y in conv(points) + cone(rays)`` by phase-one simplex."""
-    if len(y) != S.dim:
-        raise DimensionMismatchError("query dimension", S.dim, len(y))
+    y = vec(y, S.dim, "query dimension")
     if S.is_empty:
         return False
     return _in_set(S.points, S.rays, y)
@@ -221,8 +220,7 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
     ``lam = t + f`` is positive, and it checks the first ``dim`` rows,
     ``sum e_j p_j + sum f_i r_i + t (sum p_j + sum r_i) = y``, which is
     ``sum mu_j p_j + sum lam_i r_i = y`` regrouped."""
-    if len(y) != S.dim:
-        raise DimensionMismatchError("query dimension", S.dim, len(y))
+    y = vec(y, S.dim, "query dimension")
     if S.is_empty:
         raise EmptyGeneratedSetError()
     k, l = len(S.points), len(S.rays)
@@ -265,8 +263,7 @@ def positive_span_is_subspace(S: GeneratedSet) -> bool:
 
 def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:
     """The set ``S - v`` (points shifted, rays unchanged)."""
-    if len(v) != S.dim:
-        raise DimensionMismatchError("translation dimension", S.dim, len(v))
+    v = vec(v, S.dim, "translation dimension")
     return GeneratedSet(tuple(vsub(p, v) for p in S.points), S.rays, S.dim)
 
 
@@ -278,8 +275,7 @@ def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:
 def exposed_face(F: VPolytope, c: Vec) -> Tuple[int, ...]:
     """Indices of the stored vertices attaining ``max <c, x>`` (all of them
     when ``c = 0``)."""
-    if len(c) != F.dim:
-        raise DimensionMismatchError("direction dimension", F.dim, len(c))
+    c = vec(c, F.dim, "direction dimension")
     values = [dot(c, v) for v in F.vertices]
     best = max(values)
     return tuple(i for i, val in enumerate(values) if val == best)

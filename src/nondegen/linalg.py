@@ -7,6 +7,17 @@ denominator, so canonical form is maintained by construction.  Vectors are
 plain tuples of scalars and matrices are tuples of row tuples; all public
 operations are pure functions.
 
+Whether a caller's number may enter is decided in one place, and that is
+where "no floats" is enforced: :func:`_exact` accepts an ``int`` (not a
+``bool``) or a ``Fraction`` and refuses anything else (a float, a ``bool``,
+a ``Decimal``, ``None``, a string) with a ``ValueError`` naming the field,
+and :func:`vec` passes every entry of a caller's vector through it and
+checks the length.  Strings are refused: a token is read by
+:func:`parse_rational`, as in problem files and flags.  The entry points
+(``evaluate``, ``certify``, ``prox``, ``member`` and the rest) take their
+vectors through ``vec``; the internal hot paths and a dataclass built
+directly take what they are given.
+
 :func:`dot` builds no ``Fraction`` per term: it sums the nonzero products as
 an integer numerator over an integer denominator (cross-multiplying only when
 a term's denominator differs from the running one) and normalises once, so a
@@ -89,18 +100,31 @@ def format_rational(x) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def vec(values: Iterable) -> Vec:
-    return tuple(Q(v) for v in values)
+def _exact(value, name: str, fraction_ok: bool = True):
+    """``value`` if it is an ``int`` (not a ``bool``) or, with ``fraction_ok``, a ``Fraction``."""
+    if isinstance(value, bool) or not isinstance(value, (int, Q) if fraction_ok else int):
+        what = "an int or a Fraction" if fraction_ok else "an int"
+        raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
+    """A caller's vector: a ``Fraction`` entry kept, an ``int`` one made ``Q(int)``, any
+    other refused by :func:`_exact` as ``"<what> entry i"`` (less a trailing ``" dimension"``);
+    with ``dim``, another length raises ``DimensionMismatchError(what, dim, len)``."""
+    out = tuple(values)
+    if dim is not None and len(out) != dim:
+        raise DimensionMismatchError(what, dim, len(out))
+    if all(type(a) is Q for a in out):
+        return out
+    name = what.removesuffix(" dimension") or "vector"
+    return tuple(a if isinstance(a, Q) else Q(_exact(a, f"{name} entry {i}")) for i, a in enumerate(out))
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(vec(r) for r in rows)
-    if out:
-        width = len(out[0])
-        for i, row in enumerate(out):
-            if len(row) != width:
-                raise DimensionMismatchError(f"matrix row {i}", width, len(row))
-    return out
+    """Rows through :func:`vec`, each of the first row's width."""
+    rows = [tuple(r) for r in rows]
+    return tuple(vec(r, len(rows[0]), f"matrix row {i}") for i, r in enumerate(rows))
 
 
 def zeros(n: int) -> Vec:

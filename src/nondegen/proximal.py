@@ -47,7 +47,8 @@ from .functions import (
     certify,
 )
 from .linalg import (
-    ONE, Q, Rat, Vec, ZERO, UniqueSolution, _integer_point, _parse_integer, dot, solve_linear
+    ONE, Q, Rat, Vec, ZERO, UniqueSolution, _exact, _integer_point, _parse_integer, dot,
+    solve_linear, vec,
 )
 from .simplex import Infeasible, feasible_point
 
@@ -82,7 +83,7 @@ class LowerC2Instance:
     rho: Rat
 
     def __post_init__(self):
-        if not self.rho > 0:
+        if not _exact(self.rho, "rho") > 0:
             raise ValueError("rho must be positive")
 
 
@@ -215,7 +216,7 @@ def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec
     point of :func:`_stationary_points` with ``x_coef = 1``.  No LP runs
     unless there is none, to raise ``InfeasibleDomainError``."""
     _check_bound(f, enum_bound)
-    accepted = _stationary_points(f, ONE, c)
+    accepted = _stationary_points(f, ONE, vec(c, f.dim, "center dimension"))
     if not accepted:
         _raise_if_infeasible(f)
         raise InternalError("no KKT candidate passed the sign checks")
@@ -256,7 +257,7 @@ def find_critical_points(
     """
     g = inst.g
     _check_bound(g, enum_bound)
-    points = _stationary_points(g, -inst.rho, v)
+    points = _stationary_points(g, -inst.rho, vec(v, g.dim, "tilt dimension"))
     verdicts = {x: verdict or certify(g, w, x) for x, (w, verdict) in points.items()}
     if NOT_CRITICAL in verdicts.values():
         raise InternalError("a stationary point was certified not critical")

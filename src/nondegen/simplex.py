@@ -81,7 +81,7 @@ class HPolyhedron:
     @classmethod
     def from_rows(cls, rows, rhs, dim: Optional[int] = None) -> "HPolyhedron":
         A = mat(rows)
-        b = vec(rhs)
+        b = vec(rhs, what="right-hand side")
         if dim is None:
             if not A:
                 raise DimensionMismatchError("dim for empty constraint list", "an integer", None)
@@ -122,9 +122,7 @@ class HPolyhedron:
     def violation_index(self, x: Vec) -> Optional[int]:
         """Index of the first violated constraint (:meth:`_scan`), or None if
         ``x`` is feasible."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError("point dimension", self.dim, len(x))
-        return self._scan(*_integer_point(x))[0]
+        return self._scan(*_integer_point(vec(x, self.dim, "point dimension")))[0]
 
     def active_set(self, x: Vec) -> Tuple[int, ...]:
         """Indices of constraints satisfied with exact equality at ``x``.

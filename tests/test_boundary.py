@@ -1,0 +1,150 @@
+"""A caller's numbers enter through one boundary, ``linalg.vec`` and
+``linalg._exact``: an ``int`` or a ``Fraction`` is taken, anything else is a
+``ValueError`` naming the field, never a bare ``AttributeError`` or
+``TypeError`` further in.  Also: the README's library block runs as written."""
+
+import re
+from decimal import Decimal
+from pathlib import Path
+
+import pytest
+
+from nondegen.errors import DimensionMismatchError
+from nondegen.experiments import SamplerConfig, run_larman, sample_objective
+from nondegen.functions import (
+    Minimizer,
+    Nondegenerate,
+    PolyhedralFunction,
+    argmin_face,
+    certify,
+    evaluate,
+    minimize_perturbed,
+    subdifferential,
+)
+from nondegen.gallery import (
+    abs_function,
+    box,
+    box_indicator,
+    point_indicator,
+    random_polytope,
+    random_vpolytope,
+    simplex_indicator,
+    square_vertices,
+    standard_simplex,
+)
+from nondegen.geometry import GeneratedSet, exposed_face, member, ri_membership, translate
+from nondegen.linalg import ONE, ZERO, mat, vec
+from nondegen.proximal import LowerC2Instance, find_critical_points, minty_transport, prox
+from nondegen.simplex import HPolyhedron
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+F = box_indicator(2)
+S = GeneratedSet(((ONE, ZERO),), (), 2)
+INST = LowerC2Instance(F, ONE)
+CFG = SamplerConfig(seed=1)
+
+
+def _inexact(field, kind="float", exact="an int or a Fraction"):
+    return f"^{re.escape(field)} must be {exact}, not {kind}$"
+
+
+REFUSALS = {
+    # the rule itself, through vec and mat
+    "vec-float": (lambda: vec((ONE, 0.1)), _inexact("vector entry 1")),
+    "vec-bool": (lambda: vec((True,)), _inexact("vector entry 0", "bool")),
+    "vec-str": (lambda: vec(("1/2",)), _inexact("vector entry 0", "str")),
+    "vec-decimal": (lambda: vec((Decimal("0.1"),)), _inexact("vector entry 0", "Decimal")),
+    "vec-none": (lambda: vec((None,)), _inexact("vector entry 0", "NoneType")),
+    "vec-length": (lambda: vec((1, 2), 3, "point dimension"), DimensionMismatchError),
+    "mat-float": (lambda: mat([(1, 0.5)]), _inexact("matrix row 0 entry 1")),
+    "from_rows-float": (
+        lambda: HPolyhedron.from_rows([(1, 0.5)], [1]), _inexact("matrix row 0 entry 1")
+    ),
+    # the silent readings
+    "build-offset": (
+        lambda: PolyhedralFunction.build([((1,), 0.5)], [], [], 1), _inexact("piece 0 offset")
+    ),
+    "build-gradient": (
+        lambda: PolyhedralFunction.build([(("1/2",), 0)], [], [], 1),
+        _inexact("piece 0 gradient entry 0", "str"),
+    ),
+    "build-rhs": (
+        lambda: PolyhedralFunction.build([], [(1,)], [0.5], 1), _inexact("right-hand side entry 0")
+    ),
+    "box-radius-float": (lambda: box(2, 0.5), _inexact("radius")),
+    "box-radius-str": (lambda: box(2, "1"), _inexact("radius", "str")),
+    "forced-direction": (
+        lambda: run_larman(square_vertices(), CFG, 0, forced=[(0.1, 1)]),
+        _inexact("forced direction 0 entry 0"),
+    ),
+    "rho-float": (lambda: LowerC2Instance(abs_function(), 0.5), _inexact("rho")),
+    "rho-bool": (lambda: LowerC2Instance(abs_function(), True), _inexact("rho", "bool")),
+    # the eight entry points that checked only the length
+    "evaluate": (lambda: evaluate(F, (0.5, 0)), _inexact("point entry 0")),
+    "minimize_perturbed": (lambda: minimize_perturbed(F, (0.5, 0)), _inexact("tilt entry 0")),
+    "minimize_perturbed-bool": (
+        lambda: minimize_perturbed(F, (True, 0)), _inexact("tilt entry 0", "bool")
+    ),
+    "certify": (lambda: certify(F, (0.5, 0), (ONE, ONE)), _inexact("direction entry 0")),
+    "member": (lambda: member(S, (0.5, 0)), _inexact("query entry 0")),
+    "ri_membership": (lambda: ri_membership(S, (0.5, 0)), _inexact("query entry 0")),
+    "translate": (lambda: translate(S, (0.5, 0)), _inexact("translation entry 0")),
+    "exposed_face": (lambda: exposed_face(square_vertices(), (0.5, 1)), _inexact("direction entry 0")),
+    "violation_index": (lambda: box(2).violation_index((0.5, 0)), _inexact("point entry 0")),
+    # the entry points that had no check
+    "subdifferential": (lambda: subdifferential(F, (0.5, 0)), _inexact("point entry 0")),
+    "argmin_face": (lambda: argmin_face(F, (0.5, 0), ZERO), _inexact("tilt entry 0")),
+    "argmin_face-value": (lambda: argmin_face(F, (0, 0), 0.5), _inexact("value")),
+    "prox": (lambda: prox(F, (0.5, 0)), _inexact("center entry 0")),
+    "minty_transport": (lambda: minty_transport(INST, (0.5, 0)), _inexact("center entry 0")),
+    "find_critical_points": (lambda: find_critical_points(INST, (0.5, 0)), _inexact("tilt entry 0")),
+    "certify-x_bar": (lambda: certify(F, (0, 0), (1.0, 1)), _inexact("point entry 0")),
+    # gallery sizes and the sampler's trial index
+    "box_indicator-negative": (lambda: box_indicator(-1), "^n must be at least 1$"),
+    "box-bool": (lambda: box(True), _inexact("n", "bool", "an int")),
+    "box-zero": (lambda: box(0), "^n must be at least 1$"),
+    "box-float": (lambda: box(1.5), _inexact("n", exact="an int")),
+    "standard_simplex-zero": (lambda: standard_simplex(0), "^n must be at least 1$"),
+    "simplex_indicator-zero": (lambda: simplex_indicator(0), "^n must be at least 1$"),
+    "point_indicator-zero": (lambda: point_indicator(0), "^n must be at least 1$"),
+    "random_polytope-n": (lambda: random_polytope(1, 2.5, 8), _inexact("n", exact="an int")),
+    "random_polytope-m": (lambda: random_polytope(1, 2, 8.0), _inexact("m", exact="an int")),
+    "random_vpolytope-n": (lambda: random_vpolytope(1, 2.0), _inexact("n", exact="an int")),
+    "random_vpolytope-k": (lambda: random_vpolytope(1, 2, 3.0), _inexact("k", exact="an int")),
+    "sample_objective-negative": (
+        lambda: sample_objective(CFG, -1, 2), "^trial_index must be nonnegative$"
+    ),
+    "sample_objective-bool": (
+        lambda: sample_objective(CFG, True, 2), _inexact("trial_index", "bool", "an int")
+    ),
+    "sample_objective-float": (
+        lambda: sample_objective(CFG, 1.5, 2), _inexact("trial_index", exact="an int")
+    ),
+}
+
+
+@pytest.mark.parametrize("call,expected", REFUSALS.values(), ids=REFUSALS.keys())
+def test_an_inexact_or_misshapen_input_is_refused_naming_the_field(call, expected):
+    if expected is DimensionMismatchError:
+        with pytest.raises(DimensionMismatchError):
+            call()
+    else:
+        with pytest.raises(ValueError, match=expected):
+            call()
+
+
+def test_vec_keeps_each_fraction_and_converts_each_int():
+    half = ONE / 2
+    out = vec((half, 3))
+    assert out[0] is half and type(out[1]) is type(ONE) and out == (half, 3)
+
+
+def test_the_readme_library_block_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["m"] == Minimizer((1, 1), -2)
+    assert isinstance(scope["result"], Nondegenerate)
+    assert scope["result"].constraint_multipliers == (1, 1, 0, 0)

@@ -292,9 +292,9 @@ def test_integer_scans_check_the_dimension_first():
 
 def _fresh_function():
     return PolyhedralFunction.build(
-        [((1, 0), 0), ((0, 1), 0), (("-1/3", "-1/3"), "1/7")],
+        [((1, 0), 0), ((0, 1), 0), (qv("-1/3", "-1/3"), q("1/7"))],
         [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
-        [1, 1, 1, 1, "3/2"],
+        [1, 1, 1, 1, q("3/2")],
         2,
     )
 
