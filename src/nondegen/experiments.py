@@ -116,9 +116,12 @@ def _stream_vector(stream: SplitMix64, cfg: SamplerConfig, dim: int) -> Vec:
 
 def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
     """Deterministic tilt vector for (seed, trial_index); stream = seed XOR trial.
-    A ``trial_index`` that is not a nonnegative ``int`` raises ``ValueError``."""
+    A ``trial_index`` that is not an ``int`` in ``[0, 2^64)`` raises ``ValueError``:
+    the stream's seed has 64 bits, so index ``2^64`` would repeat trial 0."""
     if _exact(trial_index, "trial_index", fraction_ok=False) < 0:
         raise ValueError("trial_index must be nonnegative")
+    if trial_index > MASK64:
+        raise ValueError("trial_index must be below 2^64")
     stream = SplitMix64(cfg.seed ^ trial_index)
     return _stream_vector(stream, cfg, dim)
 

@@ -49,6 +49,7 @@ from .linalg import (
     Underdetermined,
     _exact,
     _integer_point,
+    _size,
     dot,
     mat,
     solve_linear,
@@ -78,11 +79,10 @@ class PolyhedralFunction:
     dim: int
 
     def __post_init__(self):
-        if self.domain.dim != self.dim:
+        if self.domain.dim != _size(self.dim, "dim"):
             raise DimensionMismatchError("domain dimension", self.dim, self.domain.dim)
-        for j, (c, _) in enumerate(self.pieces):
-            if len(c) != self.dim:
-                raise DimensionMismatchError(f"piece {j} gradient dimension", self.dim, len(c))
+        mat([c for c, _ in self.pieces], self.dim, "piece gradient")
+        vec([d for _, d in self.pieces], what="piece offset")
 
     @property
     def terms(self) -> Tuple[Piece, ...]:

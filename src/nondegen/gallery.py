@@ -14,19 +14,12 @@ from __future__ import annotations
 
 from typing import List
 
-from .errors import InternalError
+from .errors import DegeneratePolytopeError, InternalError
 from .experiments import SamplerConfig, SplitMix64, _stream_vector
 from .functions import PolyhedralFunction
 from .geometry import GeneratedSet, VPolytope, positive_span_is_subspace
-from .linalg import ONE, Q, Rat, Vec, ZERO, _exact, rank, vsub
+from .linalg import ONE, Q, Rat, Vec, ZERO, _exact, _size, rank, vsub
 from .simplex import HPolyhedron, LinearProgram, Optimal, solve_lp
-
-
-def _size(value, name: str) -> int:
-    """``value`` when it is an ``int`` of at least 1, else ``ValueError``."""
-    if _exact(value, name, fraction_ok=False) < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return value
 
 
 def box(n: int, radius: Rat = ONE) -> HPolyhedron:
@@ -147,11 +140,12 @@ def edge_direction(F: VPolytope) -> Vec:
     each other distinct vertex w, maximize t subject to <c, u - w> = 0 and
     <c, u - p> >= t for all remaining p, with c in [-1, 1]^n: optimal t > 0
     means c exposes exactly {u, w}.  Some neighbor w of u along an edge of the
-    hull always yields t > 0 when the polytope has >= 2 distinct vertices.
+    hull always yields t > 0 when the polytope has >= 2 distinct vertices;
+    fewer raise ``DegeneratePolytopeError``, as in ``run_larman``.
     """
     distinct = sorted(set(F.vertices), reverse=True)
     if len(distinct) < 2:
-        raise InternalError("edge_direction needs >= 2 distinct vertices")
+        raise DegeneratePolytopeError("fewer than 2 distinct vertices")
     u = distinct[0]
     n = F.dim
     for w in distinct[1:]:

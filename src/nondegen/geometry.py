@@ -23,13 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import (
-    DegeneratePolytopeError,
-    DimensionMismatchError,
-    EmptyGeneratedSetError,
-    InternalError,
-)
-from .linalg import Mat, ONE, Rat, Vec, ZERO, dot, mat, rank, vec, vsub
+from .errors import DegeneratePolytopeError, EmptyGeneratedSetError, InternalError
+from .linalg import Mat, ONE, Rat, Vec, ZERO, _size, dot, mat, rank, vec, vsub
 from .simplex import (
     KernelInfeasible,
     KernelOptimal,
@@ -46,12 +41,8 @@ class GeneratedSet:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatchError("dimension", "positive integer", self.dim)
-        for label, vecs in (("point", self.points), ("ray", self.rays)):
-            for i, v in enumerate(vecs):
-                if len(v) != self.dim:
-                    raise DimensionMismatchError(f"{label} {i} dimension", self.dim, len(v))
+        mat(self.points, _size(self.dim, "dim"), "point")
+        mat(self.rays, self.dim, "ray")
 
     @property
     def is_empty(self) -> bool:
@@ -67,10 +58,7 @@ class VPolytope:
     def __post_init__(self):
         if not self.vertices:
             raise DegeneratePolytopeError("vertex list is empty")
-        d = len(self.vertices[0])
-        for i, v in enumerate(self.vertices):
-            if len(v) != d:
-                raise DimensionMismatchError(f"vertex {i} dimension", d, len(v))
+        mat(self.vertices, what="vertex")
 
     @classmethod
     def from_vertices(cls, vertices) -> "VPolytope":

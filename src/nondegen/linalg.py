@@ -14,9 +14,11 @@ a ``Decimal``, ``None``, a string) with a ``ValueError`` naming the field,
 and :func:`vec` passes every entry of a caller's vector through it and
 checks the length.  Strings are refused: a token is read by
 :func:`parse_rational`, as in problem files and flags.  The entry points
-(``evaluate``, ``certify``, ``prox``, ``member`` and the rest) take their
-vectors through ``vec``; the internal hot paths and a dataclass built
-directly take what they are given.
+take their vectors through ``vec``, :func:`rank` and :func:`solve_linear`
+their rows through :func:`mat`'s check, and each dataclass's
+``__post_init__`` its own fields (``dim`` through :func:`_size`).  That check
+only validates: a valid object keeps the very objects it was given, and an
+all-``Fraction`` row costs one type scan.
 
 :func:`dot` builds no ``Fraction`` per term: it sums the nonzero products as
 an integer numerator over an integer denominator (cross-multiplying only when
@@ -49,6 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -108,6 +111,13 @@ def _exact(value, name: str, fraction_ok: bool = True):
     return value
 
 
+def _size(value, name: str) -> int:
+    """``value`` when it is an ``int`` of at least 1, else ``ValueError``."""
+    if _exact(value, name, fraction_ok=False) < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return value
+
+
 def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
     """A caller's vector: a ``Fraction`` entry kept, an ``int`` one made ``Q(int)``, any
     other refused by :func:`_exact` as ``"<what> entry i"`` (less a trailing ``" dimension"``);
@@ -121,10 +131,15 @@ def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
     return tuple(a if isinstance(a, Q) else Q(_exact(a, f"{name} entry {i}")) for i, a in enumerate(out))
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    """Rows through :func:`vec`, each of the first row's width."""
+def mat(rows: Iterable[Iterable], width: Optional[int] = None, what: str = "matrix row") -> Mat:
+    """Rows through :func:`vec` as ``"<what> i dimension"``, each of ``width``
+    entries (by default, the first row's).  Rows of that width whose entries
+    are all ``Fraction`` are kept after one scan of the lengths and the types."""
     rows = [tuple(r) for r in rows]
-    return tuple(vec(r, len(rows[0]), f"matrix row {i}") for i, r in enumerate(rows))
+    width = len(rows[0]) if width is None and rows else width
+    if {*map(len, rows)} <= {width} and {*map(type, chain(*rows))} <= {Q}:
+        return tuple(rows)
+    return tuple(vec(r, width, f"{what} {i} dimension") for i, r in enumerate(rows))
 
 
 def zeros(n: int) -> Vec:
@@ -162,14 +177,12 @@ def _integer_point(values: Sequence) -> Tuple[List[int], int]:
 
 
 def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
-    """Each row (of integers or rationals) scaled to integers by
-    :func:`_integer_point`; a row of ints is kept as it is.  Rows must all
-    have the first row's width, as in :func:`mat`."""
+    """The rows scaled to integers by :func:`_integer_point` after :func:`mat`'s
+    check; rows of ints of one width are kept as they are."""
     rows = [list(row) for row in rows]
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise DimensionMismatchError(f"matrix row {i}", len(rows[0]), len(row))
-    return [row if all(type(a) is int for a in row) else _integer_point(row)[0] for row in rows]
+    if {*map(type, chain(*rows))} <= {int} and len({*map(len, rows)}) < 2:
+        return rows
+    return [_integer_point(row)[0] for row in mat(rows)]
 
 
 def _bareiss_pivot(M: List[list], r: int, c: int, d: int) -> int:
@@ -219,7 +232,7 @@ def _eliminate(M: List[list], ncols: int) -> Tuple[List[int], int]:
 
 
 def rank(A: Iterable[Iterable]) -> int:
-    """Rank via exact fraction-free elimination over the rationals."""
+    """Rank via exact fraction-free elimination over the rationals, of rows checked by :func:`mat`."""
     M = _integer_rows(A)
     return len(_eliminate(M, len(M[0]))[0]) if M else 0
 
@@ -252,7 +265,8 @@ def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None
     be inferred).  For underdetermined systems the particular solution sets all
     free variables to zero and the nullspace basis has one vector per free
     column (that column set to one).  Rows of different widths raise
-    ``DimensionMismatchError``, with the widths of ``[A | b]``.
+    ``DimensionMismatchError``, with the widths of ``[A | b]``, and an entry
+    that is not an ``int`` or a ``Fraction`` is named by its place in ``[A | b]``.
     """
     rows = [list(r) for r in A]
     rhs = list(b)

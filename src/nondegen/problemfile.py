@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from .errors import ImproperFunctionError, ProblemParseError, RationalParseError, quote_token
 from .functions import Piece, PolyhedralFunction
 from .geometry import VPolytope
-from .linalg import Mat, Rat, Vec, _parse_integer, format_rational, parse_rational
+from .linalg import Mat, Rat, Vec, _exact, _parse_integer, _size, format_rational, mat, parse_rational
 from .proximal import LowerC2Instance
 from .simplex import HPolyhedron
 
@@ -47,15 +47,21 @@ class ProblemFile:
     vertices: Optional[Mat] = None
     rho: Optional[Rat] = None
 
+    def __post_init__(self):
+        dim = _size(self.dim, "dim")
+        for head, extra in _SECTIONS.items():
+            rows = getattr(self, head)
+            if rows is not None:  # each row as serialize writes it
+                mat([(*r[0], r[1]) if extra else r for r in rows], dim + extra, f"{head} row")
+        if self.rho is not None:
+            _exact(self.rho, "rho")
+
     def function(self) -> PolyhedralFunction:
         if self.pieces is None and self.constraints is None:
             raise ImproperFunctionError(1, "file defines no pieces or constraints")
-        pieces = self.pieces if self.pieces is not None else ()
-        cons = self.constraints if self.constraints is not None else ()
-        domain = HPolyhedron(
-            tuple(a for a, _ in cons), tuple(b for _, b in cons), self.dim
-        )
-        return PolyhedralFunction(pieces, domain, self.dim)
+        cons = self.constraints or ()
+        domain = HPolyhedron(tuple(a for a, _ in cons), tuple(b for _, b in cons), self.dim)
+        return PolyhedralFunction(self.pieces or (), domain, self.dim)
 
     def instance(self) -> LowerC2Instance:
         if self.rho is None:

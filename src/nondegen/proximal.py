@@ -59,8 +59,8 @@ ENUM_BOUND_ENV = "GENERIC_NONDEGEN_ENUM_BOUND"
 def resolve_enum_bound(bound: Optional[int]) -> int:
     """``bound`` if given, else ``$GENERIC_NONDEGEN_ENUM_BOUND``, else 20.
 
-    A negative bound, or an environment value that is not an integer, raises
-    ``ValueError``.
+    A bound that is not an ``int`` (``bool`` included) or is negative, or an
+    environment value that is not an integer, raises ``ValueError``.
     """
     if bound is None:
         env = os.environ.get(ENUM_BOUND_ENV)
@@ -70,7 +70,7 @@ def resolve_enum_bound(bound: Optional[int]) -> int:
             bound = _parse_integer(env)
         except ValueError:
             raise ValueError(f"{ENUM_BOUND_ENV} must be an integer, got {env!r}") from None
-    if bound < 0:
+    if _exact(bound, "enumeration bound", fraction_ok=False) < 0:
         raise ValueError(f"enumeration bound must be nonnegative, got {bound}")
     return bound
 

@@ -59,7 +59,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InternalError
 from .linalg import (
-    Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, _integer_point, _integer_rows, dot, mat, vec, zeros
+    Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, _integer_point, _integer_rows, _size, dot, mat, vec, zeros
 )
 
 
@@ -72,11 +72,8 @@ class HPolyhedron:
     dim: int
 
     def __post_init__(self):
-        if len(self.A) != len(self.b):
-            raise DimensionMismatchError("constraint count", len(self.A), len(self.b))
-        for i, row in enumerate(self.A):
-            if len(row) != self.dim:
-                raise DimensionMismatchError(f"constraint {i} width", self.dim, len(row))
+        mat(self.A, _size(self.dim, "dim"), "constraint")
+        vec(self.b, len(self.A), "right-hand side dimension")
 
     @classmethod
     def from_rows(cls, rows, rhs, dim: Optional[int] = None) -> "HPolyhedron":
@@ -129,8 +126,7 @@ class HPolyhedron:
 
         One :func:`~nondegen.linalg.dot` per row on the rationals as given,
         independent of :meth:`_scan`, which the tests check against it."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError("point dimension", self.dim, len(x))
+        x = vec(x, self.dim, "point dimension")
         return tuple(i for i, (row, rhs) in enumerate(zip(self.A, self.b)) if dot(row, x) == rhs)
 
 
@@ -140,10 +136,7 @@ class LinearProgram:
     constraints: HPolyhedron
 
     def __post_init__(self):
-        if len(self.objective) != self.constraints.dim:
-            raise DimensionMismatchError(
-                "objective dimension", self.constraints.dim, len(self.objective)
-            )
+        vec(self.objective, self.constraints.dim, "objective dimension")
 
 
 @dataclass(frozen=True)

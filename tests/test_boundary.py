@@ -1,7 +1,9 @@
 """A caller's numbers enter through one boundary, ``linalg.vec`` and
 ``linalg._exact``: an ``int`` or a ``Fraction`` is taken, anything else is a
 ``ValueError`` naming the field, never a bare ``AttributeError`` or
-``TypeError`` further in.  Also: the README's library block runs as written."""
+``TypeError`` further in.  That holds for a dataclass built directly too,
+whose ``__post_init__`` checks its own fields and keeps what it was given.
+Also: the README's library block runs as written."""
 
 import re
 from decimal import Decimal
@@ -32,10 +34,11 @@ from nondegen.gallery import (
     square_vertices,
     standard_simplex,
 )
-from nondegen.geometry import GeneratedSet, exposed_face, member, ri_membership, translate
-from nondegen.linalg import ONE, ZERO, mat, vec
+from nondegen.geometry import GeneratedSet, VPolytope, exposed_face, member, ri_membership, translate
+from nondegen.linalg import ONE, ZERO, mat, rank, solve_linear, vec
+from nondegen.problemfile import ProblemFile, serialize
 from nondegen.proximal import LowerC2Instance, find_critical_points, minty_transport, prox
-from nondegen.simplex import HPolyhedron
+from nondegen.simplex import HPolyhedron, LinearProgram
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -122,6 +125,70 @@ REFUSALS = {
         lambda: sample_objective(CFG, 1.5, 2), _inexact("trial_index", exact="an int")
     ),
 }
+
+# every field of each dataclass that holds a caller's numbers, built directly
+# with one bad entry, and the name the refusal gives it
+P1 = HPolyhedron(((ONE,),), (ONE,), 1)
+DATACLASS_FIELDS = {
+    "HPolyhedron-A": (lambda e: HPolyhedron(((e,),), (1,), 1), "constraint 0 entry 0"),
+    "HPolyhedron-b": (lambda e: HPolyhedron(((1,),), (e,), 1), "right-hand side entry 0"),
+    "LinearProgram-objective": (lambda e: LinearProgram((e,), P1), "objective entry 0"),
+    "GeneratedSet-points": (lambda e: GeneratedSet(((0,), (e,)), (), 1), "point 1 entry 0"),
+    "GeneratedSet-rays": (lambda e: GeneratedSet(((0,),), ((e,),), 1), "ray 0 entry 0"),
+    "VPolytope-vertices": (lambda e: VPolytope(((0, 1), (1, e))), "vertex 1 entry 1"),
+    "PolyhedralFunction-gradient": (
+        lambda e: PolyhedralFunction((((e,), 0),), P1, 1), "piece gradient 0 entry 0"
+    ),
+    "PolyhedralFunction-offset": (
+        lambda e: PolyhedralFunction((((1,), 0), ((1,), e)), P1, 1), "piece offset entry 1"
+    ),
+    "ProblemFile-pieces": (lambda e: ProblemFile(1, pieces=(((1,), e),)), "pieces row 0 entry 1"),
+    "ProblemFile-constraints": (
+        lambda e: ProblemFile(1, constraints=(((e,), 1),)), "constraints row 0 entry 0"
+    ),
+    "ProblemFile-vertices": (lambda e: ProblemFile(1, vertices=((0,), (e,))), "vertices row 1 entry 0"),
+    "ProblemFile-rho": (lambda e: ProblemFile(1, pieces=(), rho=e), "rho"),
+}
+BAD_ENTRIES = {"float": 0.5, "bool": True, "str": "1/2", "NoneType": None}
+for field, (build, name) in DATACLASS_FIELDS.items():
+    for kind, entry in BAD_ENTRIES.items():
+        if field == "ProblemFile-rho" and entry is None:
+            continue  # a rho of None is the absent directive
+        REFUSALS[f"{field}-{kind}"] = (lambda build=build, entry=entry: build(entry), _inexact(name, kind))
+DIMS = {
+    "HPolyhedron": lambda d: HPolyhedron((), (), d),
+    "GeneratedSet": lambda d: GeneratedSet((), (), d),
+    "PolyhedralFunction": lambda d: PolyhedralFunction((), P1, d),
+    "ProblemFile": lambda d: ProblemFile(d, pieces=()),
+}
+for cls, build in DIMS.items():
+    REFUSALS[f"{cls}-dim-bool"] = (lambda build=build: build(True), _inexact("dim", "bool", "an int"))
+    REFUSALS[f"{cls}-dim-float"] = (lambda build=build: build(1.0), _inexact("dim", exact="an int"))
+    REFUSALS[f"{cls}-dim-zero"] = (lambda build=build: build(0), "^dim must be at least 1$")
+REFUSALS.update({
+    # the eliminator's entry points; solve_linear names an entry by its place in [A | b]
+    "rank": (lambda: rank([(ONE, 0), (0.5, 1)]), _inexact("matrix row 1 entry 0")),
+    "rank-bool": (lambda: rank([(True, 0)]), _inexact("matrix row 0 entry 0", "bool")),
+    "solve_linear-matrix": (lambda: solve_linear([(0.5,)], [1]), _inexact("matrix row 0 entry 0")),
+    "solve_linear-rhs": (lambda: solve_linear([(1,)], [0.5]), _inexact("matrix row 0 entry 1")),
+    # what the problem file's own readings let through
+    "ProblemFile-serialize": (
+        lambda: serialize(ProblemFile(1, pieces=(((ONE,), ZERO),), rho=0.5)), _inexact("rho")
+    ),
+    # a trial index past the 64-bit stream seed, and a given enumeration bound
+    "sample_objective-2^64": (
+        lambda: sample_objective(CFG, 2**64, 1), r"^trial_index must be below 2\^64$"
+    ),
+    "enum_bound-float": (
+        lambda: prox(abs_function(), (0,), 1.5), _inexact("enumeration bound", exact="an int")
+    ),
+    "enum_bound-bool": (
+        lambda: prox(abs_function(), (0,), True), _inexact("enumeration bound", "bool", "an int")
+    ),
+    "enum_bound-str": (
+        lambda: find_critical_points(INST, (0, 0), "3"), _inexact("enumeration bound", "str", "an int")
+    ),
+})
 
 
 @pytest.mark.parametrize("call,expected", REFUSALS.values(), ids=REFUSALS.keys())

@@ -45,6 +45,7 @@ from nondegen.functions import (
 from nondegen.gallery import (
     abs_function,
     box_indicator,
+    edge_direction,
     point_indicator,
     pyramid_indicator,
     random_polytope,
@@ -688,6 +689,13 @@ def test_degenerate_polytope_is_rejected():
     F = VPolytope.from_vertices([(1, 1), (1, 1)])
     with pytest.raises(DegeneratePolytopeError, match="fewer than 2 distinct vertices"):
         run_larman(F, CFG42, 3)
+
+
+def test_edge_direction_refuses_a_degenerate_polytope_as_run_larman_does():
+    """Fewer than 2 distinct vertices is bad input, not a failed invariant."""
+    for F in (VPolytope.from_vertices([(1, 1), (1, 1)]), VPolytope.from_vertices([(0,)])):
+        with pytest.raises(DegeneratePolytopeError, match="fewer than 2 distinct vertices"):
+            edge_direction(F)
 
 
 def test_zero_directions_are_resampled_from_the_same_stream():

@@ -1,5 +1,5 @@
-"""The experiment suite scripts and the benchmark pair script: a short run
-of each, and their usage errors."""
+"""The experiment suite scripts, the benchmark pair script and the CLI fuzz:
+a short run of each, and their usage errors."""
 
 import importlib.util
 import json
@@ -192,3 +192,25 @@ def test_bench_pairs_bad_seed_ranges_are_usage_errors(seeds, tmp_path, capsys):
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_seeded_slice_of_the_cli_fuzz_ends_every_run_with_a_documented_exit_code(capsys):
+    """200 mutated runs of ``nondegen.cli.main``: exit codes 0 to 3 only, and
+    no traceback on stderr."""
+    fuzz = load("fuzz_cli")
+    assert fuzz.run(200, seed=0) == []
+    assert fuzz.main(["--runs", "3", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3 runs, seed 1: 0 failed"
+
+
+def test_the_cli_fuzz_reports_a_run_that_escapes_main(monkeypatch, capsys):
+    """An exception out of ``main`` is a failed run, printed with its traceback."""
+    fuzz = load("fuzz_cli")
+
+    def broken(argv):
+        raise AttributeError("'float' object has no attribute 'denominator'")
+
+    monkeypatch.setattr(fuzz, "cli_main", broken)
+    assert fuzz.main(["--runs", "2", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL exit=None") == 2 and "AttributeError" in out
