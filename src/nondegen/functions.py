@@ -79,10 +79,16 @@ class PolyhedralFunction:
     dim: int
 
     def __post_init__(self):
+        if not isinstance(self.domain, HPolyhedron):
+            raise ValueError(f"domain must be an HPolyhedron, not {type(self.domain).__name__}")
         if self.domain.dim != _size(self.dim, "dim"):
             raise DimensionMismatchError("domain dimension", self.dim, self.domain.dim)
-        mat([c for c, _ in self.pieces], self.dim, "piece gradient")
-        vec([d for _, d in self.pieces], what="piece offset")
+        try:
+            gradients, offsets = [c for c, _ in self.pieces], [d for _, d in self.pieces]
+        except (TypeError, ValueError):
+            raise ValueError("pieces must be a sequence of (gradient, offset) pairs") from None
+        mat(gradients, self.dim, "piece gradient")
+        vec(offsets, what="piece offset")
 
     @property
     def terms(self) -> Tuple[Piece, ...]:
@@ -239,7 +245,6 @@ def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
         step = solve_lp(LinearProgram(e_d, face))
         if isinstance(step, Optimal):
             x = list(step.x)
-            x[d] = step.value
         elif not isinstance(step, Unbounded):
             raise InternalError("argmin polyhedron reported infeasible")
         rows.append(e_d)

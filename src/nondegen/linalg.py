@@ -122,12 +122,13 @@ def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
     """A caller's vector: a ``Fraction`` entry kept, an ``int`` one made ``Q(int)``, any
     other refused by :func:`_exact` as ``"<what> entry i"`` (less a trailing ``" dimension"``);
     with ``dim``, another length raises ``DimensionMismatchError(what, dim, len)``."""
-    out = tuple(values)
+    name = what.removesuffix(" dimension") or "vector"
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, not {type(values).__name__}") from None
     if dim is not None and len(out) != dim:
         raise DimensionMismatchError(what, dim, len(out))
-    if all(type(a) is Q for a in out):
-        return out
-    name = what.removesuffix(" dimension") or "vector"
     return tuple(a if isinstance(a, Q) else Q(_exact(a, f"{name} entry {i}")) for i, a in enumerate(out))
 
 
@@ -135,7 +136,10 @@ def mat(rows: Iterable[Iterable], width: Optional[int] = None, what: str = "matr
     """Rows through :func:`vec` as ``"<what> i dimension"``, each of ``width``
     entries (by default, the first row's).  Rows of that width whose entries
     are all ``Fraction`` are kept after one scan of the lengths and the types."""
-    rows = [tuple(r) for r in rows]
+    try:
+        rows = [tuple(r) for r in rows]
+    except TypeError:
+        raise ValueError(f"{what} list must be a sequence of sequences") from None
     width = len(rows[0]) if width is None and rows else width
     if {*map(len, rows)} <= {width} and {*map(type, chain(*rows))} <= {Q}:
         return tuple(rows)

@@ -53,8 +53,8 @@ class ProblemFile:
             rows = getattr(self, head)
             if rows is not None:  # each row as serialize writes it
                 mat([(*r[0], r[1]) if extra else r for r in rows], dim + extra, f"{head} row")
-        if self.rho is not None:
-            _exact(self.rho, "rho")
+        if self.rho is not None and not _exact(self.rho, "rho") > 0:
+            raise ValueError("rho must be positive")
 
     def function(self) -> PolyhedralFunction:
         if self.pieces is None and self.constraints is None:

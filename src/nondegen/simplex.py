@@ -136,6 +136,8 @@ class LinearProgram:
     constraints: HPolyhedron
 
     def __post_init__(self):
+        if not isinstance(self.constraints, HPolyhedron):
+            raise ValueError(f"constraints must be an HPolyhedron, not {type(self.constraints).__name__}")
         vec(self.objective, self.constraints.dim, "objective dimension")
 
 

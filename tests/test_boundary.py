@@ -188,6 +188,31 @@ REFUSALS.update({
     "enum_bound-str": (
         lambda: find_critical_points(INST, (0, 0), "3"), _inexact("enumeration bound", "str", "an int")
     ),
+    # a field of the wrong structure, which escaped as a bare AttributeError,
+    # TypeError or unpacking error
+    "vec-int": (lambda: vec(3), "^vector must be a sequence, not int$"),
+    "HPolyhedron-b-int": (
+        lambda: HPolyhedron(((1,),), 1, 1), "^right-hand side must be a sequence, not int$"
+    ),
+    "GeneratedSet-points-None": (
+        lambda: GeneratedSet(None, (), 1), "^point list must be a sequence of sequences$"
+    ),
+    "VPolytope-flat": (lambda: VPolytope((1, 2)), "^vertex list must be a sequence of sequences$"),
+    "LinearProgram-constraints-None": (
+        lambda: LinearProgram((1,), None), "^constraints must be an HPolyhedron, not NoneType$"
+    ),
+    "PolyhedralFunction-domain-None": (
+        lambda: PolyhedralFunction((), None, 1), "^domain must be an HPolyhedron, not NoneType$"
+    ),
+    "PolyhedralFunction-piece-unpaired": (
+        lambda: PolyhedralFunction(((1,),), P1, 1),
+        r"^pieces must be a sequence of \(gradient, offset\) pairs$",
+    ),
+    # a rho that serialize would write and parse_problem refuse
+    "ProblemFile-rho-negative": (
+        lambda: ProblemFile(1, pieces=(((ONE,), ZERO),), rho=-ONE), "^rho must be positive$"
+    ),
+    "ProblemFile-rho-zero": (lambda: ProblemFile(1, pieces=(), rho=0), "^rho must be positive$"),
 })
 
 

@@ -1,9 +1,13 @@
-"""Command-line surface: exact output texts, exit codes, format equivalence,
-and agreement with direct library calls."""
+"""Command-line surface: exact output texts (the README quick start's
+among them), exit codes, format equivalence, and agreement with direct
+library calls."""
 
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ FREE = "dim 1\npieces 0\n"
 POINT = "dim 2\nconstraints 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n"
 EMPTY_DOMAIN = "dim 1\nconstraints 2\n1 -1\n-1 -1\n"
 SQUARE = "dim 2\nvertices 4\n1 1\n1 -1\n-1 1\n-1 -1\n"
+# the argmin of |x_1| on x_2 >= -5 tilted by 0 is a half-line
+HALF = "dim 2\npieces 2\n1 0 0\n-1 0 0\nconstraints 1\n0 -1 5\n"
 BOX11 = "dim 11\nconstraints 22\n" + "".join(
     " ".join(["0"] * i + [s] + ["0"] * (10 - i)) + " 1\n" for s in ("1", "-1") for i in range(11)
 )
@@ -43,6 +49,70 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_quick_start_prints_what_it_says(tmp_path, monkeypatch, capsys):
+    """Each ``nondegen`` line of the quick start that a ``# ...`` line
+    follows prints exactly that line, run on the file its heredoc writes."""
+    block = README.read_text(encoding="utf-8").split("## Quick start\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    for name, text in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?^)EOF$", block, re.M | re.S):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    pins = [
+        (line, said) for line, said in zip(lines, lines[1:])
+        if line.startswith("nondegen ") and said.startswith("# ")
+    ]
+    assert len(pins) == 3  # minimize --v 1,1, certify --v 1,1 and certify --v 1,0
+    for line, said in pins:
+        assert run(capsys, *shlex.split(line)[1:]) == (0, said[2:] + "\n", "")
+
+
+# The console outputs that no other test pins verbatim: (file, its text, the
+# command line, the exact stdout, the exit code).
+CONSOLE_PINS = {
+    # prox takes its point from the KKT candidate loop, checked by the
+    # multiplier read-off with no LP
+    "prox": ("box.prob", BOX, "prox box.prob --c 2,1/2", "PROX at (1, 1/2)\n", 0),
+    # the pairs come from the candidate planes and the integer row scans of
+    # construct_degenerate
+    "adversarial": ("box.prob", BOX, "adversarial box.prob", (
+        "v=(-1, 0) at x=(-1, -1)\n"
+        "v=(0, 0) at x=(-1, 0)\n"
+        "v=(0, 1) at x=(-1, 1)\n"
+        "v=(0, 0) at x=(0, -1)\n"
+        "v=(0, 0) at x=(0, 1)\n"
+        "v=(1, 0) at x=(1, -1)\n"
+        "v=(0, 0) at x=(1, 0)\n"
+        "v=(1, 0) at x=(1, 1)\n"
+    ), 0),
+    # the sampler builds each coordinate as one Fraction
+    "genericity": ("box.prob", BOX, "genericity box.prob --trials 3 --seed 42 --bits 8 --format csv", (
+        "trial_index,v,outcome,minimizer,min_witness_coeff\n"
+        "0,21/512;-23/9536,nondegenerate,1;-1,23/9536\n"
+        "1,1/1216;-25/16384,nondegenerate,1;-1,1/1216\n"
+        "2,-55/1792;15/1184,nondegenerate,-1;1,15/1184\n"
+    ), 0),
+    # the refinement LP for x_2 is unbounded, so x_2 is kept from the last
+    # optimal step
+    "minimize-half-line": (
+        "half.prob", HALF, "minimize half.prob --v 0,0", "MINIMIZER at (0, -5); value 0\n", 0
+    ),
+    "larman": ("square.prob", SQUARE, "larman --vertices square.prob --trials 3 --seed 42", (
+        "trials 3\nsingleton_faces 3\nmulti_vertex_faces 0\nseed 42\n"
+    ), 0),
+}
+
+
+@pytest.mark.parametrize("name, text, line, out, code", CONSOLE_PINS.values(), ids=CONSOLE_PINS)
+def test_console_output_is_pinned(tmp_path, monkeypatch, capsys, name, text, line, out, code):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *line.split()) == (code, out, "")
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +406,11 @@ def test_critical_command_lists_all_points(prob, capsys):
     path = prob("absrho.prob", ABS_RHO)
     code, out, _ = run(capsys, "critical", path, "--v", "0")
     assert code == 0
-    assert out.splitlines() == [
-        "CRITICAL at (-1): NONDEGENERATE",
-        "CRITICAL at (0): NONDEGENERATE",
-        "CRITICAL at (1): NONDEGENERATE",
-    ]
+    assert out == (
+        "CRITICAL at (-1): NONDEGENERATE\n"
+        "CRITICAL at (0): NONDEGENERATE\n"
+        "CRITICAL at (1): NONDEGENERATE\n"
+    )
     code, out, _ = run(capsys, "critical", path, "--v", "1")
     assert out.splitlines() == [
         "CRITICAL at (-2): NONDEGENERATE",
@@ -349,9 +419,6 @@ def test_critical_command_lists_all_points(prob, capsys):
 
 
 def test_adversarial_command(prob, capsys):
-    code, out, _ = run(capsys, "adversarial", prob("box.prob", BOX))
-    assert code == 0
-    assert "v=(1, 0) at x=(1, 1)" in out
     code, out, _ = run(capsys, "adversarial", prob("point.prob", POINT))
     assert code == 0
     assert "no candidate point" in out

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import qv, rand_rat, rand_vec
 from nondegen.errors import ImproperFunctionError, ProblemParseError
 from nondegen.functions import evaluate
-from nondegen.linalg import Q
+from nondegen.linalg import Q, format_rational
 from nondegen.problemfile import ProblemFile, parse_problem, serialize
 
 BOX_TEXT = "dim 2\nconstraints 4\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n"
@@ -196,6 +196,23 @@ def test_serialize_then_parse_is_identity_on_examples():
     for text in (BOX_TEXT, ABS_TEXT, ABS_RHO_TEXT):
         pf = parse_problem(text)
         assert parse_problem(serialize(pf)) == pf
+
+
+@pytest.mark.parametrize("rho", [Q(-1), Q(0), Q(1, 3), Q(7)])
+def test_a_problem_file_builds_exactly_when_its_text_parses(rho):
+    """``ProblemFile`` and ``parse_problem`` refuse the same ``rho``: a
+    positive one round-trips through ``serialize``, a nonpositive one is
+    refused by both."""
+    text = f"dim 1\npieces 1\n1 0\nrho {format_rational(rho)}\n"
+    pieces = (((Q(1),), Q(0)),)
+    if rho > 0:
+        pf = ProblemFile(1, pieces=pieces, rho=rho)
+        assert serialize(pf) == text and parse_problem(text) == pf
+    else:
+        with pytest.raises(ValueError, match="^rho must be positive$"):
+            ProblemFile(1, pieces=pieces, rho=rho)
+        with pytest.raises(ProblemParseError, match="line 4: rho must be positive"):
+            parse_problem(text)
 
 
 def test_serialize_emits_the_canonical_grammar():

@@ -1,8 +1,12 @@
 """The experiment suite scripts, the benchmark pair script and the CLI fuzz:
-a short run of each, and their usage errors."""
+a short run of each, and their usage errors; the suites run as scripts, and
+the benchmark's traced cycles and its own tests, each in a process of its
+own."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,45 @@ def test_suite_bad_settings_are_usage_errors(name, bad, tmp_path, capsys):
 
 
 ROOT = SCRIPTS.parent
+
+
+def python(*argv, cwd):
+    argv = [sys.executable, *map(str, argv)]
+    return subprocess.run(argv, cwd=cwd, capture_output=True, text=True, timeout=600)
+
+
+@pytest.mark.parametrize("name, csvs", [("genericity", 10), ("larman", 3)])
+def test_suite_runs_as_a_script_from_another_directory(name, csvs, tmp_path):
+    """Run by path from outside the checkout, a suite finds its settings
+    helper and the library, exits 0 and writes one CSV per instance; a bad
+    setting exits 2 and creates no ``--outdir``."""
+    script = SCRIPTS / f"run_{name}_suite.py"
+    done = python(script, "--trials", "3", "--outdir", "out", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert len(list((tmp_path / "out").glob("*.csv"))) == csvs
+    done = python(script, "--bits", "7", "--outdir", "bad", cwd=tmp_path)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("workload", ["genericity", "adversarial", "prox"])
+def test_a_traced_benchmark_cycle_finds_every_traced_function(workload):
+    """``run.py --trace 1`` runs an untraced and a traced cycle and checks
+    the outputs of both; a traced library function it cannot find is
+    reported as ``absent:``, and the verdict is the last line."""
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "1"]
+    done = python(ROOT / "perfbench" / "run.py", *argv, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    assert "absent:" not in done.stdout
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_the_benchmark_tests_pass():
+    """In a process of their own: ``run.load_library`` drops every
+    ``nondegen`` module from ``sys.modules``, which would leave this
+    session's tests holding classes of a discarded import."""
+    done = python("-m", "pytest", "perfbench", "-q", "-p", "no:cacheprovider", cwd=ROOT)
+    assert done.returncode == 0, done.stdout[-2000:]
 
 
 def test_bench_pairs_alternates_the_sides_and_summarises_them(tmp_path, capsys):
