@@ -24,10 +24,15 @@ gets a ``what`` naming both sides' commits; a side whose stamp reads
 tree) is named by its directory's name and a short SHA-256 of its ``src/``
 Python files, so that the two sides stay distinguishable.
 
-The file is written after every pair, so a run that fails keeps the pairs
-before it.  Exits 1 if a run fails to start, ends without a JSON line, or
-ends with one that does not read ``"correct": true`` (an output check
-failed, so its timings are not the program's); exits 2 on a usage error.
+After every pair, one line per workload and end-to-end metric goes to
+stderr: both medians, the relative change, ``change_wins``, and
+``WORSE THAN BOUND`` when the change's median is worse than the parent's by
+more than the metric's ``bound`` in ``CHANGE_DIR/BENCHMARK.json``, as a
+fraction of the parent's median.  The file is written after every pair, so a
+run that fails keeps the pairs before it.  Exits 1 if a run fails to start,
+ends without a JSON line, or ends with one that does not read
+``"correct": true`` (an output check failed, so its timings are not the
+program's); exits 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -134,6 +139,29 @@ def summarize(runs, end_to_end) -> dict:
     return summary
 
 
+def verdicts(summary, end_to_end) -> list:
+    """One line per workload and metric that both sides have run: the
+    medians, the relative change, ``change_wins`` and, when the change is
+    worse by more than the metric's bound, ``WORSE THAN BOUND``."""
+    lines = []
+    for workload, table in summary.items():
+        for metric in end_to_end:
+            name, cell = metric["name"], table[metric["name"]]
+            if not all(side in cell for side in SIDES):
+                continue
+            parent, change = (cell[side]["median"] for side in SIDES)
+            worse_by = change - parent if metric["better"] == "lower" else parent - change
+            relative = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+            line = (
+                f"{workload} {name}: parent {parent:g} change {change:g} ({relative}), "
+                f"change wins {cell['change_wins']}"
+            )
+            if worse_by > metric["bound"] * abs(parent):
+                line += " WORSE THAN BOUND"
+            lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -191,6 +219,8 @@ def main(argv=None) -> int:
                 f"parent {commits['parent']}, change {commits['change']}."
             )
         data["summary"] = summarize(data["runs"], end_to_end)
+        for line in verdicts(data["summary"], end_to_end):
+            print(line, file=sys.stderr)
         args.out.write_text(json.dumps({k: data[k] for k in ("what", "summary", "runs")}, indent=1) + "\n")
     return 0
 

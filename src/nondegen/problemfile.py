@@ -35,8 +35,28 @@ from .simplex import HPolyhedron
 Constraint = Tuple[Vec, Rat]  # (a, b) meaning <a, x> <= b
 
 # Each section's rows hold dim + extra tokens; with extra = 1 the last token is
-# split off as the row's d (pieces) or b (constraints).
+# split off as the row's d (pieces) or b (constraints), and the field holds
+# the pairs that _PAIRS names.
 _SECTIONS = {"pieces": 1, "constraints": 1, "vertices": 0}
+_PAIRS = {"pieces": "(gradient, offset)", "constraints": "(normal, bound)"}
+
+
+def _joined(pairs, head: str) -> List[tuple]:
+    """Each ``(v, last)`` pair of section ``head`` as the row ``(*v, last)``."""
+    try:
+        pairs = list(pairs)
+    except TypeError:
+        raise ValueError(
+            f"{head} must be a sequence of {_PAIRS[head]} pairs, not {type(pairs).__name__}"
+        ) from None
+    rows = []
+    for i, pair in enumerate(pairs):
+        try:
+            v, last = pair
+            rows.append((*v, last))
+        except (TypeError, ValueError):
+            raise ValueError(f"{head} row {i} must be a {_PAIRS[head]} pair") from None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -52,7 +72,7 @@ class ProblemFile:
         for head, extra in _SECTIONS.items():
             rows = getattr(self, head)
             if rows is not None:  # each row as serialize writes it
-                mat([(*r[0], r[1]) if extra else r for r in rows], dim + extra, f"{head} row")
+                mat(_joined(rows, head) if extra else rows, dim + extra, f"{head} row")
         if self.rho is not None and not _exact(self.rho, "rho") > 0:
             raise ValueError("rho must be positive")
 

@@ -3,7 +3,9 @@
 ``prox(f, c)`` minimizes ``f(x) + 1/2 |x - c|^2`` by enumerating candidate
 active sets, solving each square KKT equality system in exact arithmetic, and
 keeping the (necessarily unique) candidate whose multipliers pass all sign
-checks.  Carathéodory's theorem caps useful supports at ``n + 1`` generators;
+checks.  The sign test runs on a support's multipliers as soon as they are
+solved, so a support with a negative multiplier never has its point built.
+Carathéodory's theorem caps useful supports at ``n + 1`` generators;
 minimal supports give nonsingular systems, so nothing is missed by skipping
 singular ones.  The x-block of every KKT system is ``x_coef * I``, so ``x`` is
 eliminated by a Schur complement: each support costs one s x s solve in its
@@ -83,6 +85,8 @@ class LowerC2Instance:
     rho: Rat
 
     def __post_init__(self):
+        if not isinstance(self.g, PolyhedralFunction):
+            raise ValueError(f"g must be a PolyhedralFunction, not {type(self.g).__name__}")
         if not _exact(self.rho, "rho") > 0:
             raise ValueError("rho must be positive")
 
@@ -126,9 +130,13 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     generators and ``rhs_vec`` together (for the integer sums that build
     ``x``), and of each support's multipliers ``z = Z / D``.
 
-    Yields (x, mu, lam, J, I) for every uniquely solvable system.  Supports
-    exceeding the Carathéodory cap or yielding singular systems cannot hide a
-    solution that no minimal support produces, so they are skipped.
+    Yields (x, mu, lam, J, I) for every uniquely solvable system whose
+    multipliers are all nonnegative; the sign test runs before ``x`` is
+    built.  Supports exceeding the Carathéodory cap or yielding singular
+    systems cannot hide a solution that no minimal support produces, so they
+    are skipped.  Skipping a uniquely solvable support with a negative
+    multiplier loses nothing either: no nonnegative smaller support, padded
+    with zeros, solves its system.
     """
     n = f.dim
     pieces = f.terms
@@ -163,7 +171,7 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
                         rows.append([gram[k + i][g] for g in support])
                         rhs.append(t[k + i])
                     sol = solve_linear(rows, rhs)
-                    if not isinstance(sol, UniqueSolution):
+                    if not isinstance(sol, UniqueSolution) or any(c < 0 for c in sol.x):
                         continue
                     z = sol.x
                     Z, D = _integer_point(z)
@@ -179,20 +187,18 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
 
 def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     """Every domain point ``x`` that a support of :func:`_kkt_solutions`
-    inside its active set reaches with nonnegative multipliers, mapped to
-    ``(w, verdict)`` for ``w = rhs_vec - x_coef x``.
+    inside its active set reaches, mapped to ``(w, verdict)`` for
+    ``w = rhs_vec - x_coef x``.  The multipliers are nonnegative:
+    :func:`_kkt_solutions` yields no other.
 
     The multipliers, spread over the active generators with zeros off the
     support, pass :func:`~nondegen.functions._read_off`'s exact rebuild of
     ``w``; its verdict is kept when the support is the whole active set and
-    is None otherwise.  Skipping an exact support with a negative multiplier
-    loses nothing: its system is uniquely solvable, so no nonnegative smaller
-    support, padded with zeros, solves it too.
+    is None otherwise.
     """
     found = {}
     for x, mu, lam, J, I in _kkt_solutions(g, x_coef, rhs_vec):
-        # the sign test first: it is the cheapest filter
-        if any(c < 0 for c in mu) or any(c < 0 for c in lam) or (x in found and found[x][1]):
+        if x in found and found[x][1]:
             continue
         try:
             active = _active_structure(g, x)

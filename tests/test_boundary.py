@@ -208,6 +208,23 @@ REFUSALS.update({
         lambda: PolyhedralFunction(((1,),), P1, 1),
         r"^pieces must be a sequence of \(gradient, offset\) pairs$",
     ),
+    "LowerC2Instance-g-None": (
+        lambda: LowerC2Instance(None, 1), "^g must be a PolyhedralFunction, not NoneType$"
+    ),
+    "LowerC2Instance-g-int": (
+        lambda: LowerC2Instance(5, 1), "^g must be a PolyhedralFunction, not int$"
+    ),
+    "ProblemFile-pieces-int": (
+        lambda: ProblemFile(1, pieces=5),
+        r"^pieces must be a sequence of \(gradient, offset\) pairs, not int$",
+    ),
+    "ProblemFile-constraint-unpaired": (
+        lambda: ProblemFile(1, constraints=(((1,),),)),
+        r"^constraints row 0 must be a \(normal, bound\) pair$",
+    ),
+    "ProblemFile-piece-None": (
+        lambda: ProblemFile(1, pieces=(None,)), r"^pieces row 0 must be a \(gradient, offset\) pair$"
+    ),
     # a rho that serialize would write and parse_problem refuse
     "ProblemFile-rho-negative": (
         lambda: ProblemFile(1, pieces=(((ONE,), ZERO),), rho=-ONE), "^rho must be positive$"

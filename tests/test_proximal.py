@@ -1,7 +1,10 @@
 """Exact proximal maps, the Minty resolvent transport, and critical-point
 enumeration for quadratically tilted polyhedral functions."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,13 @@ from nondegen.functions import (
     certify,
     subdifferential,
 )
-from nondegen.gallery import abs_function, box_indicator, pyramid_indicator
+from nondegen.gallery import (
+    abs_function,
+    box_indicator,
+    pyramid_indicator,
+    random_polytope,
+    simplex_indicator,
+)
 from nondegen.geometry import Boundary, Interior, member, ri_membership, translate
 from nondegen.linalg import Q, vsub, zeros
 from nondegen.proximal import (
@@ -398,7 +407,9 @@ def test_critical_points_match_certify_on_every_candidate(seed):
 @settings(deadline=None, max_examples=40)
 def test_reduced_kkt_systems_match_the_full_systems(seed):
     """The multiplier-only systems yield exactly the supports and solutions
-    of the square systems in (x, mu, lam), for prox and for critical points."""
+    of the square systems in (x, mu, lam) whose multipliers are all
+    nonnegative, for prox and for critical points: a support dropped or kept
+    on a wrong sign changes the list."""
     rng = random.Random(seed)
     dim = rng.randint(1, 3)
     g = rand_polyfun(rng, dim)
@@ -413,7 +424,48 @@ def test_reduced_kkt_systems_match_the_full_systems(seed):
             (vec_frac(x), vec_frac(mu), vec_frac(lam), J, I)
             for x, mu, lam, J, I in _kkt_solutions(g, x_coef, target)
         ]
-        expected = kkt_solutions_oracle(
-            pieces, rows, vec_frac(g.domain.b), dim, to_frac(x_coef), vec_frac(target)
-        )
+        expected = [
+            (x, mu, lam, J, I)
+            for x, mu, lam, J, I in kkt_solutions_oracle(
+                pieces, rows, vec_frac(g.domain.b), dim, to_frac(x_coef), vec_frac(target)
+            )
+            if min(mu + lam) >= 0
+        ]
         assert got == expected
+
+
+# the benchmark's prox instances, all at rho = 1/2
+PROX_INSTANCES = {
+    "abs": abs_function,
+    "box2": lambda: box_indicator(2),
+    "box3": lambda: box_indicator(3),
+    "simplex3": simplex_indicator,
+    "pyramid": pyramid_indicator,
+    "random101": lambda: PolyhedralFunction.indicator(random_polytope(101, 3, 8)),
+    "random202": lambda: PolyhedralFunction.indicator(random_polytope(202, 3, 8)),
+}
+
+
+def _prox_grid(name, dim):
+    """24 seeded points per instance: 12 on the lattice of quarters in
+    [-2, 2], where ties and zero multipliers are common, and 12 drawn as the
+    benchmark draws them, with denominators 16..31."""
+    rng = random.Random(f"prox-digest/{name}")
+    lattice = [tuple(Q(rng.randint(-8, 8), 4) for _ in range(dim)) for _ in range(12)]
+    drawn = [
+        tuple(Q(rng.getrandbits(6) - 32, 16 + rng.getrandbits(4)) for _ in range(dim)) for _ in range(12)
+    ]
+    return lattice + drawn
+
+
+def test_prox_outputs_match_the_golden_digest():
+    """``minty_transport`` and ``find_critical_points`` on the benchmark's
+    seven prox instances, over a seeded grid of points, are pinned by the
+    SHA-256 of their repr in ``golden_csv_sha256.json``."""
+    outputs = []
+    for name, build in PROX_INSTANCES.items():
+        inst = LowerC2Instance(build(), Q(1, 2))
+        for y in _prox_grid(name, inst.g.dim):
+            outputs.append((name, y, minty_transport(inst, y), find_critical_points(inst, y)))
+    golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == golden["prox_repr"]
