@@ -57,8 +57,8 @@ from .linalg import (
     _eliminate,
     _exact,
     format_rational,
+    mat,
     rank,
-    vec,
 )
 from .proximal import _check_bound, _raise_if_infeasible
 from .simplex import Infeasible, Unbounded
@@ -398,6 +398,7 @@ def run_larman(
     contribute to the sampled tallies.
     """
     _check_trials(trials)
+    forced = mat(forced, F.dim, "forced direction")
     distinct_vertices = set(F.vertices)
     if len(distinct_vertices) < 2:
         raise DegeneratePolytopeError("fewer than 2 distinct vertices")
@@ -412,10 +413,7 @@ def run_larman(
         records.append(rec)
         if rec.distinct_vertices > 1:
             multi += 1
-    forced_records = tuple(
-        _larman_trial(F, vec(c, what=f"forced direction {k}"), f"F{k}")
-        for k, c in enumerate(forced)
-    )
+    forced_records = tuple(_larman_trial(F, c, f"F{k}") for k, c in enumerate(forced))
     return LarmanReport(
         trials=trials,
         singleton_faces=trials - multi,

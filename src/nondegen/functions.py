@@ -49,6 +49,7 @@ from .linalg import (
     Underdetermined,
     _exact,
     _integer_point,
+    _pairs,
     _size,
     dot,
     mat,
@@ -84,11 +85,12 @@ class PolyhedralFunction:
         if self.domain.dim != _size(self.dim, "dim"):
             raise DimensionMismatchError("domain dimension", self.dim, self.domain.dim)
         try:
-            gradients, offsets = [c for c, _ in self.pieces], [d for _, d in self.pieces]
+            pieces = [(c, d) for c, d in self.pieces]  # one pass, so an iterator is read once
         except (TypeError, ValueError):
             raise ValueError("pieces must be a sequence of (gradient, offset) pairs") from None
-        mat(gradients, self.dim, "piece gradient")
-        vec(offsets, what="piece offset")
+        gradients = mat([c for c, _ in pieces], self.dim, "piece gradient")
+        offsets = vec([d for _, d in pieces], what="piece offset")
+        object.__setattr__(self, "pieces", tuple(zip(gradients, offsets)))
 
     @property
     def terms(self) -> Tuple[Piece, ...]:
@@ -109,12 +111,11 @@ class PolyhedralFunction:
 
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
-        ps = tuple(
-            (vec(c, what=f"piece {j} gradient"), Q(_exact(d, f"piece {j} offset")))
-            for j, (c, d) in enumerate(pieces)
-        )
-        A, b = mat(constraint_rows), vec(constraint_rhs, what="right-hand side")
-        return cls(ps, HPolyhedron(A, b, dim), dim)
+        ps = [
+            (vec(c, what=f"piece {j} gradient"), _exact(d, f"piece {j} offset"))
+            for j, (c, d) in enumerate(_pairs(pieces, "pieces", "(gradient, offset)"))
+        ]
+        return cls(ps, HPolyhedron(constraint_rows, constraint_rhs, dim), dim)
 
     @classmethod
     def indicator(cls, P: HPolyhedron) -> "PolyhedralFunction":
@@ -217,7 +218,7 @@ def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:
     terms = f.terms
     rows = list(f.domain.A) + [vsub(c, v) for c, _ in terms]
     rhs = list(f.domain.b) + [value - d for _, d in terms]
-    return HPolyhedron(tuple(rows), tuple(rhs), f.dim)
+    return HPolyhedron(rows, rhs, f.dim)
 
 
 def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
@@ -241,7 +242,7 @@ def canonical_minimizer(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     x = list(res.x)
     for d in range(n):
         e_d = tuple(ONE if j == d else ZERO for j in range(n))
-        face = HPolyhedron(tuple(rows), tuple(rhs), n)
+        face = HPolyhedron(rows, rhs, n)
         step = solve_lp(LinearProgram(e_d, face))
         if isinstance(step, Optimal):
             x = list(step.x)

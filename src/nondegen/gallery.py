@@ -26,13 +26,13 @@ def box(n: int, radius: Rat = ONE) -> HPolyhedron:
     """The box ``[-radius, radius]^n``: rows x_k <= r, then -x_k <= r."""
     n = _size(n, "n")
     rows = []
-    r = Q(_exact(radius, "radius"))
+    r = _exact(radius, "radius")
     for sign in (ONE, -ONE):
         for k in range(n):
             row = [ZERO] * n
             row[k] = sign
-            rows.append(tuple(row))
-    return HPolyhedron(tuple(rows), tuple([r] * 2 * n), n)
+            rows.append(row)
+    return HPolyhedron(rows, [r] * 2 * n, n)
 
 
 def box_indicator(n: int, radius: Rat = ONE) -> PolyhedralFunction:
@@ -46,9 +46,9 @@ def standard_simplex(n: int = 3) -> HPolyhedron:
     for k in range(n):
         row = [ZERO] * n
         row[k] = -ONE
-        rows.append(tuple(row))
-    rows.append(tuple([ONE] * n))
-    return HPolyhedron(tuple(rows), tuple([ZERO] * n + [ONE]), n)
+        rows.append(row)
+    rows.append([ONE] * n)
+    return HPolyhedron(rows, [ZERO] * n + [ONE], n)
 
 
 def simplex_indicator(n: int = 3) -> PolyhedralFunction:
@@ -102,8 +102,8 @@ def random_polytope(seed: int, n: int = 3, m: int = 8) -> HPolyhedron:
         for _ in range(m):
             rows.append(_stream_vector(stream, cfg, n))
             rhs.append(Q((stream.next_u64() & 0xFFFF) + 1, 1 << 16))
-        if rank(rows) == n and positive_span_is_subspace(GeneratedSet(tuple(rows), (), n)):
-            return HPolyhedron(tuple(rows), tuple(rhs), n)
+        if rank(rows) == n and positive_span_is_subspace(GeneratedSet(rows, (), n)):
+            return HPolyhedron(rows, rhs, n)
     raise InternalError("random polytope resampling did not terminate")
 
 
@@ -117,7 +117,7 @@ def cube_vertices() -> VPolytope:
         for sy in (ONE, -ONE):
             for sz in (ONE, -ONE):
                 verts.append((sx, sy, sz))
-    return VPolytope(tuple(verts))
+    return VPolytope(verts)
 
 
 def random_vpolytope(seed: int, n: int = 3, k: int = 10) -> VPolytope:
@@ -150,22 +150,20 @@ def edge_direction(F: VPolytope) -> Vec:
     n = F.dim
     for w in distinct[1:]:
         uw = vsub(u, w)
-        rows: List[Vec] = [tuple(uw) + (ZERO,), tuple(-a for a in uw) + (ZERO,)]
-        rhs: List[Rat] = [ZERO, ZERO]
+        rows = [(*uw, ZERO), (*(-a for a in uw), ZERO)]
+        rhs = [ZERO, ZERO]
         for p in distinct[1:]:
             if p == w:
                 continue
-            rows.append(tuple(vsub(p, u)) + (ONE,))
+            rows.append((*vsub(p, u), ONE))
             rhs.append(ZERO)
         for k_ in range(n):
             for sign in (ONE, -ONE):
                 row = [ZERO] * (n + 1)
                 row[k_] = sign
-                rows.append(tuple(row))
+                rows.append(row)
                 rhs.append(ONE)
-        lp = LinearProgram(
-            tuple([ZERO] * n + [ONE]), HPolyhedron(tuple(rows), tuple(rhs), n + 1)
-        )
+        lp = LinearProgram([ZERO] * n + [ONE], HPolyhedron(rows, rhs, n + 1))
         res = solve_lp(lp)
         if isinstance(res, Optimal) and res.value > 0:
             return res.x[:n]

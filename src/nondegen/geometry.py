@@ -41,8 +41,8 @@ class GeneratedSet:
     dim: int
 
     def __post_init__(self):
-        mat(self.points, _size(self.dim, "dim"), "point")
-        mat(self.rays, self.dim, "ray")
+        object.__setattr__(self, "points", mat(self.points, _size(self.dim, "dim"), "point"))
+        object.__setattr__(self, "rays", mat(self.rays, self.dim, "ray"))
 
     @property
     def is_empty(self) -> bool:
@@ -56,13 +56,9 @@ class VPolytope:
     vertices: Mat
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", mat(self.vertices, what="vertex"))
         if not self.vertices:
             raise DegeneratePolytopeError("vertex list is empty")
-        mat(self.vertices, what="vertex")
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "VPolytope":
-        return cls(mat(vertices))
 
     @property
     def dim(self) -> int:
@@ -180,9 +176,7 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
                 del point_idx[i]
             else:
                 i += 1
-    pruned = GeneratedSet(
-        tuple(S.points[j] for j in point_idx), tuple(rays), S.dim
-    )
+    pruned = GeneratedSet([S.points[j] for j in point_idx], rays, S.dim)
     return pruned, tuple(point_idx), tuple(ray_idx)
 
 

@@ -16,9 +16,10 @@ checks the length.  Strings are refused: a token is read by
 :func:`parse_rational`, as in problem files and flags.  The entry points
 take their vectors through ``vec``, :func:`rank` and :func:`solve_linear`
 their rows through :func:`mat`'s check, and each dataclass's
-``__post_init__`` its own fields (``dim`` through :func:`_size`).  That check
-only validates: a valid object keeps the very objects it was given, and an
-all-``Fraction`` row costs one type scan.
+``__post_init__`` its own fields (``dim`` through :func:`_size`).  Each field
+keeps what its check returns, so a valid object stores one form whatever it
+was built from: tuples of ``Fraction`` entries.  An all-``Fraction`` row is
+kept as the same object after one type scan.
 
 :func:`dot` builds no ``Fraction`` per term: it sums the nonzero products as
 an integer numerator over an integer denominator (cross-multiplying only when
@@ -83,8 +84,11 @@ def parse_rational(token: str) -> Rat:
 
     Anything else (empty string, whitespace, decimals, signs on the
     denominator, zero denominator, more digits than ``int()`` converts)
-    raises :class:`RationalParseError`.
+    raises :class:`RationalParseError`, and a token that is not a ``str``
+    raises ``ValueError``.
     """
+    if not isinstance(token, str):
+        raise ValueError(f"rational token must be a str, not {type(token).__name__}")
     m = _RATIONAL_TOKEN.fullmatch(token)
     if m is None:
         raise RationalParseError(token)
@@ -98,8 +102,9 @@ def parse_rational(token: str) -> Rat:
 
 
 def format_rational(x) -> str:
-    """Render a rational as ``'n'`` or ``'n/d'`` (the parseable form)."""
-    num, den = x.numerator, x.denominator
+    """Render a rational as ``'n'`` or ``'n/d'`` (the parseable form); anything but an
+    ``int`` or a ``Fraction`` is refused by :func:`_exact`."""
+    num, den = _exact(x, "rational").numerator, x.denominator
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -118,28 +123,52 @@ def _size(value, name: str) -> int:
     return value
 
 
+def _sequence(values: Iterable, name: str, kind: str = "a sequence") -> tuple:
+    """``tuple(values)``; ``ValueError("<name> must be <kind>, not <type>")`` when it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be {kind}, not {type(values).__name__}") from None
+
+
 def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
     """A caller's vector: a ``Fraction`` entry kept, an ``int`` one made ``Q(int)``, any
     other refused by :func:`_exact` as ``"<what> entry i"`` (less a trailing ``" dimension"``);
     with ``dim``, another length raises ``DimensionMismatchError(what, dim, len)``."""
     name = what.removesuffix(" dimension") or "vector"
-    try:
-        out = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence, not {type(values).__name__}") from None
+    out = _sequence(values, name)
     if dim is not None and len(out) != dim:
         raise DimensionMismatchError(what, dim, len(out))
     return tuple(a if isinstance(a, Q) else Q(_exact(a, f"{name} entry {i}")) for i, a in enumerate(out))
+
+
+def _rows(rows: Iterable[Iterable], what: str = "matrix row") -> List[tuple]:
+    """Each row as a tuple, or ``ValueError`` when ``rows`` is not a sequence of sequences."""
+    try:
+        return [tuple(r) for r in rows]
+    except TypeError:
+        raise ValueError(f"{what} list must be a sequence of sequences") from None
+
+
+def _pairs(values: Iterable, what: str, pair: str) -> List[Tuple[tuple, object]]:
+    """``values`` as ``(first, last)`` pairs with ``first`` a tuple; ``ValueError``
+    naming ``what`` when it is not a sequence, or ``"<what> row i"`` when its entry
+    ``i`` is not a ``pair`` pair whose first part is a sequence."""
+    out = []
+    for i, p in enumerate(_sequence(values, what, f"a sequence of {pair} pairs")):
+        try:
+            first, last = p
+            out.append((tuple(first), last))
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} row {i} must be a {pair} pair") from None
+    return out
 
 
 def mat(rows: Iterable[Iterable], width: Optional[int] = None, what: str = "matrix row") -> Mat:
     """Rows through :func:`vec` as ``"<what> i dimension"``, each of ``width``
     entries (by default, the first row's).  Rows of that width whose entries
     are all ``Fraction`` are kept after one scan of the lengths and the types."""
-    try:
-        rows = [tuple(r) for r in rows]
-    except TypeError:
-        raise ValueError(f"{what} list must be a sequence of sequences") from None
+    rows = _rows(rows, what)
     width = len(rows[0]) if width is None and rows else width
     if {*map(len, rows)} <= {width} and {*map(type, chain(*rows))} <= {Q}:
         return tuple(rows)
@@ -180,10 +209,9 @@ def _integer_point(values: Sequence) -> Tuple[List[int], int]:
     return [a.numerator * (D // a.denominator) for a in values], D
 
 
-def _integer_rows(rows: Iterable[Iterable]) -> List[list]:
-    """The rows scaled to integers by :func:`_integer_point` after :func:`mat`'s
-    check; rows of ints of one width are kept as they are."""
-    rows = [list(row) for row in rows]
+def _integer_rows(rows: List[tuple]) -> List[Sequence[int]]:
+    """The rows (a list of tuples) scaled to integers by :func:`_integer_point`
+    after :func:`mat`'s check; rows of ints of one width are kept as they are."""
     if {*map(type, chain(*rows))} <= {int} and len({*map(len, rows)}) < 2:
         return rows
     return [_integer_point(row)[0] for row in mat(rows)]
@@ -237,7 +265,7 @@ def _eliminate(M: List[list], ncols: int) -> Tuple[List[int], int]:
 
 def rank(A: Iterable[Iterable]) -> int:
     """Rank via exact fraction-free elimination over the rationals, of rows checked by :func:`mat`."""
-    M = _integer_rows(A)
+    M = _integer_rows(_rows(A))
     return len(_eliminate(M, len(M[0]))[0]) if M else 0
 
 
@@ -265,15 +293,17 @@ SolveOutcome = UniqueSolution | Underdetermined | Inconsistent
 def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None) -> SolveOutcome:
     """Solve ``A x = b`` exactly, classifying the solution set.
 
-    ``ncols`` is only needed when ``A`` has no rows (the variable count cannot
-    be inferred).  For underdetermined systems the particular solution sets all
-    free variables to zero and the nullspace basis has one vector per free
-    column (that column set to one).  Rows of different widths raise
-    ``DimensionMismatchError``, with the widths of ``[A | b]``, and an entry
-    that is not an ``int`` or a ``Fraction`` is named by its place in ``[A | b]``.
+    ``ncols``, an ``int`` of at least 0, is only needed when ``A`` has no rows
+    (the variable count cannot be inferred).  For underdetermined systems the
+    particular solution sets all free variables to zero and the nullspace basis
+    has one vector per free column (that column set to one).  Rows of different
+    widths raise ``DimensionMismatchError``, with the widths of ``[A | b]``, and
+    an entry that is not an ``int`` or a ``Fraction`` is named by its place in
+    ``[A | b]``.
     """
-    rows = [list(r) for r in A]
-    rhs = list(b)
+    if ncols is not None and _exact(ncols, "ncols", fraction_ok=False) < 0:
+        raise ValueError("ncols must be nonnegative")
+    rows, rhs = _rows(A), _sequence(b, "right-hand side")
     if len(rhs) != len(rows):
         raise DimensionMismatchError("right-hand side length", len(rows), len(rhs))
     if rows:
@@ -284,7 +314,7 @@ def solve_linear(A: Iterable[Iterable], b: Iterable, ncols: Optional[int] = None
         if ncols is None:
             raise DimensionMismatchError("column count for empty matrix", "an integer", None)
         n = ncols
-    aug = _integer_rows(row + [rv] for row, rv in zip(rows, rhs))
+    aug = _integer_rows([(*row, rv) for row, rv in zip(rows, rhs)])
     pivot_cols, d = _eliminate(aug, n)
     if any(row[n] for row in aug[len(pivot_cols) :]):
         return Inconsistent()

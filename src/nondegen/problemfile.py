@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from .errors import ImproperFunctionError, ProblemParseError, RationalParseError, quote_token
 from .functions import Piece, PolyhedralFunction
 from .geometry import VPolytope
-from .linalg import Mat, Rat, Vec, _exact, _parse_integer, _size, format_rational, mat, parse_rational
+from .linalg import Mat, Rat, Vec, _exact, _pairs, _parse_integer, _size, format_rational, mat, parse_rational
 from .proximal import LowerC2Instance
 from .simplex import HPolyhedron
 
@@ -39,24 +39,6 @@ Constraint = Tuple[Vec, Rat]  # (a, b) meaning <a, x> <= b
 # the pairs that _PAIRS names.
 _SECTIONS = {"pieces": 1, "constraints": 1, "vertices": 0}
 _PAIRS = {"pieces": "(gradient, offset)", "constraints": "(normal, bound)"}
-
-
-def _joined(pairs, head: str) -> List[tuple]:
-    """Each ``(v, last)`` pair of section ``head`` as the row ``(*v, last)``."""
-    try:
-        pairs = list(pairs)
-    except TypeError:
-        raise ValueError(
-            f"{head} must be a sequence of {_PAIRS[head]} pairs, not {type(pairs).__name__}"
-        ) from None
-    rows = []
-    for i, pair in enumerate(pairs):
-        try:
-            v, last = pair
-            rows.append((*v, last))
-        except (TypeError, ValueError):
-            raise ValueError(f"{head} row {i} must be a {_PAIRS[head]} pair") from None
-    return rows
 
 
 @dataclass(frozen=True)
@@ -71,8 +53,12 @@ class ProblemFile:
         dim = _size(self.dim, "dim")
         for head, extra in _SECTIONS.items():
             rows = getattr(self, head)
-            if rows is not None:  # each row as serialize writes it
-                mat(_joined(rows, head) if extra else rows, dim + extra, f"{head} row")
+            if rows is None:
+                continue
+            if extra:  # each pair as the row serialize writes, split again once checked
+                rows = [(*v, last) for v, last in _pairs(rows, head, _PAIRS[head])]
+            rows = mat(rows, dim + extra, f"{head} row")
+            object.__setattr__(self, head, tuple((r[:dim], r[dim]) for r in rows) if extra else rows)
         if self.rho is not None and not _exact(self.rho, "rho") > 0:
             raise ValueError("rho must be positive")
 

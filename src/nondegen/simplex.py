@@ -72,18 +72,18 @@ class HPolyhedron:
     dim: int
 
     def __post_init__(self):
-        mat(self.A, _size(self.dim, "dim"), "constraint")
-        vec(self.b, len(self.A), "right-hand side dimension")
+        A = mat(self.A, _size(self.dim, "dim"), "constraint")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", vec(self.b, len(A), "right-hand side dimension"))
 
     @classmethod
     def from_rows(cls, rows, rhs, dim: Optional[int] = None) -> "HPolyhedron":
         A = mat(rows)
-        b = vec(rhs, what="right-hand side")
         if dim is None:
             if not A:
                 raise DimensionMismatchError("dim for empty constraint list", "an integer", None)
             dim = len(A[0])
-        return cls(A, b, dim)
+        return cls(A, rhs, dim)
 
     @property
     def m(self) -> int:
@@ -98,7 +98,7 @@ class HPolyhedron:
         :func:`~nondegen.linalg._integer_rows`, so ``a_i·x <= b_i`` iff ``N_i·x <= B_i``.
         Kept from the first use; not a field, so ``==``, ``hash`` and
         ``repr`` do not see it.  :meth:`_scan` tests points against them."""
-        return tuple(map(tuple, _integer_rows((*a, b) for a, b in zip(self.A, self.b))))
+        return tuple(map(tuple, _integer_rows([(*a, b) for a, b in zip(self.A, self.b)])))
 
     def _scan(self, X: Sequence[int], D: int) -> Tuple[Optional[int], Tuple[int, ...]]:
         """(first violated row or None, tight rows) at ``x = X / D``, ``D > 0``: the
@@ -138,7 +138,7 @@ class LinearProgram:
     def __post_init__(self):
         if not isinstance(self.constraints, HPolyhedron):
             raise ValueError(f"constraints must be an HPolyhedron, not {type(self.constraints).__name__}")
-        vec(self.objective, self.constraints.dim, "objective dimension")
+        object.__setattr__(self, "objective", vec(self.objective, self.constraints.dim, "objective dimension"))
 
 
 @dataclass(frozen=True)

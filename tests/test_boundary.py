@@ -2,8 +2,10 @@
 ``linalg._exact``: an ``int`` or a ``Fraction`` is taken, anything else is a
 ``ValueError`` naming the field, never a bare ``AttributeError`` or
 ``TypeError`` further in.  That holds for a dataclass built directly too,
-whose ``__post_init__`` checks its own fields and keeps what it was given.
-Also: the README's library block runs as written."""
+whose ``__post_init__`` checks its own fields and stores what the check
+returns, tuples of ``Fraction`` entries: built from lists and ints, it equals
+and hashes like its twin built from tuples.  Also: the README's library block
+runs as written."""
 
 import re
 from decimal import Decimal
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nondegen.errors import DimensionMismatchError
+from nondegen.errors import DegeneratePolytopeError, DimensionMismatchError, EmptyGeneratedSetError
 from nondegen.experiments import SamplerConfig, run_larman, sample_objective
 from nondegen.functions import (
     Minimizer,
@@ -27,6 +29,7 @@ from nondegen.gallery import (
     abs_function,
     box,
     box_indicator,
+    edge_direction,
     point_indicator,
     random_polytope,
     random_vpolytope,
@@ -34,11 +37,22 @@ from nondegen.gallery import (
     square_vertices,
     standard_simplex,
 )
-from nondegen.geometry import GeneratedSet, VPolytope, exposed_face, member, ri_membership, translate
-from nondegen.linalg import ONE, ZERO, mat, rank, solve_linear, vec
+from nondegen.geometry import (
+    GeneratedSet,
+    VPolytope,
+    exposed_face,
+    member,
+    positive_span_is_subspace,
+    prune,
+    ri_membership,
+    translate,
+)
+from nondegen.linalg import (
+    ONE, ZERO, Q, format_rational, mat, parse_rational, rank, solve_linear, vec, vsub
+)
 from nondegen.problemfile import ProblemFile, serialize
 from nondegen.proximal import LowerC2Instance, find_critical_points, minty_transport, prox
-from nondegen.simplex import HPolyhedron, LinearProgram
+from nondegen.simplex import HPolyhedron, LinearProgram, solve_standard_form
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -230,17 +244,113 @@ REFUSALS.update({
         lambda: ProblemFile(1, pieces=(((ONE,), ZERO),), rho=-ONE), "^rho must be positive$"
     ),
     "ProblemFile-rho-zero": (lambda: ProblemFile(1, pieces=(), rho=0), "^rho must be positive$"),
+    # misshapen inputs that escaped as a bare TypeError, AttributeError or
+    # unpacking error, or were read silently (an ncols of True or -1)
+    "rank-int": (lambda: rank(5), "^matrix row list must be a sequence of sequences$"),
+    "rank-flat": (lambda: rank([5]), "^matrix row list must be a sequence of sequences$"),
+    "solve_linear-rhs-int": (
+        lambda: solve_linear([(1,)], 5), "^right-hand side must be a sequence, not int$"
+    ),
+    "solve_linear-ncols-float": (lambda: solve_linear([], [], 1.5), _inexact("ncols", exact="an int")),
+    "solve_linear-ncols-bool": (
+        lambda: solve_linear([], [], True), _inexact("ncols", "bool", "an int")
+    ),
+    "solve_linear-ncols-negative": (lambda: solve_linear([], [], -1), "^ncols must be nonnegative$"),
+    "build-piece-None": (
+        lambda: PolyhedralFunction.build([None], [], [], 1),
+        r"^pieces row 0 must be a \(gradient, offset\) pair$",
+    ),
+    "build-pieces-int": (
+        lambda: PolyhedralFunction.build(5, [], [], 1),
+        r"^pieces must be a sequence of \(gradient, offset\) pairs, not int$",
+    ),
+    "max_affine-unpaired": (
+        lambda: PolyhedralFunction.max_affine([((1,),)], 1),
+        r"^pieces row 0 must be a \(gradient, offset\) pair$",
+    ),
+    "forced-int": (
+        lambda: run_larman(square_vertices(), CFG, 1, forced=5),
+        "^forced direction list must be a sequence of sequences$",
+    ),
+    "format_rational-float": (lambda: format_rational(0.5), _inexact("rational")),
+    "parse_rational-int": (lambda: parse_rational(5), "^rational token must be a str, not int$"),
+    # documented refusals that no other test reaches
+    "PolyhedralFunction-domain-dim": (lambda: PolyhedralFunction((), P1, 2), DimensionMismatchError),
+    "VPolytope-empty": (lambda: VPolytope(()), DegeneratePolytopeError),
+    "prune-empty": (lambda: prune(GeneratedSet((), (), 1)), EmptyGeneratedSetError),
+    "positive_span_is_subspace-empty": (
+        lambda: positive_span_is_subspace(GeneratedSet((), ((ONE,),), 1)), EmptyGeneratedSetError
+    ),
+    "vsub-length": (lambda: vsub((ONE,), (ONE, ZERO)), DimensionMismatchError),
+    "solve_linear-ncols": (lambda: solve_linear([(1, 0)], [1], 3), DimensionMismatchError),
+    "from_rows-no-dim": (lambda: HPolyhedron.from_rows([], []), DimensionMismatchError),
+    "kernel-rhs-length": (lambda: solve_standard_form([(ONE,)], [], [ONE]), DimensionMismatchError),
+    "kernel-row-width": (
+        lambda: solve_standard_form([(ONE, ZERO)], [ONE], [ONE]), DimensionMismatchError
+    ),
 })
 
 
 @pytest.mark.parametrize("call,expected", REFUSALS.values(), ids=REFUSALS.keys())
 def test_an_inexact_or_misshapen_input_is_refused_naming_the_field(call, expected):
-    if expected is DimensionMismatchError:
-        with pytest.raises(DimensionMismatchError):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
             call()
     else:
         with pytest.raises(ValueError, match=expected):
             call()
+
+
+def test_member_of_an_empty_set_is_false():
+    assert member(GeneratedSet((), ((ONE,),), 1), (ZERO,)) is False
+
+
+# each dataclass that holds a caller's rows, built from lists and ints, and its
+# twin built from tuples of Fractions
+HALF = Q(1, 2)
+TWINS = {
+    "HPolyhedron": (
+        lambda: HPolyhedron([[1, 0]], [1], 2), lambda: HPolyhedron(((ONE, ZERO),), (ONE,), 2)
+    ),
+    "LinearProgram": (
+        lambda: LinearProgram([0, 1], HPolyhedron([[1, 0]], [1], 2)),
+        lambda: LinearProgram((ZERO, ONE), HPolyhedron(((ONE, ZERO),), (ONE,), 2)),
+    ),
+    "GeneratedSet": (
+        lambda: GeneratedSet([[0, 1]], [[1, 0]], 2), lambda: GeneratedSet(((ZERO, ONE),), ((ONE, ZERO),), 2)
+    ),
+    "VPolytope": (
+        lambda: VPolytope([[0, 0], [1, 0]]), lambda: VPolytope(((ZERO, ZERO), (ONE, ZERO)))
+    ),
+    "PolyhedralFunction": (
+        lambda: PolyhedralFunction([[[1, 0], 2]], HPolyhedron([[1, 0]], [1], 2), 2),
+        lambda: PolyhedralFunction((((ONE, ZERO), 2 * ONE),), HPolyhedron(((ONE, ZERO),), (ONE,), 2), 2),
+    ),
+    # pieces read once: from an iterator, the second pass saw none
+    "PolyhedralFunction-iterator": (
+        lambda: PolyhedralFunction(iter([((1,), 0), ((2,), 1)]), HPolyhedron([[1]], [1], 1), 1),
+        lambda: PolyhedralFunction((((ONE,), ZERO), ((2 * ONE,), ONE)), HPolyhedron(((ONE,),), (ONE,), 1), 1),
+    ),
+    "ProblemFile": (
+        lambda: ProblemFile(2, pieces=[[[1, 0], 2]], constraints=[[[0, 1], 1]], vertices=[[0, 1]], rho=HALF),
+        lambda: ProblemFile(
+            2, (((ONE, ZERO), 2 * ONE),), (((ZERO, ONE), ONE),), ((ZERO, ONE),), HALF
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("lists,tuples", TWINS.values(), ids=TWINS.keys())
+def test_a_dataclass_built_from_lists_stores_its_twins_tuples(lists, tuples):
+    a, b = lists(), tuples()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_larman_runs_on_a_vpolytope_built_from_lists():
+    F = VPolytope([[0, 0], [1, 0], [0, 1]])
+    G = VPolytope(((ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)))
+    assert edge_direction(F) == edge_direction(G)
+    assert run_larman(F, CFG, 20, forced=[[1, 1]]) == run_larman(G, CFG, 20, forced=[(ONE, ONE)])
 
 
 def test_vec_keeps_each_fraction_and_converts_each_int():

@@ -287,6 +287,16 @@ def test_larman_with_one_distinct_vertex_exit_code(prob, capsys):
     assert "fewer than 2 distinct vertices" in err
 
 
+def test_larman_with_no_vertices_exit_code(prob, capsys):
+    none = "dim 2\nvertices 0\n"
+    code, out, err = run(
+        capsys, "larman", "--vertices", prob("none.prob", none), "--trials", "3", "--seed", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "error: vertex list is empty" in err
+
+
 def test_enumeration_bound_exit_code(prob, capsys):
     code, _, err = run(
         capsys, "prox", prob("box.prob", BOX), "--c", "0,0", "--enum-bound", "3"

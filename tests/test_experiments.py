@@ -678,7 +678,7 @@ def test_forced_axis_direction_exposes_an_edge():
 
 
 def test_segment_orthogonal_direction_exposes_both_endpoints():
-    F = VPolytope.from_vertices([(0, 0), (1, 0)])
+    F = VPolytope([(0, 0), (1, 0)])
     report = run_larman(F, CFG42, 5, forced=[(0, 1)])
     rec = report.forced[0]
     assert rec.distinct_vertices == 2
@@ -686,14 +686,14 @@ def test_segment_orthogonal_direction_exposes_both_endpoints():
 
 
 def test_degenerate_polytope_is_rejected():
-    F = VPolytope.from_vertices([(1, 1), (1, 1)])
+    F = VPolytope([(1, 1), (1, 1)])
     with pytest.raises(DegeneratePolytopeError, match="fewer than 2 distinct vertices"):
         run_larman(F, CFG42, 3)
 
 
 def test_edge_direction_refuses_a_degenerate_polytope_as_run_larman_does():
     """Fewer than 2 distinct vertices is bad input, not a failed invariant."""
-    for F in (VPolytope.from_vertices([(1, 1), (1, 1)]), VPolytope.from_vertices([(0,)])):
+    for F in (VPolytope([(1, 1), (1, 1)]), VPolytope([(0,)])):
         with pytest.raises(DegeneratePolytopeError, match="fewer than 2 distinct vertices"):
             edge_direction(F)
 
@@ -701,7 +701,7 @@ def test_edge_direction_refuses_a_degenerate_polytope_as_run_larman_does():
 def test_zero_directions_are_resampled_from_the_same_stream():
     # with 8-bit coordinates a zero draw appears after a short search
     cfg = SamplerConfig(seed=42, bits=8)
-    F = VPolytope.from_vertices([(0,), (1,)])
+    F = VPolytope([(0,), (1,)])
     hit = None
     for i in range(5000):
         stream = SplitMix64(42 ^ i)
