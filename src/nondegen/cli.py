@@ -37,6 +37,7 @@ from .errors import (
 )
 from .experiments import (
     SamplerConfig,
+    _check_trials,
     _join_vec,
     construct_degenerate,
     csv_table,
@@ -117,9 +118,8 @@ def _load(args) -> ProblemFile:
 
 
 def _sampler(args) -> SamplerConfig:
-    if args.trials < 0:
-        raise UsageError("--trials must be nonnegative")
     try:
+        _check_trials(args.trials)
         return SamplerConfig(seed=args.seed, bits=args.bits, box_radius=parse_rational(args.radius))
     except (RationalParseError, ValueError) as e:
         raise UsageError(str(e)) from None

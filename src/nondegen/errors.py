@@ -85,8 +85,7 @@ class InfeasibleDomainError(NondegenError):
 
 
 class DegeneratePolytopeError(NondegenError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
+    """A vertex list that is empty, or has fewer distinct vertices than the operation needs."""
 
 
 class InternalError(NondegenError):
@@ -101,6 +100,3 @@ class ProblemParseError(NondegenError):
 
 class ImproperFunctionError(ProblemParseError):
     """The file describes no function: neither pieces nor constraints (nor vertices)."""
-
-    def __init__(self, line: int, message: str = "improper: no pieces, constraints, or vertices declared"):
-        super().__init__(line, message)

@@ -84,10 +84,7 @@ class PolyhedralFunction:
             raise ValueError(f"domain must be an HPolyhedron, not {type(self.domain).__name__}")
         if self.domain.dim != _size(self.dim, "dim"):
             raise DimensionMismatchError("domain dimension", self.dim, self.domain.dim)
-        try:
-            pieces = [(c, d) for c, d in self.pieces]  # one pass, so an iterator is read once
-        except (TypeError, ValueError):
-            raise ValueError("pieces must be a sequence of (gradient, offset) pairs") from None
+        pieces = _pairs(self.pieces, "pieces", "(gradient, offset)")
         gradients = mat([c for c, _ in pieces], self.dim, "piece gradient")
         offsets = vec([d for _, d in pieces], what="piece offset")
         object.__setattr__(self, "pieces", tuple(zip(gradients, offsets)))
@@ -111,11 +108,8 @@ class PolyhedralFunction:
 
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
-        ps = [
-            (vec(c, what=f"piece {j} gradient"), _exact(d, f"piece {j} offset"))
-            for j, (c, d) in enumerate(_pairs(pieces, "pieces", "(gradient, offset)"))
-        ]
-        return cls(ps, HPolyhedron(constraint_rows, constraint_rhs, dim), dim)
+        """The constructor over a constraint list: the pieces are checked there, once."""
+        return cls(pieces, HPolyhedron(constraint_rows, constraint_rhs, dim), dim)
 
     @classmethod
     def indicator(cls, P: HPolyhedron) -> "PolyhedralFunction":

@@ -16,10 +16,11 @@ checks the length.  Strings are refused: a token is read by
 :func:`parse_rational`, as in problem files and flags.  The entry points
 take their vectors through ``vec``, :func:`rank` and :func:`solve_linear`
 their rows through :func:`mat`'s check, and each dataclass's
-``__post_init__`` its own fields (``dim`` through :func:`_size`).  Each field
-keeps what its check returns, so a valid object stores one form whatever it
-was built from: tuples of ``Fraction`` entries.  An all-``Fraction`` row is
-kept as the same object after one type scan.
+``__post_init__`` its own fields (``dim`` through :func:`_size`, a list of
+pairs through :func:`_pairs`, the one pair reader).  Each field keeps what its
+check returns, so a valid object stores one form whatever it was built from:
+tuples of ``Fraction`` entries.  An all-``Fraction`` row is kept as the same
+object after one type scan.
 
 :func:`dot` builds no ``Fraction`` per term: it sums the nonzero products as
 an integer numerator over an integer denominator (cross-multiplying only when
@@ -153,7 +154,8 @@ def _rows(rows: Iterable[Iterable], what: str = "matrix row") -> List[tuple]:
 def _pairs(values: Iterable, what: str, pair: str) -> List[Tuple[tuple, object]]:
     """``values`` as ``(first, last)`` pairs with ``first`` a tuple; ``ValueError``
     naming ``what`` when it is not a sequence, or ``"<what> row i"`` when its entry
-    ``i`` is not a ``pair`` pair whose first part is a sequence."""
+    ``i`` is not a ``pair`` pair whose first part is a sequence.  The one pair
+    reader, of ``PolyhedralFunction``'s pieces and ``ProblemFile``'s sections."""
     out = []
     for i, p in enumerate(_sequence(values, what, f"a sequence of {pair} pairs")):
         try:

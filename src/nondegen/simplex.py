@@ -76,15 +76,6 @@ class HPolyhedron:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", vec(self.b, len(A), "right-hand side dimension"))
 
-    @classmethod
-    def from_rows(cls, rows, rhs, dim: Optional[int] = None) -> "HPolyhedron":
-        A = mat(rows)
-        if dim is None:
-            if not A:
-                raise DimensionMismatchError("dim for empty constraint list", "an integer", None)
-            dim = len(A[0])
-        return cls(A, rhs, dim)
-
     @property
     def m(self) -> int:
         return len(self.A)

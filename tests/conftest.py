@@ -1,30 +1,15 @@
-"""Shared helpers for the test suite: exact-value constructors, converters
-between package rationals and `fractions.Fraction` (what the oracles speak),
-and seeded random instance generators."""
+"""Shared helpers for the test suite: exact-value constructors and seeded
+random instance generators.  The package's rationals are `fractions.Fraction`,
+what the oracles speak, so its values go to an oracle as they are."""
 
 import random
-from fractions import Fraction
 
 from nondegen import GeneratedSet, HPolyhedron, PolyhedralFunction, Q
 
 
-def q(token):
-    """Q from int or 'p/q' token."""
-    if isinstance(token, str):
-        return Q(Fraction(token))
-    return Q(token)
-
-
 def qv(*tokens):
-    return tuple(q(t) for t in tokens)
-
-
-def to_frac(x):
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
-def vec_frac(v):
-    return [to_frac(c) for c in v]
+    """A vector of ``Q`` from ints and ``'p/q'`` tokens."""
+    return tuple(map(Q, tokens))
 
 
 def vadd(u, v):
@@ -55,7 +40,7 @@ def rand_hpoly(rng: random.Random, dim: int, m: int) -> HPolyhedron:
             row = rand_vec(rng, dim)
         rows.append(row)
         rhs.append(rand_rat(rng))
-    return HPolyhedron.from_rows(rows, rhs, dim)
+    return HPolyhedron(rows, rhs, dim)
 
 
 def rand_genset(rng: random.Random, dim: int) -> GeneratedSet:
@@ -96,7 +81,7 @@ def rand_polyfun(rng: random.Random, dim: int) -> PolyhedralFunction:
             # keep the center feasible so the instance stays proper
             margin = Q(rng.randint(0, 2))
             rhs.append(sum(a * c for a, c in zip(row, center)) + margin)
-    domain = HPolyhedron.from_rows(rows, rhs, dim)
+    domain = HPolyhedron(rows, rhs, dim)
     return PolyhedralFunction(tuple(pieces), domain, dim)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_hpoly, rand_polyfun, rand_genset, rand_vec, feasible_points_of, to_frac, vec_frac, vscale
+from conftest import rand_hpoly, rand_polyfun, rand_genset, rand_vec, feasible_points_of, vscale
 from nondegen.experiments import (
     SamplerConfig,
     construct_degenerate,
@@ -212,12 +212,7 @@ def test_criterion_4_oracle_equivalence(capfd):
         y = rand_vec(rng, dim)
         got = ri_membership(S, y)
         kind = {Interior: "interior", Boundary: "boundary", Outside: "outside"}[type(got)]
-        expected = ri_status_oracle(
-            [vec_frac(p) for p in S.points],
-            [vec_frac(r) for r in S.rays],
-            dim,
-            vec_frac(y),
-        )
+        expected = ri_status_oracle(S.points, S.rays, dim, y)
         if kind != expected:
             ri_mismatches += 1
     lp_mismatches = 0
@@ -226,11 +221,9 @@ def test_criterion_4_oracle_equivalence(capfd):
         P = rand_hpoly(rng, dim, rng.randint(1, 8))
         v = rand_vec(rng, dim)
         res = solve_lp(LinearProgram(v, P))
-        kind, value = lp_enum_oracle(
-            vec_frac(v), [vec_frac(row) for row in P.A], vec_frac(P.b), dim
-        )
+        kind, value = lp_enum_oracle(v, P.A, P.b, dim)
         if isinstance(res, Optimal):
-            if kind != "optimal" or to_frac(res.value) != value:
+            if kind != "optimal" or res.value != value:
                 lp_mismatches += 1
         elif isinstance(res, Unbounded):
             if kind != "unbounded":

@@ -75,16 +75,13 @@ REFUSALS = {
     "vec-none": (lambda: vec((None,)), _inexact("vector entry 0", "NoneType")),
     "vec-length": (lambda: vec((1, 2), 3, "point dimension"), DimensionMismatchError),
     "mat-float": (lambda: mat([(1, 0.5)]), _inexact("matrix row 0 entry 1")),
-    "from_rows-float": (
-        lambda: HPolyhedron.from_rows([(1, 0.5)], [1]), _inexact("matrix row 0 entry 1")
-    ),
     # the silent readings
     "build-offset": (
-        lambda: PolyhedralFunction.build([((1,), 0.5)], [], [], 1), _inexact("piece 0 offset")
+        lambda: PolyhedralFunction.build([((1,), 0.5)], [], [], 1), _inexact("piece offset entry 0")
     ),
     "build-gradient": (
         lambda: PolyhedralFunction.build([(("1/2",), 0)], [], [], 1),
-        _inexact("piece 0 gradient entry 0", "str"),
+        _inexact("piece gradient 0 entry 0", "str"),
     ),
     "build-rhs": (
         lambda: PolyhedralFunction.build([], [(1,)], [0.5], 1), _inexact("right-hand side entry 0")
@@ -179,6 +176,21 @@ for cls, build in DIMS.items():
     REFUSALS[f"{cls}-dim-bool"] = (lambda build=build: build(True), _inexact("dim", "bool", "an int"))
     REFUSALS[f"{cls}-dim-float"] = (lambda build=build: build(1.0), _inexact("dim", exact="an int"))
     REFUSALS[f"{cls}-dim-zero"] = (lambda build=build: build(0), "^dim must be at least 1$")
+# a bad second piece, refused in the constructor's words by the constructor
+# and by the two classmethods that leave their pieces to it
+PIECE_BUILDERS = {
+    "PolyhedralFunction": lambda p: PolyhedralFunction([((0,), 0), p], P1, 1),
+    "build": lambda p: PolyhedralFunction.build([((0,), 0), p], [], [], 1),
+    "max_affine": lambda p: PolyhedralFunction.max_affine([((0,), 0), p], 1),
+}
+BAD_PIECES = {
+    "offset-float": (((1,), 0.5), _inexact("piece offset entry 1")),
+    "gradient-str": ((("1/2",), 0), _inexact("piece gradient 1 entry 0", "str")),
+    "unpaired": (((1,),), r"^pieces row 1 must be a \(gradient, offset\) pair$"),
+}
+for via, build in PIECE_BUILDERS.items():
+    for kind, (piece, message) in BAD_PIECES.items():
+        REFUSALS[f"{via}-second-piece-{kind}"] = (lambda build=build, piece=piece: build(piece), message)
 REFUSALS.update({
     # the eliminator's entry points; solve_linear names an entry by its place in [A | b]
     "rank": (lambda: rank([(ONE, 0), (0.5, 1)]), _inexact("matrix row 1 entry 0")),
@@ -220,7 +232,7 @@ REFUSALS.update({
     ),
     "PolyhedralFunction-piece-unpaired": (
         lambda: PolyhedralFunction(((1,),), P1, 1),
-        r"^pieces must be a sequence of \(gradient, offset\) pairs$",
+        r"^pieces row 0 must be a \(gradient, offset\) pair$",
     ),
     "LowerC2Instance-g-None": (
         lambda: LowerC2Instance(None, 1), "^g must be a PolyhedralFunction, not NoneType$"
@@ -283,7 +295,6 @@ REFUSALS.update({
     ),
     "vsub-length": (lambda: vsub((ONE,), (ONE, ZERO)), DimensionMismatchError),
     "solve_linear-ncols": (lambda: solve_linear([(1, 0)], [1], 3), DimensionMismatchError),
-    "from_rows-no-dim": (lambda: HPolyhedron.from_rows([], []), DimensionMismatchError),
     "kernel-rhs-length": (lambda: solve_standard_form([(ONE,)], [], [ONE]), DimensionMismatchError),
     "kernel-row-width": (
         lambda: solve_standard_form([(ONE, ZERO)], [ONE], [ONE]), DimensionMismatchError

@@ -336,7 +336,13 @@ def test_internal_error_has_its_own_exit_code(prob, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag,value,named", [("--bits", "200", "bits"), ("--radius", "0.5", "0.5"), ("--radius", "0", "radius")]
+    "flag,value,named",
+    [
+        ("--bits", "200", "bits"),
+        ("--radius", "0.5", "0.5"),
+        ("--radius", "0", "radius"),
+        ("--trials", "-5", "trials must be nonnegative"),
+    ],
 )
 def test_bad_sampler_flag_is_usage_error(prob, capsys, flag, value, named):
     code, _, err = run(
@@ -344,13 +350,6 @@ def test_bad_sampler_flag_is_usage_error(prob, capsys, flag, value, named):
     )
     assert code == 1
     assert named in err
-
-
-def test_negative_trials_is_usage_error(prob, capsys):
-    code, _, err = run(
-        capsys, "genericity", prob("box.prob", BOX), "--trials", "-5", "--seed", "1"
-    )
-    assert code == 1
 
 
 @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])

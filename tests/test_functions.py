@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_points_of, q, qv, rand_hpoly, rand_polyfun, rand_vec, to_frac, vec_frac
+from conftest import feasible_points_of, qv, rand_hpoly, rand_polyfun, rand_vec
 from nondegen import geometry, simplex
 from nondegen.errors import (
     DimensionMismatchError,
@@ -59,7 +59,7 @@ from nondegen.simplex import (
 from oracles import dot_oracle, dual_witness_oracle, minimize_1d
 
 TIE = PolyhedralFunction.max_affine([((1,), 1), ((2,), 0)], 1)
-SIMPLEX_2D = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1)], [0, 0, 1], 2)
+SIMPLEX_2D = HPolyhedron([(-1, 0), (0, -1), (1, 1)], [0, 0, 1], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,9 @@ def test_integer_scans_match_the_fraction_references(dim, seed):
     for f in _scan_functions(rng, dim):
         A, b, terms = f.domain.A, f.domain.b, f.terms
         for x in _scan_points(rng, f):
-            xf = vec_frac(x)
-            lhs = [dot_oracle(vec_frac(a), xf) for a in A]
-            violated = [i for i, (l, bi) in enumerate(zip(lhs, b)) if l > to_frac(bi)]
-            values = [dot_oracle(vec_frac(c), xf) + to_frac(d) for c, d in terms]
+            lhs = [dot_oracle(a, x) for a in A]
+            violated = [i for i, (l, bi) in enumerate(zip(lhs, b)) if l > bi]
+            values = [dot_oracle(c, x) + d for c, d in terms]
             assert f.domain.violation_index(x) == (violated[0] if violated else None)
             if violated:
                 multi += len(violated) >= 2
@@ -266,7 +265,7 @@ def test_integer_scans_match_the_fraction_references(dim, seed):
             top = max(values)
             active_pieces = tuple(j for j, val in enumerate(values) if val == top)
             active_cons = f.domain.active_set(x)
-            assert active_cons == tuple(i for i, (l, bi) in enumerate(zip(lhs, b)) if l == to_frac(bi))
+            assert active_cons == tuple(i for i, (l, bi) in enumerate(zip(lhs, b)) if l == bi)
             value = evaluate(f, x)
             assert type(value) is Fraction and value == top
             assert _active_structure(f, x) == (
@@ -292,9 +291,9 @@ def test_integer_scans_check_the_dimension_first():
 
 def _fresh_function():
     return PolyhedralFunction.build(
-        [((1, 0), 0), ((0, 1), 0), (qv("-1/3", "-1/3"), q("1/7"))],
+        [((1, 0), 0), ((0, 1), 0), (qv("-1/3", "-1/3"), Q(1, 7))],
         [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
-        [1, 1, 1, 1, q("3/2")],
+        [1, 1, 1, 1, Q(3, 2)],
         2,
     )
 
@@ -552,7 +551,7 @@ def test_strict_complementarity_rejects_infeasible_point():
 
 
 def test_strict_complementarity_rejects_unbounded_program():
-    lp = LinearProgram(qv(1), HPolyhedron.from_rows([], [], 1))
+    lp = LinearProgram(qv(1), HPolyhedron([], [], 1))
     with pytest.raises(NotOptimalError, match="unbounded"):
         strict_complementarity(lp, qv(0))
 
@@ -658,9 +657,7 @@ def test_strict_complementarity_matches_the_lp_and_the_dual_oracle(seed):
                 strict_complementarity(lp, x_bar)
             assert info.value.gap == res.value - dot(lp.objective, x_bar)
         else:
-            oracle = dual_witness_oracle(
-                [vec_frac(row) for row in P.A], vec_frac(P.b), vec_frac(lp.objective), vec_frac(x_bar)
-            )
+            oracle = dual_witness_oracle(P.A, P.b, lp.objective, x_bar)
             assert (strict_complementarity(lp, x_bar) is None) == (oracle is None)
 
 
@@ -679,9 +676,7 @@ def test_strict_complementarity_agrees_with_certifier(seed):
     sc = strict_complementarity(LinearProgram(v, P), x_bar)
     cert = certify(PolyhedralFunction.indicator(P), v, x_bar)
     assert (sc is not None) == isinstance(cert, Nondegenerate)
-    oracle = dual_witness_oracle(
-        [vec_frac(row) for row in P.A], vec_frac(P.b), vec_frac(v), vec_frac(x_bar)
-    )
+    oracle = dual_witness_oracle(P.A, P.b, v, x_bar)
     assert (sc is not None) == (oracle is not None)
     if sc is not None:
         active = set(P.active_set(x_bar))
@@ -698,9 +693,9 @@ def test_univariate_minimization_matches_breakpoint_scan(seed):
     rng = random.Random(seed)
     f = rand_polyfun(rng, 1)
     v = rand_vec(rng, 1)
-    pieces = [(to_frac(c[0]), to_frac(d)) for c, d in f.pieces]
-    cons = [(to_frac(row[0]), to_frac(b)) for row, b in zip(f.domain.A, f.domain.b)]
-    expected = minimize_1d(pieces, cons, to_frac(v[0]))
+    pieces = [(c[0], d) for c, d in f.pieces]
+    cons = [(row[0], b) for row, b in zip(f.domain.A, f.domain.b)]
+    expected = minimize_1d(pieces, cons, v[0])
     res = minimize_perturbed(f, v)
     if expected[0] == "unbounded":
         assert isinstance(res, Unbounded)
@@ -708,7 +703,7 @@ def test_univariate_minimization_matches_breakpoint_scan(seed):
         assert isinstance(res, Infeasible)
     else:
         assert isinstance(res, Minimizer)
-        assert to_frac(res.value) == expected[2]
+        assert res.value == expected[2]
         assert evaluate(f, res.x) - dot(v, res.x) == res.value
 
 
@@ -717,7 +712,7 @@ def test_canonical_minimizer_keeps_an_unbounded_coordinate_from_the_last_optimal
     x_2 >= -5: maximizing x_1 is Optimal, maximizing x_2 is Unbounded, so
     x_2 is kept from the point of the first refinement, as documented."""
     f = PolyhedralFunction.build([((1, 0), 0), ((-1, 0), 0)], [[0, -1]], [5], 2)
-    assert canonical_minimizer(f, qv(0, 0)) == Minimizer(qv(0, -5), q(0))
+    assert canonical_minimizer(f, qv(0, 0)) == Minimizer(qv(0, -5), ZERO)
 
 
 @given(st.integers(0, 100_000))
@@ -734,9 +729,7 @@ def test_canonical_minimizer_is_lex_greatest_and_order_independent(seed):
         for s in (1, -1)
     ]
     rhs = list(f.domain.b) + [Q(10)] * (2 * dim)
-    bounded = PolyhedralFunction(
-        f.pieces, HPolyhedron.from_rows(rows, rhs, dim), dim
-    )
+    bounded = PolyhedralFunction(f.pieces, HPolyhedron(rows, rhs, dim), dim)
     v = rand_vec(rng, dim)
     base = minimize_perturbed(bounded, v)
     assert isinstance(base, Minimizer)
@@ -753,9 +746,7 @@ def test_canonical_minimizer_is_lex_greatest_and_order_independent(seed):
     rng.shuffle(row_order)
     shuffled = PolyhedralFunction(
         tuple(bounded.pieces[j] for j in piece_order),
-        HPolyhedron.from_rows(
-            [rows[i] for i in row_order], [rhs[i] for i in row_order], dim
-        ),
+        HPolyhedron([rows[i] for i in row_order], [rhs[i] for i in row_order], dim),
         dim,
     )
     again = canonical_minimizer(shuffled, v)

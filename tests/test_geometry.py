@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, rand_genset, rand_vec, vadd, vec_frac, vscale
+from conftest import qv, rand_genset, rand_vec, vadd, vscale
 from nondegen import (
     Boundary,
     GeneratedSet,
@@ -220,9 +220,7 @@ def test_ri_membership_matches_fm_oracle(seed):
     else:
         y = rand_vec(rng, dim)
     status = ri_membership(S, y)
-    want = ri_status_oracle(
-        [vec_frac(p) for p in S.points], [vec_frac(r) for r in S.rays], dim, vec_frac(y)
-    )
+    want = ri_status_oracle(S.points, S.rays, dim, y)
     got = {Interior: "interior", Boundary: "boundary", Outside: "outside"}[type(status)]
     assert got == want
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_points_of, qv, rand_polyfun, rand_vec, to_frac, vec_frac, vscale
+from conftest import feasible_points_of, qv, rand_polyfun, rand_vec, vscale
 from nondegen import geometry, proximal, simplex
 from nondegen.errors import EnumerationBoundError, InfeasibleDomainError, InternalError
 from nondegen.functions import (
@@ -321,10 +321,10 @@ def test_univariate_prox_matches_breakpoint_oracle(seed):
     rng = random.Random(seed)
     g = rand_polyfun(rng, 1)
     c = rand_vec(rng, 1)
-    pieces = [(to_frac(cf[0]), to_frac(d)) for cf, d in g.pieces]
-    cons = [(to_frac(row[0]), to_frac(b)) for row, b in zip(g.domain.A, g.domain.b)]
-    expected = prox_1d(pieces, cons, to_frac(c[0]))
-    assert to_frac(prox(g, c)[0]) == expected
+    pieces = [(cf[0], d) for cf, d in g.pieces]
+    cons = [(row[0], b) for row, b in zip(g.domain.A, g.domain.b)]
+    expected = prox_1d(pieces, cons, c[0])
+    assert prox(g, c)[0] == expected
 
 
 @given(st.integers(0, 100_000))
@@ -334,11 +334,11 @@ def test_univariate_critical_points_match_oracle(seed):
     g = rand_polyfun(rng, 1)
     rho = Q(rng.randint(1, 3))
     v = rand_vec(rng, 1)
-    pieces = [(to_frac(cf[0]), to_frac(d)) for cf, d in g.pieces]
-    cons = [(to_frac(row[0]), to_frac(b)) for row, b in zip(g.domain.A, g.domain.b)]
-    expected = critical_points_1d(pieces, cons, to_frac(rho), to_frac(v[0]))
+    pieces = [(cf[0], d) for cf, d in g.pieces]
+    cons = [(row[0], b) for row, b in zip(g.domain.A, g.domain.b)]
+    expected = critical_points_1d(pieces, cons, rho, v[0])
     got = find_critical_points(LowerC2Instance(g, rho), v)
-    assert [to_frac(x[0]) for x, _ in got] == [x for x, _ in expected]
+    assert [x[0] for x, _ in got] == [x for x, _ in expected]
     for (_, cert), (_, label) in zip(got, expected):
         if label == "nondegenerate":
             assert isinstance(cert, Nondegenerate)
@@ -368,13 +368,9 @@ def test_critical_points_solve_the_inclusion(seed):
 def _critical_points_reference(g, rho, v):
     """Every in-domain solution of the full KKT systems, certified by
     ``certify``; the points that are critical, sorted."""
-    pieces = [(vec_frac(c), to_frac(d)) for c, d in g.pieces]
-    rows = [vec_frac(row) for row in g.domain.A]
     found = {}
-    for x, *_ in kkt_solutions_oracle(
-        pieces, rows, vec_frac(g.domain.b), g.dim, -to_frac(rho), vec_frac(v)
-    ):
-        x = tuple(Q(c) for c in x)
+    for x, *_ in kkt_solutions_oracle(g.pieces, g.domain.A, g.domain.b, g.dim, -rho, v):
+        x = tuple(x)
         if x in found or g.domain.violation_index(x) is not None:
             continue
         cert = certify(g, tuple(vi + rho * xi for vi, xi in zip(v, x)), x)
@@ -417,17 +413,15 @@ def test_reduced_kkt_systems_match_the_full_systems(seed):
         g = rand_polyfun(rng, dim)
     target = rand_vec(rng, dim)
     rho = Q(rng.randint(1, 4), rng.randint(1, 3))
-    pieces = [(vec_frac(c), to_frac(d)) for c, d in g.pieces]
-    rows = [vec_frac(row) for row in g.domain.A]
     for x_coef in (Q(1), -rho):
         got = [
-            (vec_frac(x), vec_frac(mu), vec_frac(lam), J, I)
+            (list(x), list(mu), list(lam), J, I)
             for x, mu, lam, J, I in _kkt_solutions(g, x_coef, target)
         ]
         expected = [
             (x, mu, lam, J, I)
             for x, mu, lam, J, I in kkt_solutions_oracle(
-                pieces, rows, vec_frac(g.domain.b), dim, to_frac(x_coef), vec_frac(target)
+                g.pieces, g.domain.A, g.domain.b, dim, x_coef, target
             )
             if min(mu + lam) >= 0
         ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qv, rand_genset, rand_hpoly, rand_vec, to_frac, vec_frac
+from conftest import qv, rand_genset, rand_hpoly, rand_vec
 from nondegen import (
     GeneratedSet,
     HPolyhedron,
@@ -30,8 +30,8 @@ from oracles import bland_simplex_oracle, dot_oracle, lp_enum_oracle
 from test_geometry import check_trichotomy
 
 
-def lp(objective, rows, rhs, dim=None):
-    return LinearProgram(qv(*objective), HPolyhedron.from_rows(rows, rhs, dim))
+def lp(objective, rows, rhs):
+    return LinearProgram(qv(*objective), HPolyhedron(rows, rhs, len(objective)))
 
 
 def test_box_lp_full_outcome():
@@ -86,12 +86,12 @@ def test_feasible_point_box():
 
 
 def test_feasible_point_infeasible():
-    res = feasible_point(HPolyhedron.from_rows([[1], [-1]], [-1, 0], 1))
+    res = feasible_point(HPolyhedron([[1], [-1]], [-1, 0], 1))
     assert isinstance(res, Infeasible)
 
 
 def test_feasible_point_farkas_certificate_is_verified():
-    P = HPolyhedron.from_rows([[1, 0], [-1, 0], [0, 1]], [1, -2, 0], 2)
+    P = HPolyhedron([[1, 0], [-1, 0], [0, 1]], [1, -2, 0], 2)
     res = feasible_point(P)
     assert isinstance(res, Infeasible)
     assert all(y >= 0 for y in res.farkas)
@@ -101,7 +101,7 @@ def test_feasible_point_farkas_certificate_is_verified():
 
 
 def test_feasible_point_whole_space():
-    res = feasible_point(HPolyhedron.from_rows([], [], 3))
+    res = feasible_point(HPolyhedron([], [], 3))
     assert isinstance(res, Point)
     assert res.x == qv(0, 0, 0)
 
@@ -150,11 +150,9 @@ def test_random_lp_matches_enumeration_oracle(seed):
     P = rand_hpoly(rng, dim, rng.randint(1, 6))
     objective = rand_vec(rng, dim)
     res = solve_lp(LinearProgram(objective, P))
-    kind, value = lp_enum_oracle(
-        vec_frac(objective), [vec_frac(r) for r in P.A], vec_frac(P.b), dim
-    )
+    kind, value = lp_enum_oracle(objective, P.A, P.b, dim)
     if isinstance(res, Optimal):
-        assert kind == "optimal" and to_frac(res.value) == value
+        assert kind == "optimal" and res.value == value
     elif isinstance(res, Unbounded):
         assert kind == "unbounded"
     else:
@@ -401,8 +399,8 @@ def test_every_perturbed_kernel_read_out_gives_callers_an_error_or_a_valid_outco
         LinearProgram(qv(1, 1), box(2)),
         LinearProgram(qv(0, 0, 1), pyramid()),
         lp([1, 0], [[1, 0], [1, 0], [0, 1]], [1, 1, 1]),
-        lp([1, 2], [], [], 2),
-        lp([0, 0], [], [], 2),
+        lp([1, 2], [], []),
+        lp([0, 0], [], []),
         lp([1], [[-1]], [0]),
         lp([1, 1], [[1, -1], [-1, 1]], [1, 1]),
         lp([1], [[1], [-1]], [0, -1]),
