@@ -25,10 +25,10 @@ tree) is named by its directory's name and a short SHA-256 of its ``src/``
 Python files, so that the two sides stay distinguishable.
 
 After every pair, one line per workload and end-to-end metric goes to
-stderr: both medians, the relative change, ``change_wins``, and
-``WORSE THAN BOUND`` when the change's median is worse than the parent's by
-more than the metric's ``bound`` in ``CHANGE_DIR/BENCHMARK.json``, as a
-fraction of the parent's median.  The file is written after every pair, so a
+stderr: both medians, the relative change, ``change_wins``, and the verdict
+that ``perfbench/compare.py`` gives the per-seed values (``regression``,
+``unresolved``, ``gain`` or ``no worse``) under the metric's ``bound`` in
+``CHANGE_DIR/BENCHMARK.json``.  The file is written after every pair, so a
 run that fails keeps the pairs before it.  Exits 1 if a run fails to start,
 ends without a JSON line, or ends with one that does not read
 ``"correct": true`` (an output check failed, so its timings are not the
@@ -45,6 +45,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import compare
 
 SIDES = ("parent", "change")
 _SEEDS = re.compile(r"([0-9]+)(?:-([0-9]+))?")
@@ -110,15 +114,21 @@ def _stats(values) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "runs": len(values)}
 
 
+def per_seed(runs) -> dict:
+    """``{workload: {side: {seed: metrics}}}`` over the untraced runs, the
+    workloads in order of first appearance."""
+    table = {}
+    for r in runs:
+        if r["stamp"]["trace"] == 0:
+            sides = table.setdefault(r["stamp"]["workload"], {side: {} for side in SIDES})
+            sides[r["side"]][r["stamp"]["seed"]] = r["result"]["metrics"]
+    return table
+
+
 def summarize(runs, end_to_end) -> dict:
     """Per workload and metric: each side's quartiles and the change's wins."""
-    untraced = [r for r in runs if r["stamp"]["trace"] == 0]
     summary = {}
-    for workload in dict.fromkeys(r["stamp"]["workload"] for r in untraced):
-        by_seed = {side: {} for side in SIDES}
-        for r in untraced:
-            if r["stamp"]["workload"] == workload:
-                by_seed[r["side"]][r["stamp"]["seed"]] = r["result"]["metrics"]
+    for workload, by_seed in per_seed(runs).items():
         seeds = sorted(set(by_seed["parent"]) & set(by_seed["change"]))
         table = {}
         for metric in end_to_end:
@@ -139,26 +149,24 @@ def summarize(runs, end_to_end) -> dict:
     return summary
 
 
-def verdicts(summary, end_to_end) -> list:
+def verdicts(runs, summary, end_to_end) -> list:
     """One line per workload and metric that both sides have run: the
-    medians, the relative change, ``change_wins`` and, when the change is
-    worse by more than the metric's bound, ``WORSE THAN BOUND``."""
+    medians, the relative change, ``change_wins`` and the verdict of
+    :func:`compare.verdict` on the per-seed values."""
     lines = []
-    for workload, table in summary.items():
+    for workload, by_seed in per_seed(runs).items():
+        if not all(by_seed.values()):
+            continue
         for metric in end_to_end:
-            name, cell = metric["name"], table[metric["name"]]
-            if not all(side in cell for side in SIDES):
-                continue
+            name, cell = metric["name"], summary[workload][metric["name"]]
             parent, change = (cell[side]["median"] for side in SIDES)
-            worse_by = change - parent if metric["better"] == "lower" else parent - change
             relative = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
-            line = (
+            base, new = ({seed: m[name]["value"] for seed, m in by_seed[side].items()} for side in SIDES)
+            lines.append(
                 f"{workload} {name}: parent {parent:g} change {change:g} ({relative}), "
-                f"change wins {cell['change_wins']}"
+                f"change wins {cell['change_wins']}: "
+                + compare.verdict(base, new, metric["better"], metric["bound"])
             )
-            if worse_by > metric["bound"] * abs(parent):
-                line += " WORSE THAN BOUND"
-            lines.append(line)
     return lines
 
 
@@ -219,7 +227,7 @@ def main(argv=None) -> int:
                 f"parent {commits['parent']}, change {commits['change']}."
             )
         data["summary"] = summarize(data["runs"], end_to_end)
-        for line in verdicts(data["summary"], end_to_end):
+        for line in verdicts(data["runs"], data["summary"], end_to_end):
             print(line, file=sys.stderr)
         args.out.write_text(json.dumps({k: data[k] for k in ("what", "summary", "runs")}, indent=1) + "\n")
     return 0

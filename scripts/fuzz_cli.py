@@ -54,7 +54,7 @@ BASES = [
     (["genericity", "FILE", "--trials", "3", "--seed", "1", "--bits", "16"], TILTED),
     (["adversarial", "FILE"], BOX2),
     (["larman", "--vertices", "FILE", "--trials", "3", "--seed", "2", "--radius", "1/2"], SQUARE),
-    (["prox", "FILE", "--c", "3,0", "--enum-bound", "8"], BOX2),
+    (["prox", "FILE", "--c", "3,0"], BOX2),
     (["prox", "FILE", "--c", "1/3"], ABS),
     (["critical", "FILE", "--v", "0"], LOWER_C2),
 ]
@@ -96,9 +96,9 @@ def _mutate_argv(rng: random.Random, argv: list) -> None:
             i = rng.choice(flags)
             argv += [argv[i], _token(rng, argv[i] not in COUNTS)]
         else:
-            argv.append(rng.choice(("--bogus", "--enum-bound", "--format", "--v", "-x")))
+            argv.append(rng.choice(("--bogus", "--format", "--v", "-x")))
     elif rng.random() < 0.5:
-        argv += [rng.choice(("--format", "--enum-bound")), _token(rng, huge_ok=True)]
+        argv += ["--format", _token(rng, huge_ok=True)]
     else:  # a report path that is writable, or a directory
         argv += ["--report", rng.choice(("REPORT", "WORKDIR"))]
 

@@ -7,7 +7,8 @@ identical fields: JSON is produced *from* the CSV table, row by row, and every
 CSV table is written by ``experiments.csv_table``.
 
 Exit codes: 0 success; 1 usage error (bad flag or flag value, unreadable file,
-unwritable report path, bad GENERIC_NONDEGEN_ENUM_BOUND); 2 problem-file parse
+unwritable report path, bad GENERIC_NONDEGEN_ENUM_BOUND, the one setting of the
+enumeration bound of adversarial, prox and critical); 2 problem-file parse
 error; 3 the model outcome is infeasible, unbounded, above the enumeration
 bound, or the file does not define the needed object (no rho for `critical`,
 no vertices or fewer than 2 distinct ones for `larman`, nothing at all); 4 an
@@ -125,9 +126,9 @@ def _sampler(args) -> SamplerConfig:
         raise UsageError(str(e)) from None
 
 
-def _enum_bound(args) -> int:
+def _enum_bound() -> int:
     try:
-        return resolve_enum_bound(args.enum_bound)
+        return resolve_enum_bound()
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -209,8 +210,8 @@ def _cmd_genericity(args) -> Tuple[int, str, str]:
 
 
 def _cmd_adversarial(args) -> Tuple[int, str, str]:
+    _enum_bound()
     f = _load(args).function()
-    _enum_bound(args)  # a bad $GENERIC_NONDEGEN_ENUM_BOUND is a usage error, as for prox
     rep = construct_degenerate(f)
     rows = [[_join_vec(v), _join_vec(x)] for v, x in rep.pairs]
     if rep.pairs:
@@ -241,16 +242,18 @@ def _cmd_larman(args) -> Tuple[int, str, str]:
 
 
 def _cmd_prox(args) -> Tuple[int, str, str]:
+    _enum_bound()
     f = _load(args).function()
     c = _parse_vec(args.c, f.dim, "--c")
-    x = prox(f, c, _enum_bound(args))
+    x = prox(f, c)
     return 0, csv_table(("x",), [[_join_vec(x)]]), f"PROX at {_point(x)}"
 
 
 def _cmd_critical(args) -> Tuple[int, str, str]:
+    _enum_bound()
     inst = _load(args).instance()
     v = _parse_vec(args.v, inst.g.dim, "--v")
-    points = find_critical_points(inst, v, _enum_bound(args))
+    points = find_critical_points(inst, v)
     rows = []
     lines = []
     for x, cert in points:
@@ -295,7 +298,7 @@ def build_parser() -> _Parser:
         "adversarial", parents=[common], help="construct degenerate (v, x) pairs"
     )
     p.add_argument("file")
-    p.set_defaults(run=_cmd_adversarial, enum_bound=None)
+    p.set_defaults(run=_cmd_adversarial)
 
     p = sub.add_parser("larman", parents=[common, sampler], help="exposed-face sampling")
     p.add_argument("--vertices", required=True, help="problem file with a vertices section")
@@ -304,7 +307,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prox", parents=[common], help="proximal point of the problem function")
     p.add_argument("file")
     p.add_argument("--c", required=True)
-    p.add_argument("--enum-bound", type=_integer, default=None)
     p.set_defaults(run=_cmd_prox)
 
     p = sub.add_parser(
@@ -312,7 +314,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("file")
     p.add_argument("--v", required=True)
-    p.add_argument("--enum-bound", type=_integer, default=None)
     p.set_defaults(run=_cmd_critical)
     return parser
 

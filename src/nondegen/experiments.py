@@ -330,7 +330,7 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     planes: the ``m`` domain rows and one tie per pair of the ``k`` terms.
     ``2^B`` is the most supports the bound lets :func:`prox` try.
     """
-    limit = _check_bound(f, None)
+    limit = _check_bound(f)
     p = f.domain.m + comb(len(f.terms), 2)
     count = sum(comb(p, s) for s in range(min(f.dim, p) + 1))
     if (count - 1).bit_length() > limit:  # count > 2^limit, without building 2^limit

@@ -11,6 +11,10 @@ singular ones.  The x-block of every KKT system is ``x_coef * I``, so ``x`` is
 eliminated by a Schur complement: each support costs one s x s solve in its
 multipliers, s = |J| + |I| <= n + 1, built from one Gram matrix per call.
 
+Each enumeration, here and in :func:`~nondegen.experiments.construct_degenerate`,
+first passes :func:`_check_bound`: a ``PolyhedralFunction`` with at most
+``$GENERIC_NONDEGEN_ENUM_BOUND`` (default 20) pieces plus constraints.
+
 Each support's system reaches the eliminator as integer rows: the Gram
 matrix and the right-hand sides are scaled to integers once per call, and
 ``x`` is rebuilt as one integer sum per coordinate over a common denominator.
@@ -37,7 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
 from .functions import (
@@ -58,21 +62,17 @@ DEFAULT_ENUM_BOUND = 20
 ENUM_BOUND_ENV = "GENERIC_NONDEGEN_ENUM_BOUND"
 
 
-def resolve_enum_bound(bound: Optional[int]) -> int:
-    """``bound`` if given, else ``$GENERIC_NONDEGEN_ENUM_BOUND``, else 20.
-
-    A bound that is not an ``int`` (``bool`` included) or is negative, or an
-    environment value that is not an integer, raises ``ValueError``.
-    """
-    if bound is None:
-        env = os.environ.get(ENUM_BOUND_ENV)
-        if env is None:
-            return DEFAULT_ENUM_BOUND
-        try:
-            bound = _parse_integer(env)
-        except ValueError:
-            raise ValueError(f"{ENUM_BOUND_ENV} must be an integer, got {env!r}") from None
-    if _exact(bound, "enumeration bound", fraction_ok=False) < 0:
+def resolve_enum_bound() -> int:
+    """``$GENERIC_NONDEGEN_ENUM_BOUND`` if set, else 20; a value that is not
+    a nonnegative integer raises ``ValueError``."""
+    env = os.environ.get(ENUM_BOUND_ENV)
+    if env is None:
+        return DEFAULT_ENUM_BOUND
+    try:
+        bound = _parse_integer(env)
+    except ValueError:
+        raise ValueError(f"{ENUM_BOUND_ENV} must be an integer, got {env!r}") from None
+    if bound < 0:
         raise ValueError(f"enumeration bound must be nonnegative, got {bound}")
     return bound
 
@@ -91,9 +91,11 @@ class LowerC2Instance:
             raise ValueError("rho must be positive")
 
 
-def _check_bound(f: PolyhedralFunction, bound: Optional[int]) -> int:
-    """The resolved bound, once ``f`` has no more generators than it."""
-    limit = resolve_enum_bound(bound)
+def _check_bound(f: PolyhedralFunction) -> int:
+    """The bound, once ``f`` has no more generators than it."""
+    if not isinstance(f, PolyhedralFunction):
+        raise ValueError(f"f must be a PolyhedralFunction, not {type(f).__name__}")
+    limit = resolve_enum_bound()
     count = len(f.pieces) + f.domain.m
     if count > limit:
         raise EnumerationBoundError(count, limit)
@@ -217,11 +219,11 @@ def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     return found
 
 
-def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec:
+def prox(f: PolyhedralFunction, c: Vec) -> Vec:
     """The unique minimizer of ``f(x) + 1/2 |x - c|^2``, exactly: the one
     point of :func:`_stationary_points` with ``x_coef = 1``.  No LP runs
     unless there is none, to raise ``InfeasibleDomainError``."""
-    _check_bound(f, enum_bound)
+    _check_bound(f)
     accepted = _stationary_points(f, ONE, vec(c, f.dim, "center dimension"))
     if not accepted:
         _raise_if_infeasible(f)
@@ -232,21 +234,19 @@ def prox(f: PolyhedralFunction, c: Vec, enum_bound: Optional[int] = None) -> Vec
     return x_star
 
 
-def minty_transport(
-    inst: LowerC2Instance, c: Vec, enum_bound: Optional[int] = None
-) -> Tuple[Vec, Vec]:
+def minty_transport(inst: LowerC2Instance, c: Vec) -> Tuple[Vec, Vec]:
     """``x = prox(g, c)`` and ``h = c - (1 + rho) x``; then ``h`` is a
     subgradient of ``f = g - (rho/2)|.|^2`` at ``x``, with the same
     interior/boundary status that ``c`` has against ``dg(x) + x``."""
-    x = prox(inst.g, c, enum_bound)
+    if not isinstance(inst, LowerC2Instance):
+        raise ValueError(f"inst must be a LowerC2Instance, not {type(inst).__name__}")
+    x = prox(inst.g, c)
     scale = ONE + inst.rho
     h = tuple(ci - scale * xi for ci, xi in zip(c, x))
     return x, h
 
 
-def find_critical_points(
-    inst: LowerC2Instance, v: Vec, enum_bound: Optional[int] = None
-) -> List[Tuple[Vec, CertificationResult]]:
+def find_critical_points(inst: LowerC2Instance, v: Vec) -> List[Tuple[Vec, CertificationResult]]:
     """All critical points of ``f_v = g - (rho/2)|.|^2 - <v, .>`` with their
     nondegeneracy certification, sorted by coordinates.
 
@@ -261,8 +261,10 @@ def find_critical_points(
     raises ``InternalError``.  An empty domain raises
     ``InfeasibleDomainError``, as in :func:`prox`.
     """
+    if not isinstance(inst, LowerC2Instance):
+        raise ValueError(f"inst must be a LowerC2Instance, not {type(inst).__name__}")
     g = inst.g
-    _check_bound(g, enum_bound)
+    _check_bound(g)
     points = _stationary_points(g, -inst.rho, vec(v, g.dim, "tilt dimension"))
     verdicts = {x: verdict or certify(g, w, x) for x, (w, verdict) in points.items()}
     if NOT_CRITICAL in verdicts.values():

@@ -759,7 +759,7 @@ def construct_degenerate_loop_oracle(f):
     from nondegen.proximal import _check_bound
     from nondegen.simplex import Infeasible, feasible_point
 
-    _check_bound(f, None)
+    _check_bound(f)
     fp = feasible_point(f.domain)
     if isinstance(fp, Infeasible):
         raise InfeasibleDomainError(fp.farkas)

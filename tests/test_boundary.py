@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from nondegen.errors import DegeneratePolytopeError, DimensionMismatchError, EmptyGeneratedSetError
-from nondegen.experiments import SamplerConfig, run_larman, sample_objective
+from nondegen.experiments import SamplerConfig, construct_degenerate, run_larman, sample_objective
 from nondegen.functions import (
     Minimizer,
     Nondegenerate,
@@ -201,18 +201,27 @@ REFUSALS.update({
     "ProblemFile-serialize": (
         lambda: serialize(ProblemFile(1, pieces=(((ONE,), ZERO),), rho=0.5)), _inexact("rho")
     ),
-    # a trial index past the 64-bit stream seed, and a given enumeration bound
+    # a trial index past the 64-bit stream seed
     "sample_objective-2^64": (
         lambda: sample_objective(CFG, 2**64, 1), r"^trial_index must be below 2\^64$"
     ),
-    "enum_bound-float": (
-        lambda: prox(abs_function(), (0,), 1.5), _inexact("enumeration bound", exact="an int")
+    # a wrong object given to an enumerator, refused by the bound's gate
+    "construct_degenerate-None": (
+        lambda: construct_degenerate(None), "^f must be a PolyhedralFunction, not NoneType$"
     ),
-    "enum_bound-bool": (
-        lambda: prox(abs_function(), (0,), True), _inexact("enumeration bound", "bool", "an int")
+    "construct_degenerate-HPolyhedron": (
+        lambda: construct_degenerate(P1), "^f must be a PolyhedralFunction, not HPolyhedron$"
     ),
-    "enum_bound-str": (
-        lambda: find_critical_points(INST, (0, 0), "3"), _inexact("enumeration bound", "str", "an int")
+    "prox-None": (lambda: prox(None, (0,)), "^f must be a PolyhedralFunction, not NoneType$"),
+    "find_critical_points-None": (
+        lambda: find_critical_points(None, (0,)), "^inst must be a LowerC2Instance, not NoneType$"
+    ),
+    "find_critical_points-PolyhedralFunction": (
+        lambda: find_critical_points(F, (0, 0)),
+        "^inst must be a LowerC2Instance, not PolyhedralFunction$",
+    ),
+    "minty_transport-PolyhedralFunction": (
+        lambda: minty_transport(F, (0, 0)), "^inst must be a LowerC2Instance, not PolyhedralFunction$"
     ),
     # a field of the wrong structure, which escaped as a bare AttributeError,
     # TypeError or unpacking error

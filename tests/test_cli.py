@@ -17,7 +17,7 @@ from nondegen.experiments import SamplerConfig, run_genericity, run_larman, larm
 from nondegen.gallery import box_indicator
 from nondegen.linalg import Q
 from nondegen.problemfile import parse_problem
-from nondegen.proximal import prox
+from nondegen.proximal import ENUM_BOUND_ENV, prox
 
 BOX = "dim 2\nconstraints 4\n1 0 1\n0 1 1\n-1 0 1\n0 -1 1\n"
 ABS = "dim 1\npieces 2\n1 0\n-1 0\n"
@@ -297,21 +297,26 @@ def test_larman_with_no_vertices_exit_code(prob, capsys):
     assert "error: vertex list is empty" in err
 
 
-def test_enumeration_bound_exit_code(prob, capsys):
-    code, _, err = run(
-        capsys, "prox", prob("box.prob", BOX), "--c", "0,0", "--enum-bound", "3"
-    )
+@pytest.mark.parametrize(
+    "argv", [("prox", "--c", "0,0"), ("critical", "--v", "0,0"), ("adversarial",)], ids=lambda a: a[0]
+)
+def test_enumeration_bound_exit_code(prob, capsys, monkeypatch, argv):
+    """The box's 4 constraints are above a bound of 3, in each command that
+    enumerates; ``critical`` reads the box with a ``rho``."""
+    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "3")
+    command, *flags = argv
+    code, _, err = run(capsys, command, prob("box.prob", BOX + "rho 1\n"), *flags)
     assert code == 3
-    assert "enumeration bound" in err
+    assert "above the enumeration bound 3" in err
 
 
-@pytest.mark.parametrize("bound", ["-5", "abc"])
-def test_bad_enumeration_bound_flag_is_usage_error(prob, capsys, bound):
-    code, _, err = run(
-        capsys, "prox", prob("box.prob", BOX), "--c", "0,0", "--enum-bound", bound
-    )
+def test_the_enumeration_bound_is_not_a_flag(prob, capsys):
+    """The variable is the bound's one setting: the flag named after it is
+    an unknown argument."""
+    flag = "--" + ENUM_BOUND_ENV.removeprefix("GENERIC_NONDEGEN_").lower().replace("_", "-")
+    code, _, err = run(capsys, "prox", prob("box.prob", BOX), "--c", "0,0", flag, "3")
     assert code == 1
-    assert "bound" in err
+    assert f"unrecognized arguments: {flag} 3" in err
 
 
 @pytest.mark.parametrize("bound", ["abc", "-5", "2.5", ""])
@@ -323,6 +328,15 @@ def test_bad_enumeration_bound_environment_is_usage_error(prob, capsys, monkeypa
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "bound" in err.lower()
+
+
+def test_the_enumeration_bound_is_read_before_the_problem_file(prob, capsys, monkeypatch):
+    """A bad bound is a usage error even where the file would fail: this box
+    has no ``rho``, which ``critical`` refuses with exit 3."""
+    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "abc")
+    code, _, err = run(capsys, "critical", prob("box.prob", BOX), "--v", "0,0")
+    assert code == 1
+    assert "GENERIC_NONDEGEN_ENUM_BOUND must be an integer, got 'abc'" in err
 
 
 def test_internal_error_has_its_own_exit_code(prob, capsys, monkeypatch):
@@ -353,9 +367,7 @@ def test_bad_sampler_flag_is_usage_error(prob, capsys, flag, value, named):
 
 
 @pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"])
-@pytest.mark.parametrize(
-    "flag", ["--trials", "--seed", "--bits", "--enum-bound", "GENERIC_NONDEGEN_ENUM_BOUND"]
-)
+@pytest.mark.parametrize("flag", ["--trials", "--seed", "--bits", "GENERIC_NONDEGEN_ENUM_BOUND"])
 def test_every_integer_follows_the_problem_file_digit_rule(prob, capsys, monkeypatch, flag, token):
     """An integer flag or environment value is ASCII digits with an optional
     ``-``, as in problem files; ``int()`` would read these tokens as 10, 3
@@ -363,8 +375,6 @@ def test_every_integer_follows_the_problem_file_digit_rule(prob, capsys, monkeyp
     if flag == "GENERIC_NONDEGEN_ENUM_BOUND":
         monkeypatch.setenv(flag, token)
         argv = ["prox", prob("box.prob", BOX), "--c", "0,0"]
-    elif flag == "--enum-bound":
-        argv = ["prox", prob("box.prob", BOX), "--c", "0,0", flag, token]
     else:
         values = {"--trials": "3", "--seed": "1", "--bits": "64", flag: token}
         argv = ["genericity", prob("box.prob", BOX), *[a for kv in values.items() for a in kv]]

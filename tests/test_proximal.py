@@ -60,9 +60,10 @@ def test_prox_of_indicator_is_projection():
     assert prox(box_indicator(2), qv(3, 0)) == qv(1, 0)
 
 
-def test_prox_enumeration_bound():
+def test_prox_enumeration_bound(monkeypatch):
+    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "3")
     with pytest.raises(EnumerationBoundError) as info:
-        prox(box_indicator(2), qv(0, 0), enum_bound=3)
+        prox(box_indicator(2), qv(0, 0))
     assert info.value.count == 4
     assert info.value.bound == 3
     assert "4" in str(info.value) and "3" in str(info.value)
@@ -72,8 +73,6 @@ def test_prox_enumeration_bound_from_environment(monkeypatch):
     monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "3")
     with pytest.raises(EnumerationBoundError):
         prox(box_indicator(2), qv(0, 0))
-    # an explicit argument overrides the environment
-    assert prox(box_indicator(2), qv(0, 0), enum_bound=4) == qv(0, 0)
 
 
 def test_prox_infeasible_domain():
@@ -248,9 +247,10 @@ def test_prox_runs_no_kernel_call(monkeypatch):
     assert len(calls) == 2
 
 
-def test_critical_point_enumeration_respects_bound():
+def test_critical_point_enumeration_respects_bound(monkeypatch):
+    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "3")
     with pytest.raises(EnumerationBoundError):
-        find_critical_points(LowerC2Instance(box_indicator(2), Q(1)), qv(0, 0), enum_bound=3)
+        find_critical_points(LowerC2Instance(box_indicator(2), Q(1)), qv(0, 0))
 
 
 # ---------------------------------------------------------------------------

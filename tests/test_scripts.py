@@ -208,9 +208,10 @@ def test_bench_pairs_stops_at_a_run_whose_output_check_failed(fake_checkout, tmp
 
 
 def test_bench_pairs_flags_a_metric_worse_than_its_bound(fake_checkout, tmp_path, capsys):
-    """A change whose ``peak_rss_mb`` is 11% higher than the parent's is
-    flagged against the 0.1 bound; its other metrics, equal on both sides,
-    are not."""
+    """A change whose ``peak_rss_mb`` is 11% higher than the parent's is a
+    ``regression`` against the 0.1 bound, in the words of
+    ``perfbench/compare.py``; its other metrics, equal on both sides, are
+    ``no worse``."""
     change = tmp_path / "change"
     (change / "perfbench").mkdir(parents=True)
     (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
@@ -221,10 +222,12 @@ def test_bench_pairs_flags_a_metric_worse_than_its_bound(fake_checkout, tmp_path
     argv = [str(fake_checkout), str(change), "--workload", "genericity", "--seeds", "2", "--out", str(out)]
     assert load("bench_pairs").main(argv) == 0
     lines = [line for line in capsys.readouterr().err.splitlines() if ": parent " in line]
-    flagged = [line for line in lines if line.endswith(" WORSE THAN BOUND")]
-    assert flagged == ["genericity peak_rss_mb: parent 2 change 2.22 (+11.0%), change wins 0/1 WORSE THAN BOUND"]
+    assert "genericity peak_rss_mb: parent 2 change 2.22 (+11.0%), change wins 0/1: regression" in lines
     end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert [line.split(":")[0] for line in lines] == [f"genericity {name}" for name in end_to_end]
+    assert [line.rsplit(": ", 1)[1] for line in lines] == [
+        "regression" if name == "peak_rss_mb" else "no worse" for name in end_to_end
+    ]
 
 
 @pytest.mark.parametrize("trace, refused", [("0", True), ("1", False)])
