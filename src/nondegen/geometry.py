@@ -34,7 +34,7 @@ from .simplex import (
 
 @dataclass(frozen=True)
 class GeneratedSet:
-    """``conv(points) + cone(rays)`` in ``R^dim``; empty iff ``points`` is empty."""
+    """``conv(points) + cone(rays)`` in ``R^dim``, points nonempty."""
 
     points: Mat
     rays: Mat
@@ -43,10 +43,8 @@ class GeneratedSet:
     def __post_init__(self):
         object.__setattr__(self, "points", mat(self.points, _size(self.dim, "dim"), "point"))
         object.__setattr__(self, "rays", mat(self.rays, self.dim, "ray"))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
+        if not self.points:
+            raise EmptyGeneratedSetError()
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,6 @@ def _in_set(points: Mat, rays: Mat, y: Vec) -> bool:
 def member(S: GeneratedSet, y: Vec) -> bool:
     """Exact test ``y in conv(points) + cone(rays)`` by phase-one simplex."""
     y = vec(y, S.dim, "query dimension")
-    if S.is_empty:
-        return False
     return _in_set(S.points, S.rays, y)
 
 
@@ -150,8 +146,6 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
     index order against the currently remaining ones, so the result is
     deterministic.
     """
-    if S.is_empty:
-        raise EmptyGeneratedSetError()
     ray_idx = list(range(len(S.rays)))
     # Linearly independent rays can never be nonnegative combinations of one
     # another, so the per-ray LPs are skipped in that (common) case.
@@ -193,9 +187,9 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
     mu_j >= t, lam_i >= t: infeasible is Outside, ``t* = 0`` is Boundary.
     Substituting mu = t + e, lam = t + f (e, f >= 0) makes the program
     :func:`_lifted` plus a ``t`` column equal to each row's sum, so the
-    kernel columns are (e, f, t).  With ``k >= 1`` points the convex row
-    reads ``k t + sum e = 1``, so ``0 <= t <= 1/k <= 1`` and the program is
-    bounded.
+    kernel columns are (e, f, t).  A GeneratedSet has ``k >= 1`` points, so
+    the convex row reads ``k t + sum e = 1``, ``0 <= t <= 1/k <= 1`` and the
+    program is bounded.
 
     The kernel's exact check of this program is the witness check.  It
     checks ``e, f, t >= 0``, so at ``t != 0`` every ``mu = t + e`` and
@@ -203,8 +197,6 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
     ``sum e_j p_j + sum f_i r_i + t (sum p_j + sum r_i) = y``, which is
     ``sum mu_j p_j + sum lam_i r_i = y`` regrouped."""
     y = vec(y, S.dim, "query dimension")
-    if S.is_empty:
-        raise EmptyGeneratedSetError()
     k, l = len(S.points), len(S.rays)
     M, rhs = _lifted(S.points, S.rays, y)
     for row in M:
@@ -234,8 +226,6 @@ def positive_span_is_subspace(S: GeneratedSet) -> bool:
     Substituting coefficients ``1 + s`` turns the test into one
     cone-membership query.
     """
-    if S.is_empty:
-        raise EmptyGeneratedSetError()
     gens = list(S.points) + list(S.rays)
     total = [ZERO] * S.dim
     for g in gens:

@@ -298,6 +298,7 @@ REFUSALS.update({
     # documented refusals that no other test reaches
     "PolyhedralFunction-domain-dim": (lambda: PolyhedralFunction((), P1, 2), DimensionMismatchError),
     "VPolytope-empty": (lambda: VPolytope(()), DegeneratePolytopeError),
+    "GeneratedSet-empty": (lambda: GeneratedSet((), ((ONE,),), 1), EmptyGeneratedSetError),
     "prune-empty": (lambda: prune(GeneratedSet((), (), 1)), EmptyGeneratedSetError),
     "positive_span_is_subspace-empty": (
         lambda: positive_span_is_subspace(GeneratedSet((), ((ONE,),), 1)), EmptyGeneratedSetError
@@ -319,10 +320,6 @@ def test_an_inexact_or_misshapen_input_is_refused_naming_the_field(call, expecte
     else:
         with pytest.raises(ValueError, match=expected):
             call()
-
-
-def test_member_of_an_empty_set_is_false():
-    assert member(GeneratedSet((), ((ONE,),), 1), (ZERO,)) is False
 
 
 # each dataclass that holds a caller's rows, built from lists and ints, and its
