@@ -28,7 +28,8 @@ After every pair, one line per workload and end-to-end metric goes to
 stderr: both medians, the relative change, ``change_wins``, and the verdict
 that ``perfbench/compare.py`` gives the per-seed values (``regression``,
 ``unresolved``, ``gain`` or ``no worse``) under the metric's ``bound`` in
-``CHANGE_DIR/BENCHMARK.json``.  The file is written after every pair, so a
+``CHANGE_DIR/BENCHMARK.json``; a ``gain`` reads ``no worse`` until the
+workload has ten pairs, the fewest a gain is claimed on.  The file is written after every pair, so a
 run that fails keeps the pairs before it.  Exits 1 if a run fails to start,
 ends without a JSON line, or ends with one that does not read
 ``"correct": true`` (an output check failed, so its timings are not the
@@ -51,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import compare
 
 SIDES = ("parent", "change")
+GAIN_PAIRS = 10
 _SEEDS = re.compile(r"([0-9]+)(?:-([0-9]+))?")
 
 
@@ -152,7 +154,8 @@ def summarize(runs, end_to_end) -> dict:
 def verdicts(runs, summary, end_to_end) -> list:
     """One line per workload and metric that both sides have run: the
     medians, the relative change, ``change_wins`` and the verdict of
-    :func:`compare.verdict` on the per-seed values."""
+    :func:`compare.verdict` on the per-seed values, ``gain`` only from
+    ``GAIN_PAIRS`` pairs on."""
     lines = []
     for workload, by_seed in per_seed(runs).items():
         if not all(by_seed.values()):
@@ -162,10 +165,12 @@ def verdicts(runs, summary, end_to_end) -> list:
             parent, change = (cell[side]["median"] for side in SIDES)
             relative = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
             base, new = ({seed: m[name]["value"] for seed, m in by_seed[side].items()} for side in SIDES)
+            word = compare.verdict(base, new, metric["better"], metric["bound"])
+            if word == "gain" and len(base.keys() & new.keys()) < GAIN_PAIRS:
+                word = "no worse"
             lines.append(
                 f"{workload} {name}: parent {parent:g} change {change:g} ({relative}), "
-                f"change wins {cell['change_wins']}: "
-                + compare.verdict(base, new, metric["better"], metric["bound"])
+                f"change wins {cell['change_wins']}: {word}"
             )
     return lines
 

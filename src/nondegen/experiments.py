@@ -56,6 +56,7 @@ from .linalg import (
     Vec,
     _eliminate,
     _exact,
+    _of_type,
     format_rational,
     mat,
     rank,
@@ -201,6 +202,7 @@ def _check_trials(trials: int) -> None:
 
 
 def run_genericity(f: PolyhedralFunction, cfg: SamplerConfig, trials: int) -> ExperimentReport:
+    _of_type(f, PolyhedralFunction, "f")
     _check_trials(trials)
     return merge_trials(
         (genericity_trial(f, cfg, i) for i in range(trials)), cfg.seed
@@ -397,6 +399,7 @@ def run_larman(
     ``forced`` directions are evaluated and reported separately; they never
     contribute to the sampled tallies.
     """
+    _of_type(F, VPolytope, "F")
     _check_trials(trials)
     forced = mat(forced, F.dim, "forced direction")
     distinct_vertices = set(F.vertices)

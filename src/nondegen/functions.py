@@ -49,6 +49,7 @@ from .linalg import (
     Underdetermined,
     _exact,
     _integer_point,
+    _of_type,
     _pairs,
     _size,
     dot,
@@ -80,9 +81,7 @@ class PolyhedralFunction:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.domain, HPolyhedron):
-            raise ValueError(f"domain must be an HPolyhedron, not {type(self.domain).__name__}")
-        if self.domain.dim != _size(self.dim, "dim"):
+        if _of_type(self.domain, HPolyhedron, "domain", "an").dim != _size(self.dim, "dim"):
             raise DimensionMismatchError("domain dimension", self.dim, self.domain.dim)
         pieces = _pairs(self.pieces, "pieces", "(gradient, offset)")
         gradients = mat([c for c, _ in pieces], self.dim, "piece gradient")
@@ -186,6 +185,7 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     slack ``t`` could be lowered to beat the optimal value.  The rows are
     tuples of ``f``'s own rationals, not re-wrapped: the kernel converts its
     inputs once; only the caller's tilt goes through ``vec``."""
+    _of_type(f, PolyhedralFunction, "f")
     v = vec(v, f.dim, "tilt dimension")
     n = f.dim
     terms = f.terms
@@ -286,6 +286,7 @@ CertificationResult = NotCritical | DegenerateCritical | Nondegenerate
 
 def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
     """Trichotomy of ``v`` against the subdifferential at ``x_bar``."""
+    _of_type(f, PolyhedralFunction, "f")
     v = vec(v, f.dim, "direction dimension")
     x_bar = vec(x_bar, f.dim, "point dimension")
     points, rays, active_pieces, active_cons = _active_structure(f, x_bar)

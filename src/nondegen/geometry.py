@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import DegeneratePolytopeError, EmptyGeneratedSetError, InternalError
-from .linalg import Mat, ONE, Rat, Vec, ZERO, _size, dot, mat, rank, vec, vsub
+from .linalg import Mat, ONE, Rat, Vec, ZERO, _of_type, _size, dot, mat, rank, vec, vsub
 from .simplex import (
     KernelInfeasible,
     KernelOptimal,
@@ -196,6 +196,7 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
     ``lam = t + f`` is positive, and it checks the first ``dim`` rows,
     ``sum e_j p_j + sum f_i r_i + t (sum p_j + sum r_i) = y``, which is
     ``sum mu_j p_j + sum lam_i r_i = y`` regrouped."""
+    _of_type(S, GeneratedSet, "S")
     y = vec(y, S.dim, "query dimension")
     k, l = len(S.points), len(S.rays)
     M, rhs = _lifted(S.points, S.rays, y)
@@ -235,6 +236,7 @@ def positive_span_is_subspace(S: GeneratedSet) -> bool:
 
 def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:
     """The set ``S - v`` (points shifted, rays unchanged)."""
+    _of_type(S, GeneratedSet, "S")
     v = vec(v, S.dim, "translation dimension")
     return GeneratedSet(tuple(vsub(p, v) for p in S.points), S.rays, S.dim)
 

@@ -88,9 +88,7 @@ def parse_rational(token: str) -> Rat:
     raises :class:`RationalParseError`, and a token that is not a ``str``
     raises ``ValueError``.
     """
-    if not isinstance(token, str):
-        raise ValueError(f"rational token must be a str, not {type(token).__name__}")
-    m = _RATIONAL_TOKEN.fullmatch(token)
+    m = _RATIONAL_TOKEN.fullmatch(_of_type(token, str, "rational token"))
     if m is None:
         raise RationalParseError(token)
     try:
@@ -114,6 +112,13 @@ def _exact(value, name: str, fraction_ok: bool = True):
     if isinstance(value, bool) or not isinstance(value, (int, Q) if fraction_ok else int):
         what = "an int or a Fraction" if fraction_ok else "an int"
         raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def _of_type(value, cls: type, name: str, article: str = "a"):
+    """``value`` if it is a ``cls``, else ``ValueError("<name> must be a <cls>, not <type>")``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
     return value
 
 

@@ -28,7 +28,9 @@ from typing import List, Optional, Tuple
 from .errors import ImproperFunctionError, ProblemParseError, RationalParseError, quote_token
 from .functions import Piece, PolyhedralFunction
 from .geometry import VPolytope
-from .linalg import Mat, Rat, Vec, _exact, _pairs, _parse_integer, _size, format_rational, mat, parse_rational
+from .linalg import (
+    Mat, Rat, Vec, _exact, _of_type, _pairs, _parse_integer, _size, format_rational, mat, parse_rational
+)
 from .proximal import LowerC2Instance
 from .simplex import HPolyhedron
 
@@ -107,6 +109,7 @@ def _row(tokens: List[str], width: int, lineno: int) -> Tuple[Rat, ...]:
 
 
 def parse_problem(text: str) -> ProblemFile:
+    _of_type(text, str, "text")
     lines = text.splitlines()
     entries = [(lineno, tokens) for lineno, raw in enumerate(lines, 1)
                if (tokens := raw.split("#", 1)[0].split())]
@@ -155,6 +158,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def serialize(pf: ProblemFile) -> str:
+    _of_type(pf, ProblemFile, "pf")
     lines = [f"dim {pf.dim}"]
     for head, extra in _SECTIONS.items():
         rows = getattr(pf, head)

@@ -53,7 +53,7 @@ from .functions import (
     certify,
 )
 from .linalg import (
-    ONE, Q, Rat, Vec, ZERO, UniqueSolution, _exact, _integer_point, _parse_integer, dot,
+    ONE, Q, Rat, Vec, ZERO, UniqueSolution, _exact, _integer_point, _of_type, _parse_integer, dot,
     solve_linear, vec,
 )
 from .simplex import Infeasible, feasible_point
@@ -85,16 +85,14 @@ class LowerC2Instance:
     rho: Rat
 
     def __post_init__(self):
-        if not isinstance(self.g, PolyhedralFunction):
-            raise ValueError(f"g must be a PolyhedralFunction, not {type(self.g).__name__}")
+        _of_type(self.g, PolyhedralFunction, "g")
         if not _exact(self.rho, "rho") > 0:
             raise ValueError("rho must be positive")
 
 
 def _check_bound(f: PolyhedralFunction) -> int:
     """The bound, once ``f`` has no more generators than it."""
-    if not isinstance(f, PolyhedralFunction):
-        raise ValueError(f"f must be a PolyhedralFunction, not {type(f).__name__}")
+    _of_type(f, PolyhedralFunction, "f")
     limit = resolve_enum_bound()
     count = len(f.pieces) + f.domain.m
     if count > limit:
@@ -238,8 +236,7 @@ def minty_transport(inst: LowerC2Instance, c: Vec) -> Tuple[Vec, Vec]:
     """``x = prox(g, c)`` and ``h = c - (1 + rho) x``; then ``h`` is a
     subgradient of ``f = g - (rho/2)|.|^2`` at ``x``, with the same
     interior/boundary status that ``c`` has against ``dg(x) + x``."""
-    if not isinstance(inst, LowerC2Instance):
-        raise ValueError(f"inst must be a LowerC2Instance, not {type(inst).__name__}")
+    _of_type(inst, LowerC2Instance, "inst")
     x = prox(inst.g, c)
     scale = ONE + inst.rho
     h = tuple(ci - scale * xi for ci, xi in zip(c, x))
@@ -261,8 +258,7 @@ def find_critical_points(inst: LowerC2Instance, v: Vec) -> List[Tuple[Vec, Certi
     raises ``InternalError``.  An empty domain raises
     ``InfeasibleDomainError``, as in :func:`prox`.
     """
-    if not isinstance(inst, LowerC2Instance):
-        raise ValueError(f"inst must be a LowerC2Instance, not {type(inst).__name__}")
+    _of_type(inst, LowerC2Instance, "inst")
     g = inst.g
     _check_bound(g)
     points = _stationary_points(g, -inst.rho, vec(v, g.dim, "tilt dimension"))

@@ -59,7 +59,8 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InternalError
 from .linalg import (
-    Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, _integer_point, _integer_rows, _size, dot, mat, vec, zeros
+    Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, _integer_point, _integer_rows, _of_type, _size, dot, mat,
+    vec, zeros,
 )
 
 
@@ -127,9 +128,8 @@ class LinearProgram:
     constraints: HPolyhedron
 
     def __post_init__(self):
-        if not isinstance(self.constraints, HPolyhedron):
-            raise ValueError(f"constraints must be an HPolyhedron, not {type(self.constraints).__name__}")
-        object.__setattr__(self, "objective", vec(self.objective, self.constraints.dim, "objective dimension"))
+        dim = _of_type(self.constraints, HPolyhedron, "constraints", "an").dim
+        object.__setattr__(self, "objective", vec(self.objective, dim, "objective dimension"))
 
 
 @dataclass(frozen=True)
@@ -399,6 +399,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     - a Farkas vector ``g`` with ``g^T M <= 0``: the ``u`` and ``w`` columns
       give ``g^T A = 0`` and the slack columns ``g <= 0``, so ``-g`` is the
       H-form certificate, and ``-g^T b < 0``."""
+    _of_type(lp, LinearProgram, "lp")
     P = lp.constraints
     n, m = P.dim, P.m
     M = []
@@ -421,6 +422,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 def feasible_point(P: HPolyhedron) -> Point | Infeasible:
     """A feasible point of ``P``, or a Farkas certificate: :func:`solve_lp`
     with the zero objective, so the kernel stops at its first feasible basis."""
+    _of_type(P, HPolyhedron, "P", "an")
     res = solve_lp(LinearProgram(zeros(P.dim), P))
     if isinstance(res, Optimal):
         return Point(res.x)

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from nondegen.errors import DegeneratePolytopeError, DimensionMismatchError, EmptyGeneratedSetError
-from nondegen.experiments import SamplerConfig, construct_degenerate, run_larman, sample_objective
+from nondegen.experiments import (
+    SamplerConfig, construct_degenerate, run_genericity, run_larman, sample_objective
+)
 from nondegen.functions import (
     Minimizer,
     Nondegenerate,
@@ -50,9 +52,9 @@ from nondegen.geometry import (
 from nondegen.linalg import (
     ONE, ZERO, Q, format_rational, mat, parse_rational, rank, solve_linear, vec, vsub
 )
-from nondegen.problemfile import ProblemFile, serialize
+from nondegen.problemfile import ProblemFile, parse_problem, serialize
 from nondegen.proximal import LowerC2Instance, find_critical_points, minty_transport, prox
-from nondegen.simplex import HPolyhedron, LinearProgram, solve_standard_form
+from nondegen.simplex import HPolyhedron, LinearProgram, feasible_point, solve_lp, solve_standard_form
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -222,6 +224,25 @@ REFUSALS.update({
     ),
     "minty_transport-PolyhedralFunction": (
         lambda: minty_transport(F, (0, 0)), "^inst must be a LowerC2Instance, not PolyhedralFunction$"
+    ),
+    # a wrong object where a function, set, program or file is expected,
+    # refused by name at the entry point; run_genericity refuses before any
+    # trial, so a run of 0 trials refuses too
+    "certify-None": (lambda: certify(None, (0,), (0,)), "^f must be a PolyhedralFunction, not NoneType$"),
+    "minimize_perturbed-None": (
+        lambda: minimize_perturbed(None, (0,)), "^f must be a PolyhedralFunction, not NoneType$"
+    ),
+    "run_genericity-None": (
+        lambda: run_genericity(None, CFG, 0), "^f must be a PolyhedralFunction, not NoneType$"
+    ),
+    "ri_membership-None": (lambda: ri_membership(None, (0,)), "^S must be a GeneratedSet, not NoneType$"),
+    "translate-None": (lambda: translate(None, (0,)), "^S must be a GeneratedSet, not NoneType$"),
+    "solve_lp-None": (lambda: solve_lp(None), "^lp must be a LinearProgram, not NoneType$"),
+    "feasible_point-None": (lambda: feasible_point(None), "^P must be an HPolyhedron, not NoneType$"),
+    "parse_problem-None": (lambda: parse_problem(None), "^text must be a str, not NoneType$"),
+    "serialize-None": (lambda: serialize(None), "^pf must be a ProblemFile, not NoneType$"),
+    "run_larman-list": (
+        lambda: run_larman([[0, 0], [1, 0]], CFG, 1), "^F must be a VPolytope, not list$"
     ),
     # a field of the wrong structure, which escaped as a bare AttributeError,
     # TypeError or unpacking error

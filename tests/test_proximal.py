@@ -69,12 +69,6 @@ def test_prox_enumeration_bound(monkeypatch):
     assert "4" in str(info.value) and "3" in str(info.value)
 
 
-def test_prox_enumeration_bound_from_environment(monkeypatch):
-    monkeypatch.setenv("GENERIC_NONDEGEN_ENUM_BOUND", "3")
-    with pytest.raises(EnumerationBoundError):
-        prox(box_indicator(2), qv(0, 0))
-
-
 def test_prox_infeasible_domain():
     f = PolyhedralFunction.build([], [(1,), (-1,)], [-1, -1], 1)
     with pytest.raises(InfeasibleDomainError):

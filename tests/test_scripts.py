@@ -230,6 +230,33 @@ def test_bench_pairs_flags_a_metric_worse_than_its_bound(fake_checkout, tmp_path
     ]
 
 
+def test_bench_pairs_claims_no_gain_before_ten_pairs(fake_checkout, tmp_path, capsys):
+    """One pair in which the change is 5% better on every metric is a
+    ``gain`` to ``perfbench/compare.py``, and ``no worse`` on every line
+    until the workload has ten pairs."""
+    change = tmp_path / "change"
+    (change / "perfbench").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (change / "perfbench" / "run.py").write_text(
+        FAKE_RUN.replace('[m["name"] for m', "[m for m").replace(
+            '{n: {"value": seed} for n in names}',
+            '{m["name"]: {"value": seed * (1.05 if m["better"] == "higher" else 0.95)} for m in names}',
+        )
+    )
+    out = tmp_path / "bench.json"
+    argv = [str(fake_checkout), str(change), "--workload", "genericity", "--seeds", "2", "--out", str(out)]
+    bench = load("bench_pairs")
+    assert bench.main(argv) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if ": parent " in line]
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert [line.split(":")[0] for line in lines] == [f"genericity {m['name']}" for m in end_to_end]
+    assert all(line.endswith("change wins 1/1: no worse") for line in lines)
+    runs = bench.per_seed(json.loads(out.read_text())["runs"])["genericity"]
+    for m in end_to_end:
+        base, new = ({2: runs[side][2][m["name"]]["value"]} for side in bench.SIDES)
+        assert bench.compare.verdict(base, new, m["better"], m["bound"]) == "gain"
+
+
 @pytest.mark.parametrize("trace, refused", [("0", True), ("1", False)])
 def test_bench_pairs_refuses_to_append_a_seed_it_holds(fake_checkout, tmp_path, capsys, trace, refused):
     """Appending seed 0 again would replace its pair in the summary while
