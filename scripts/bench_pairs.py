@@ -29,8 +29,9 @@ stderr: both medians, the relative change, ``change_wins``, and the verdict
 that ``perfbench/compare.py`` gives the per-seed values (``regression``,
 ``unresolved``, ``gain`` or ``no worse``) under the metric's ``bound`` in
 ``CHANGE_DIR/BENCHMARK.json``; a ``gain`` reads ``no worse`` until the
-workload has ten pairs, the fewest a gain is claimed on.  The file is written after every pair, so a
-run that fails keeps the pairs before it.  Exits 1 if a run fails to start,
+workload has ``GAIN_PAIRS`` (ten) pairs, the fewest a gain is claimed on.
+The file is written after every pair, so a run that fails keeps the pairs
+before it.  Exits 1 if a run fails to start,
 ends without a JSON line, or ends with one that does not read
 ``"correct": true`` (an output check failed, so its timings are not the
 program's); exits 2 on a usage error.

@@ -146,15 +146,19 @@ print(json.dumps({"attempted": 1, "correct": True, "metrics": {n: {"value": seed
 """
 
 
+def _checkout(root, run=FAKE_RUN):
+    """``root`` as a checkout whose ``perfbench/run.py`` is ``run``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(run)
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return root
+
+
 @pytest.fixture
 def fake_checkout(tmp_path):
     """A checkout whose ``perfbench/run.py`` answers at once, and fails on
     seed 1."""
-    root = tmp_path / "checkout"
-    (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
-    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    return root
+    return _checkout(tmp_path / "checkout")
 
 
 def test_bench_pairs_names_a_side_without_a_commit_by_its_source(tmp_path, capsys):
@@ -164,10 +168,7 @@ def test_bench_pairs_names_a_side_without_a_commit_by_its_source(tmp_path, capsy
     bench = load("bench_pairs")
     roots = []
     for side in ("parent", "change"):
-        root = tmp_path / side
-        (root / "perfbench").mkdir(parents=True)
-        (root / "perfbench" / "run.py").write_text(FAKE_RUN.replace('"fake"', '"unknown"'))
-        (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        root = _checkout(tmp_path / side, FAKE_RUN.replace('"fake"', '"unknown"'))
         (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
         (root / "src" / "pkg" / "mod.py").write_text(f"SIDE = {side!r}\n")
         roots.append(root.resolve())
@@ -212,11 +213,9 @@ def test_bench_pairs_flags_a_metric_worse_than_its_bound(fake_checkout, tmp_path
     ``regression`` against the 0.1 bound, in the words of
     ``perfbench/compare.py``; its other metrics, equal on both sides, are
     ``no worse``."""
-    change = tmp_path / "change"
-    (change / "perfbench").mkdir(parents=True)
-    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    (change / "perfbench" / "run.py").write_text(
-        FAKE_RUN.replace("{n: {", '{n: {"value": seed * 1.11} if n == "peak_rss_mb" else {')
+    change = _checkout(
+        tmp_path / "change",
+        FAKE_RUN.replace("{n: {", '{n: {"value": seed * 1.11} if n == "peak_rss_mb" else {'),
     )
     out = tmp_path / "bench.json"
     argv = [str(fake_checkout), str(change), "--workload", "genericity", "--seeds", "2", "--out", str(out)]
@@ -234,14 +233,12 @@ def test_bench_pairs_claims_no_gain_before_ten_pairs(fake_checkout, tmp_path, ca
     """One pair in which the change is 5% better on every metric is a
     ``gain`` to ``perfbench/compare.py``, and ``no worse`` on every line
     until the workload has ten pairs."""
-    change = tmp_path / "change"
-    (change / "perfbench").mkdir(parents=True)
-    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    (change / "perfbench" / "run.py").write_text(
+    change = _checkout(
+        tmp_path / "change",
         FAKE_RUN.replace('[m["name"] for m', "[m for m").replace(
             '{n: {"value": seed} for n in names}',
             '{m["name"]: {"value": seed * (1.05 if m["better"] == "higher" else 0.95)} for m in names}',
-        )
+        ),
     )
     out = tmp_path / "bench.json"
     argv = [str(fake_checkout), str(change), "--workload", "genericity", "--seeds", "2", "--out", str(out)]
