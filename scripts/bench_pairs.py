@@ -29,7 +29,7 @@ stderr: both medians, the relative change, ``change_wins``, and the verdict
 that ``perfbench/compare.py`` gives the per-seed values (``regression``,
 ``unresolved``, ``gain`` or ``no worse``) under the metric's ``bound`` in
 ``CHANGE_DIR/BENCHMARK.json``; a ``gain`` reads ``no worse`` until the
-workload has ``GAIN_PAIRS`` (ten) pairs, the fewest a gain is claimed on.
+workload has ``_GAIN_PAIRS`` (ten) pairs, the fewest a gain is claimed on.
 The file is written after every pair, so a run that fails keeps the pairs
 before it.  Exits 1 if a run fails to start,
 ends without a JSON line, or ends with one that does not read
@@ -53,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import compare
 
 SIDES = ("parent", "change")
-GAIN_PAIRS = 10
+_GAIN_PAIRS = 10
 _SEEDS = re.compile(r"([0-9]+)(?:-([0-9]+))?")
 
 
@@ -156,7 +156,7 @@ def verdicts(runs, summary, end_to_end) -> list:
     """One line per workload and metric that both sides have run: the
     medians, the relative change, ``change_wins`` and the verdict of
     :func:`compare.verdict` on the per-seed values, ``gain`` only from
-    ``GAIN_PAIRS`` pairs on."""
+    ``_GAIN_PAIRS`` pairs on."""
     lines = []
     for workload, by_seed in per_seed(runs).items():
         if not all(by_seed.values()):
@@ -167,7 +167,7 @@ def verdicts(runs, summary, end_to_end) -> list:
             relative = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
             base, new = ({seed: m[name]["value"] for seed, m in by_seed[side].items()} for side in SIDES)
             word = compare.verdict(base, new, metric["better"], metric["bound"])
-            if word == "gain" and len(base.keys() & new.keys()) < GAIN_PAIRS:
+            if word == "gain" and len(base.keys() & new.keys()) < _GAIN_PAIRS:
                 word = "no worse"
             lines.append(
                 f"{workload} {name}: parent {parent:g} change {change:g} ({relative}), "
