@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,7 @@ from .linalg import (
     Q,
     Rat,
     Vec,
-    _eliminate,
+    _bareiss_pivot,
     _exact,
     _of_type,
     format_rational,
@@ -119,6 +118,7 @@ def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
     """Deterministic tilt vector for (seed, trial_index); stream = seed XOR trial.
     A ``trial_index`` that is not an ``int`` in ``[0, 2^64)`` raises ``ValueError``:
     the stream's seed has 64 bits, so index ``2^64`` would repeat trial 0."""
+    _of_type(cfg, SamplerConfig, "cfg")
     if _exact(trial_index, "trial_index", fraction_ok=False) < 0:
         raise ValueError("trial_index must be nonnegative")
     if trial_index > MASK64:
@@ -159,7 +159,10 @@ def _optimal_face_is_point(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> bool:
 
 
 def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int) -> TrialRecord:
-    """Sample, minimize, test uniqueness, certify — one classified trial."""
+    """Sample, minimize, test uniqueness, certify — one classified trial.
+    ``f`` is checked here, since ``f.dim`` is read first; ``cfg`` by
+    :func:`sample_objective`."""
+    _of_type(f, PolyhedralFunction, "f")
     v = sample_objective(cfg, trial_index, f.dim)
     res = minimize_perturbed(f, v)
     if isinstance(res, Infeasible):
@@ -203,6 +206,7 @@ def _check_trials(trials: int) -> None:
 
 def run_genericity(f: PolyhedralFunction, cfg: SamplerConfig, trials: int) -> ExperimentReport:
     _of_type(f, PolyhedralFunction, "f")
+    _of_type(cfg, SamplerConfig, "cfg")
     _check_trials(trials)
     return merge_trials(
         (genericity_trial(f, cfg, i) for i in range(trials)), cfg.seed
@@ -229,6 +233,7 @@ def csv_table(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def report_to_csv(report: ExperimentReport) -> str:
+    _of_type(report, ExperimentReport, "report", "an")
     return csv_table(
         CSV_FIELDS,
         (
@@ -265,12 +270,23 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
     ``<c_j - c_l, x> = d_l - d_j`` of pieces ``j < l`` is the difference
     ``(*(C_j - C_l), E_l - E_j)`` of two rows of
     :attr:`~nondegen.functions.PolyhedralFunction.integer_terms`, whose scale
-    ``L`` is common.  Each subset of at most
-    ``dim`` planes is eliminated by :func:`~nondegen.linalg._eliminate`, and a
-    consistent one is read as integers ``X`` over the last pivot ``d``, free
-    coordinates 0 (the particular solution of ``solve_linear``).  With
-    ``d > 0`` and ``gcd(d, *X) = 1`` that pair is the point's one exact form,
-    so each distinct point is tested against the domain once, by
+    ``L`` is common.  The subsets of at most ``dim`` planes are walked depth
+    first in lexicographic order, so a subset extends its parent by one
+    later plane and inherits the parent's fraction-free Gauss-Jordan rows:
+    each pivot row ``X_i`` is ``d`` times a row of the reduced row echelon
+    form, ``d`` on its pivot column ``c_i``.  The new plane ``r`` is reduced
+    to ``d·r - Σ r[c_i]·X_i``, and one
+    :func:`~nondegen.linalg._bareiss_pivot` on it updates the parent's rows
+    (Bareiss's exact division).  A reduced row that is zero left of the
+    right-hand side ends its branch: with a nonzero right-hand side the
+    subset is inconsistent and so is every superset, and with a zero one
+    the plane is redundant, its subset has its parent's point, and each of
+    its supersets has the point of the same superset without it, which the
+    walk reaches.  A reduced row echelon form is unique, so each subset's
+    point is the one ``_eliminate`` and ``solve_linear`` give (free
+    coordinates 0): integers ``X`` over the last pivot ``d``.  With ``d > 0``
+    and ``gcd(d, *X) = 1`` that pair is the point's one exact form, so each
+    distinct point is tested against the domain once, by
     :meth:`~nondegen.simplex.HPolyhedron._scan`, and ``Fraction``
     coordinates are built only for the points inside.
     """
@@ -282,22 +298,31 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
         for j, tj in enumerate(terms)
         for tl in terms[j + 1 :]
     ]
-    # tuples: _eliminate rebinds the rows it changes, so the planes stay intact
     planes = [*f.domain.integer_rows, *ties]
     inside = {}  # (d, *X) in lowest terms -> in the domain
-    for size in range(n + 1):
-        for subset in combinations(planes, size):
-            M = list(subset)
-            pivots, d = _eliminate(M, n)
-            if any(row[n] for row in M[len(pivots) :]):
-                continue
-            X = [0] * n
-            for row, c in zip(M, pivots):
-                X[c] = row[n]
-            g = gcd(d, *X) if d > 0 else -gcd(d, *X)
-            point = (d // g, *[x // g for x in X])
-            if point not in inside:
-                inside[point] = f.domain._scan(point[1:], point[0])[0] is None
+
+    def visit(rows: List[list], pivots: List[int], d: int, start: int) -> None:
+        X = [0] * n
+        for row, c in zip(rows, pivots):
+            X[c] = row[n]
+        g = gcd(d, *X) if d > 0 else -gcd(d, *X)
+        point = (d // g, *[x // g for x in X])
+        if point not in inside:
+            inside[point] = f.domain._scan(point[1:], point[0])[0] is None
+        if len(pivots) == n:
+            return
+        for i in range(start, len(planes)):
+            r = planes[i]
+            red = [d * a for a in r]
+            for row, c in zip(rows, pivots):
+                if r[c]:
+                    red = [a - r[c] * b for a, b in zip(red, row)]
+            c = next((j for j in range(n) if red[j]), None)
+            if c is not None:
+                M = [*rows, red]
+                visit(M, [*pivots, c], _bareiss_pivot(M, len(rows), c, d), i + 1)
+
+    visit([], [], 1, 0)
     return sorted(
         tuple(Q(x, d) if x else ZERO for x in X) for (d, *X), ok in inside.items() if ok
     )
@@ -312,8 +337,8 @@ def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:
     given, rays first, and the first one on the relative boundary of ``S``
     yields the point's pair.  Every verdict comes from
     :mod:`~nondegen.functions`: it is read off the generator's multipliers
-    over the generators (:func:`~nondegen.functions._read_off`, one
-    ``solve_linear`` per generator), and only when those generators are
+    over the generators (:func:`~nondegen.functions._read_off`, one integer
+    elimination per generator), and only when those generators are
     linearly dependent does :func:`certify` run its LP.  A ray need not
     lie on the boundary: with the point 0 in ``S``, the ray ``a`` is
     ``1·0 + 1·a``, which can be interior.  An affine subdifferential has no
@@ -431,6 +456,7 @@ LARMAN_CSV_FIELDS = ("trial", "c", "outcome", "distinct_vertices", "face_indices
 
 
 def larman_to_csv(report: LarmanReport) -> str:
+    _of_type(report, LarmanReport, "report")
     return csv_table(
         LARMAN_CSV_FIELDS,
         (

@@ -14,7 +14,8 @@ the LP face of the same trichotomy.
 
 :func:`_read_off`, the one place where multipliers become a verdict, decides
 the same trichotomy with no LP when the lifted active generators are linearly
-independent.
+independent: it eliminates the lifted system's rows as integers, checks the
+integer multipliers, and builds ``Fraction``s only for a Nondegenerate verdict.
 
 Two conventions about the data ``(pieces, domain)`` live here and nowhere
 else: a function without pieces is the zero function on its domain, read
@@ -45,8 +46,7 @@ from .linalg import (
     Rat,
     Vec,
     ZERO,
-    Inconsistent,
-    Underdetermined,
+    _eliminate,
     _exact,
     _integer_point,
     _of_type,
@@ -54,7 +54,6 @@ from .linalg import (
     _size,
     dot,
     mat,
-    solve_linear,
     vec,
     vsub,
     zeros,
@@ -123,6 +122,7 @@ def evaluate(f: PolyhedralFunction, x: Vec) -> Rat | float:
     """Exact value of ``f`` at ``x``; ``math.inf`` outside the domain.  With
     ``x = X / D``, converted once for :meth:`HPolyhedron._scan` and the pieces,
     it is ``max_j (C_j·X + E_j·D) / (L·D)`` on :attr:`PolyhedralFunction.integer_terms`."""
+    _of_type(f, PolyhedralFunction, "f")
     x = vec(x, f.dim, "point dimension")
     X, D = _integer_point(x)
     if f.domain._scan(X, D)[0] is not None:
@@ -160,6 +160,7 @@ def _active_structure(f: PolyhedralFunction, x: Vec):
 def subdifferential(f: PolyhedralFunction, x: Vec) -> GeneratedSet:
     """The convex subdifferential at a domain point: convex hull of active
     piece gradients plus the cone of active constraint normals."""
+    _of_type(f, PolyhedralFunction, "f")
     points, rays, _, _ = _active_structure(f, vec(x, f.dim, "point dimension"))
     return GeneratedSet(points, rays, f.dim)
 
@@ -207,6 +208,7 @@ def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:
         {x : A x <= b,  <c_j - v, x> <= value - d_j for every term j},
 
     with the domain rows first, then one row per term in order."""
+    _of_type(f, PolyhedralFunction, "f")
     v = vec(v, f.dim, "tilt dimension")
     value = _exact(value, "value")
     terms = f.terms
@@ -318,37 +320,49 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     """``certify(f, w, x)`` read off the multipliers of ``w`` over the active
     generators at ``x``, with no LP; None when it cannot be.
 
-    ``active`` is ``_active_structure(f, x)``.  The multipliers ``z`` (points
-    first, then rays) may be the caller's; otherwise
-    ``sum mu_j (c_j, 1) + sum lam_i (a_i, 0) = (w, 1)``, the system of
+    ``active`` is ``_active_structure(f, x)``.  The system is
+    ``sum mu_j (c_j, 1) + sum lam_i (a_i, 0) = (w, 1)``, the one of
     :func:`~nondegen.geometry._lifted` over the lifted generators (a point
-    with a trailing 1, a ray with a trailing 0), is solved for them.  No
-    solution at all is NotCritical, and dependent generators leave the verdict
-    undecided.  Independence makes ``z`` the only representation of ``w`` as
-    ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``, so its signs are the
-    verdict (Rockafellar, Thm 6.9): all positive is Nondegenerate, a zero is
-    DegenerateCritical, a negative is NotCritical.  ``z`` must rebuild ``w``
-    exactly before any verdict is returned: it is checked against each row of
-    that one lifted system, which the solve uses too, and a failed check
-    raises ``InternalError``.  The check holds for any given ``z``, but the
-    verdict counts only when the lifted generators are independent.
+    with a trailing 1, a ray with a trailing 0), with each row of ``[M | rhs]``
+    scaled to integers by one :func:`~nondegen.linalg._integer_point`.  The
+    multipliers ``z`` (points first, then rays) may be the caller's, taken as
+    integers ``Z`` over ``D`` by ``_integer_point``; otherwise
+    :func:`~nondegen.linalg._eliminate` reduces the integer rows and
+    ``z = Z / d`` over its last pivot ``d``.  No solution at all is
+    NotCritical, and dependent generators leave the verdict undecided.
+    Independence makes ``z`` the only representation of ``w`` as
+    ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``, so its signs, those
+    of ``Z·d``, are the verdict (Rockafellar, Thm 6.9): all positive is
+    Nondegenerate, a zero is DegenerateCritical, a negative is NotCritical.
+    ``z`` must rebuild ``w`` exactly before any verdict is returned: each
+    integer row ``R`` must give ``R·Z = R[-1]·d``, and a failed check raises
+    ``InternalError``.  The check holds for any given ``z``, but the verdict
+    counts only when the lifted generators are independent.  Solved-for
+    multipliers become ``Fraction``s only for a Nondegenerate verdict.
     """
     points, rays, active_pieces, active_cons = active
     M, rhs = _lifted(points, rays, w)
+    rows = [_integer_point((*row, r))[0] for row, r in zip(M, rhs)]
+    ncols = len(points) + len(rays)
     if z is None:
-        sol = solve_linear(M, rhs)
-        if isinstance(sol, Inconsistent):
+        E = list(rows)
+        pivots, d = _eliminate(E, ncols)
+        if any(row[ncols] for row in E[len(pivots) :]):
             return NOT_CRITICAL
-        if isinstance(sol, Underdetermined):
+        if len(pivots) < ncols:
             return None
-        z = sol.x
-    if any(dot(row, z) != r for row, r in zip(M, rhs)):
+        Z = [row[ncols] for row in E[:ncols]]
+    else:
+        Z, d = _integer_point(z)
+    if any(sum(map(mul, row, Z)) != row[ncols] * d for row in rows):
         raise InternalError("multipliers do not rebuild the query")
-    k = len(points)
-    if any(c < 0 for c in z):
+    if any(c * d < 0 for c in Z):
         return NOT_CRITICAL
-    if not all(z):
+    if not all(Z):
         return DEGENERATE_CRITICAL
+    if z is None:
+        z = tuple([Q(c, d) for c in Z])
+    k = len(points)
     return _scattered(f, z[:k], z[k:], active_pieces, active_cons)
 
 
@@ -369,6 +383,7 @@ def strict_complementarity(lp: LinearProgram, x_bar: Vec) -> Optional[Witness]:
     NotCritical iff the objective is outside the normal cone at ``x_bar``;
     only then does :func:`solve_lp` run, for the exact ``gap`` or unboundedness.
     """
+    _of_type(lp, LinearProgram, "lp")
     try:
         cert = certify(PolyhedralFunction.indicator(lp.constraints), lp.objective, x_bar)
     except OutsideDomainError as e:

@@ -12,7 +12,7 @@ Every program here is built from one lifted system, :func:`_lifted`:
 ``sum mu_j p_j + sum lam_i r_i = y`` with ``sum mu = 1`` when there are
 points.  Membership, pruning and the cone tests solve it as it is
 (:func:`_in_set`), the relative-interior LP adds one column to it, and
-:func:`nondegen.functions._read_off` solves it by elimination.
+:func:`nondegen.functions._read_off` solves it by integer elimination.
 
 Also here: pruning of redundant generators, the positive-span subspace test,
 and exposed faces of V-polytopes.
@@ -127,6 +127,7 @@ def _in_set(points: Mat, rays: Mat, y: Vec) -> bool:
 
 def member(S: GeneratedSet, y: Vec) -> bool:
     """Exact test ``y in conv(points) + cone(rays)`` by phase-one simplex."""
+    _of_type(S, GeneratedSet, "S")
     y = vec(y, S.dim, "query dimension")
     return _in_set(S.points, S.rays, y)
 
@@ -146,6 +147,7 @@ def prune(S: GeneratedSet) -> Tuple[GeneratedSet, Tuple[int, ...], Tuple[int, ..
     index order against the currently remaining ones, so the result is
     deterministic.
     """
+    _of_type(S, GeneratedSet, "S")
     ray_idx = list(range(len(S.rays)))
     # Linearly independent rays can never be nonnegative combinations of one
     # another, so the per-ray LPs are skipped in that (common) case.
@@ -227,6 +229,7 @@ def positive_span_is_subspace(S: GeneratedSet) -> bool:
     Substituting coefficients ``1 + s`` turns the test into one
     cone-membership query.
     """
+    _of_type(S, GeneratedSet, "S")
     gens = list(S.points) + list(S.rays)
     total = [ZERO] * S.dim
     for g in gens:
@@ -249,6 +252,7 @@ def translate(S: GeneratedSet, v: Vec) -> GeneratedSet:
 def exposed_face(F: VPolytope, c: Vec) -> Tuple[int, ...]:
     """Indices of the stored vertices attaining ``max <c, x>`` (all of them
     when ``c = 0``)."""
+    _of_type(F, VPolytope, "F")
     c = vec(c, F.dim, "direction dimension")
     values = [dot(c, v) for v in F.vertices]
     best = max(values)

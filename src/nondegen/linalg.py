@@ -38,14 +38,16 @@ each row test is an integer comparison and builds no ``Fraction``.
 the simplex kernel: :func:`_integer_rows` maps it over rows (for ``rank``,
 ``solve_linear`` and ``HPolyhedron.integer_rows``), and ``integer_terms``,
 the point of each ``evaluate``, ``_active_structure`` and ``violation_index``
-call, and ``proximal._kkt_solutions`` call it directly.
+call, ``proximal._kkt_solutions`` and the rows and multipliers of
+``functions._read_off`` call it directly.
 
-``rank``, ``solve_linear`` and the candidate-point enumeration of
-:mod:`nondegen.experiments` share one fraction-free eliminator (Edmonds):
-rows are scaled to integers, each pivot step divides exactly by the previous
-pivot, and rationals are built only from the final rows and the last pivot.
-Its row update, :func:`_bareiss_pivot`, is also the pivot of the integer
-simplex tableau in :mod:`nondegen.simplex`.
+``rank``, ``solve_linear`` and ``functions._read_off`` share one
+fraction-free eliminator (Edmonds): rows are scaled to integers, each pivot
+step divides exactly by the previous pivot, and rationals are built only from
+the final rows and the last pivot.  Its row update, :func:`_bareiss_pivot`,
+is also the pivot of the integer simplex tableau in :mod:`nondegen.simplex`
+and the step by which the candidate-point enumeration of
+:mod:`nondegen.experiments` extends a subset's elimination by one plane.
 """
 
 from __future__ import annotations

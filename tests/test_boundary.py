@@ -15,7 +15,14 @@ import pytest
 
 from nondegen.errors import DegeneratePolytopeError, DimensionMismatchError, EmptyGeneratedSetError
 from nondegen.experiments import (
-    SamplerConfig, construct_degenerate, run_genericity, run_larman, sample_objective
+    SamplerConfig,
+    construct_degenerate,
+    genericity_trial,
+    larman_to_csv,
+    report_to_csv,
+    run_genericity,
+    run_larman,
+    sample_objective,
 )
 from nondegen.functions import (
     Minimizer,
@@ -25,6 +32,7 @@ from nondegen.functions import (
     certify,
     evaluate,
     minimize_perturbed,
+    strict_complementarity,
     subdifferential,
 )
 from nondegen.gallery import (
@@ -243,6 +251,42 @@ REFUSALS.update({
     "serialize-None": (lambda: serialize(None), "^pf must be a ProblemFile, not NoneType$"),
     "run_larman-list": (
         lambda: run_larman([[0, 0], [1, 0]], CFG, 1), "^F must be a VPolytope, not list$"
+    ),
+    "member-None": (lambda: member(None, (0,)), "^S must be a GeneratedSet, not NoneType$"),
+    "prune-None": (lambda: prune(None), "^S must be a GeneratedSet, not NoneType$"),
+    "positive_span_is_subspace-None": (
+        lambda: positive_span_is_subspace(None), "^S must be a GeneratedSet, not NoneType$"
+    ),
+    "exposed_face-list": (
+        lambda: exposed_face([[0, 0], [1, 0]], (1, 0)), "^F must be a VPolytope, not list$"
+    ),
+    "evaluate-None": (lambda: evaluate(None, (0,)), "^f must be a PolyhedralFunction, not NoneType$"),
+    "subdifferential-None": (
+        lambda: subdifferential(None, (0,)), "^f must be a PolyhedralFunction, not NoneType$"
+    ),
+    "argmin_face-None": (
+        lambda: argmin_face(None, (0,), 0), "^f must be a PolyhedralFunction, not NoneType$"
+    ),
+    "strict_complementarity-None": (
+        lambda: strict_complementarity(None, (0,)), "^lp must be a LinearProgram, not NoneType$"
+    ),
+    "sample_objective-None": (
+        lambda: sample_objective(None, 0, 1), "^cfg must be a SamplerConfig, not NoneType$"
+    ),
+    "run_genericity-cfg-None": (
+        lambda: run_genericity(F, None, 0), "^cfg must be a SamplerConfig, not NoneType$"
+    ),
+    "genericity_trial-None": (
+        lambda: genericity_trial(None, CFG, 0), "^f must be a PolyhedralFunction, not NoneType$"
+    ),
+    "genericity_trial-cfg-None": (
+        lambda: genericity_trial(F, None, 0), "^cfg must be a SamplerConfig, not NoneType$"
+    ),
+    "report_to_csv-None": (
+        lambda: report_to_csv(None), "^report must be an ExperimentReport, not NoneType$"
+    ),
+    "larman_to_csv-None": (
+        lambda: larman_to_csv(None), "^report must be a LarmanReport, not NoneType$"
     ),
     # a field of the wrong structure, which escaped as a bare AttributeError,
     # TypeError or unpacking error

@@ -53,7 +53,7 @@ from nondegen.gallery import (
     square_vertices,
 )
 from nondegen.geometry import VPolytope
-from nondegen.linalg import Q, UniqueSolution
+from nondegen.linalg import Q
 from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
 from oracles import (
@@ -543,6 +543,29 @@ def test_candidate_points_match_the_per_subset_fraction_enumeration():
         assert all(type(c) is Fraction for x in points for c in x)
 
 
+_SQUARE = ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        PolyhedralFunction.build([], [(1, 0), *_SQUARE[0]], [1, *_SQUARE[1]], 2),
+        PolyhedralFunction.build([((1, 0), 0), ((1, 0), 0), ((0, 1), 0)], *_SQUARE, 2),
+        PolyhedralFunction.build([((1, 0), 0), ((1, 0), 1), ((0, 1), 0)], *_SQUARE, 2),
+        PolyhedralFunction.build([], [(1, 0), *_SQUARE[0]], [2, *_SQUARE[1]], 2),
+        box_indicator(6),
+    ],
+    ids=["repeated-row", "zero-tie", "inconsistent-tie", "parallel-rows", "box6"],
+)
+def test_candidate_points_survive_redundant_and_inconsistent_planes(f):
+    """Planes that end an enumeration branch lose no point: a repeated
+    domain row and the zero tie of two identical pieces (redundant), the
+    tie of two pieces that differ only in their offset and two parallel rows
+    with different right-hand sides (inconsistent), and box6's opposite
+    facets, which make every subset that holds both inconsistent."""
+    assert experiments._candidate_points(f) == candidate_points_oracle(f)
+
+
 def test_adversarial_reports_match_the_golden_digest():
     """The reports on the enumeration instances are byte-identical to those
     of the per-subset Fraction enumeration, pinned by the SHA-256 of their
@@ -577,17 +600,19 @@ def test_independent_generators_need_no_membership_lp(monkeypatch, f):
 
 
 def _corrupting(kind):
-    """``solve_linear`` with every unique solution changed: one entry moved,
-    or every entry doubled."""
-    solve_linear = functions.solve_linear
+    """``_eliminate`` with every unique solution changed: the first
+    multiplier moved by one, or every multiplier doubled.  A multiplier is
+    the right-hand side of its pivot row over the last pivot ``d``, and the
+    changed rows are new lists, so the rows the read-off checks stay intact."""
+    eliminate = functions._eliminate
 
-    def corrupted(A, b):
-        sol = solve_linear(A, b)
-        if not isinstance(sol, UniqueSolution):
-            return sol
-        if kind == "entry":
-            return UniqueSolution((sol.x[0] + 1,) + sol.x[1:])
-        return UniqueSolution(tuple(2 * a for a in sol.x))
+    def corrupted(M, ncols):
+        pivots, d = eliminate(M, ncols)
+        if len(pivots) == ncols:
+            for i in range(1 if kind == "entry" else ncols):
+                *row, r = M[i]
+                M[i] = [*row, r + d if kind == "entry" else 2 * r]
+        return pivots, d
 
     return corrupted
 
@@ -596,7 +621,7 @@ def _corrupting(kind):
 def test_corrupted_solves_fail_the_read_off_check(monkeypatch, kind):
     """Every multiplier the read-off solves for rebuilds the generator it is
     asked about before any verdict."""
-    monkeypatch.setattr(functions, "solve_linear", _corrupting(kind))
+    monkeypatch.setattr(functions, "_eliminate", _corrupting(kind))
     with pytest.raises(InternalError, match="do not rebuild"):
         construct_degenerate(box_indicator(2))
 
