@@ -49,13 +49,14 @@ from .geometry import (
 )
 from .linalg import (
     ONE,
-    ZERO,
     Q,
     Rat,
     Vec,
     _bareiss_pivot,
     _exact,
     _of_type,
+    _ratio,
+    _sequence,
     format_rational,
     mat,
     rank,
@@ -181,7 +182,12 @@ def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int
 
 
 def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
-    """Order-independent reduction: sort by trial index, then tally."""
+    """Order-independent reduction: sort by trial index, then tally.  A
+    ``records`` that is not iterable, or an entry that is not a
+    ``TrialRecord``, raises ``ValueError`` naming it."""
+    records = _sequence(records, "records", "an iterable of TrialRecords")
+    for i, r in enumerate(records):
+        _of_type(r, TrialRecord, f"records entry {i}")
     ordered = tuple(sorted(records, key=lambda r: r.trial_index))
     counts = {"nondegenerate": 0, "degenerate": 0, "non_unique": 0, "unbounded": 0}
     for r in ordered:
@@ -324,7 +330,7 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
 
     visit([], [], 1, 0)
     return sorted(
-        tuple(Q(x, d) if x else ZERO for x in X) for (d, *X), ok in inside.items() if ok
+        tuple(_ratio(x, d) for x in X) for (d, *X), ok in inside.items() if ok
     )
 
 

@@ -87,9 +87,10 @@ class PolyhedralFunction:
         offsets = vec([d for _, d in pieces], what="piece offset")
         object.__setattr__(self, "pieces", tuple(zip(gradients, offsets)))
 
-    @property
+    @cached_property
     def terms(self) -> Tuple[Piece, ...]:
-        """The pieces, or the single zero piece ``(0, 0)`` when there are none."""
+        """The pieces, or the single zero piece ``(0, 0)`` when there are none.
+        Kept from the first use, like :attr:`integer_terms`."""
         return self.pieces if self.pieces else ((zeros(self.dim), ZERO),)
 
     @cached_property

@@ -41,13 +41,18 @@ the point of each ``evaluate``, ``_active_structure`` and ``violation_index``
 call, ``proximal._kkt_solutions`` and the rows and multipliers of
 ``functions._read_off`` call it directly.
 
-``rank``, ``solve_linear`` and ``functions._read_off`` share one
-fraction-free eliminator (Edmonds): rows are scaled to integers, each pivot
-step divides exactly by the previous pivot, and rationals are built only from
-the final rows and the last pivot.  Its row update, :func:`_bareiss_pivot`,
-is also the pivot of the integer simplex tableau in :mod:`nondegen.simplex`
-and the step by which the candidate-point enumeration of
-:mod:`nondegen.experiments` extends a subset's elimination by one plane.
+``rank``, ``solve_linear``, ``functions._read_off`` and
+``proximal._kkt_solutions`` share one fraction-free eliminator (Edmonds):
+rows are scaled to integers, each pivot step divides exactly by the previous
+pivot, and rationals are built only from the final rows and the last pivot.
+Its row update, :func:`_bareiss_pivot`, is also the pivot of the integer
+simplex tableau in :mod:`nondegen.simplex` and the step by which the
+candidate-point enumeration of :mod:`nondegen.experiments` extends a subset's
+elimination by one plane.  ``solve_linear`` is public, but no library path
+calls it: ``_read_off`` and ``_kkt_solutions`` eliminate their own integer
+rows.  ``_kkt_solutions`` and the candidate points build the rationals they
+keep with :func:`_ratio`, so an exact 0 or 1 among them is the shared
+:data:`ZERO` or :data:`ONE`.
 """
 
 from __future__ import annotations
@@ -132,11 +137,13 @@ def _size(value, name: str) -> int:
 
 
 def _sequence(values: Iterable, name: str, kind: str = "a sequence") -> tuple:
-    """``tuple(values)``; ``ValueError("<name> must be <kind>, not <type>")`` when it is not iterable."""
+    """``tuple(values)``; ``ValueError("<name> must be <kind>, not <type>")`` when it is not
+    iterable.  A ``TypeError`` raised while ``values`` is iterated is not caught."""
     try:
-        return tuple(values)
+        it = iter(values)
     except TypeError:
         raise ValueError(f"{name} must be {kind}, not {type(values).__name__}") from None
+    return tuple(it)
 
 
 def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
@@ -216,6 +223,15 @@ def _integer_point(values: Sequence) -> Tuple[List[int], int]:
     such scaling outside the simplex kernel (see the module docstring)."""
     D = lcm(*[a.denominator for a in values])  # a list: *generator grows tuple free lists
     return [a.numerator * (D // a.denominator) for a in values], D
+
+
+def _ratio(n: int, d: int) -> Rat:
+    """``Q(n, d)`` of integers, ``d`` nonzero; the shared :data:`ZERO` or
+    :data:`ONE` when ``n`` is 0 or ``d``, so a kept exact 0 or 1 is not an
+    object of its own."""
+    if not n:
+        return ZERO
+    return ONE if n == d else Q(n, d)
 
 
 def _integer_rows(rows: List[tuple]) -> List[Sequence[int]]:

@@ -16,8 +16,11 @@ first passes :func:`_check_bound`: a ``PolyhedralFunction`` with at most
 ``$GENERIC_NONDEGEN_ENUM_BOUND`` (default 20) pieces plus constraints.
 
 Each support's system reaches the eliminator as integer rows: the Gram
-matrix and the right-hand sides are scaled to integers once per call, and
-``x`` is rebuilt as one integer sum per coordinate over a common denominator.
+matrix and the right-hand sides are built in integers once per call from the
+generators' integer form.  The multipliers are the eliminated rows over the
+last pivot, their signs are tested as integers, and ``Fraction``s are built
+only for a support that passes: its multipliers, and ``x`` as one integer sum
+per coordinate over the same pivot.
 
 ``minty_transport`` composes the prox of the convex part ``g`` into the map
 ``c -> (x, c - (1 + rho) x)`` that carries subgradients of ``g`` at ``x`` to
@@ -41,6 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import List, Tuple
 
 from .errors import EnumerationBoundError, InfeasibleDomainError, InternalError, OutsideDomainError
@@ -53,8 +57,7 @@ from .functions import (
     certify,
 )
 from .linalg import (
-    ONE, Q, Rat, Vec, ZERO, UniqueSolution, _exact, _integer_point, _of_type, _parse_integer, dot,
-    solve_linear, vec,
+    ONE, Rat, Vec, ZERO, _eliminate, _exact, _integer_point, _of_type, _parse_integer, _ratio, vec,
 )
 from .simplex import Infeasible, feasible_point
 
@@ -124,11 +127,20 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     it leaves a system in ``z`` alone whose determinant is the full one's over
     ``x_coef**n``, so exactly the same supports are uniquely solvable.
 
-    Every scaling to integers is one :func:`~nondegen.linalg._integer_point`:
-    of the Gram matrix and the right-hand sides ``t`` together (one common
-    factor per call, which keeps every system's solutions), of the
-    generators and ``rhs_vec`` together (for the integer sums that build
-    ``x``), and of each support's multipliers ``z = Z / D``.
+    The work is in integers up to the sign test.  One
+    :func:`~nondegen.linalg._integer_point` scales the generators and
+    ``rhs_vec`` together, ``G / hscale`` and ``R / hscale``, and one the
+    offsets, ``off / L``; the Gram matrix is ``L·G_i·G_j`` and the
+    right-hand sides ``t`` are ``L·G_i·R + off_i·hscale²`` (one factor per
+    call, which keeps every system's solutions).  Each support's rows
+    ``[rows | rhs]`` go through :func:`~nondegen.linalg._eliminate`: fewer
+    than ``s`` pivots means a singular system, and otherwise the multipliers are ``z = Z / D``, with
+    ``Z`` the pivot rows' right-hand sides and ``D`` the last pivot, both
+    negated when ``D < 0``.  The signs are tested on ``Z``, and only a
+    support that passes builds ``Fraction``s: its multipliers and its ``x``,
+    one integer sum per coordinate over ``Z`` and ``D``, each through
+    :func:`~nondegen.linalg._ratio`, so an exact 0 or 1 is the shared
+    ``ZERO`` or ``ONE``.
 
     Yields (x, mu, lam, J, I) for every uniquely solvable system whose
     multipliers are all nonnegative; the sign test runs before ``x`` is
@@ -144,17 +156,18 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     m = f.domain.m
     gens = [c for c, _ in pieces] + list(f.domain.A)
     nk = len(gens)
-    # the tie of j with j0 reads <c_j - c_j0, sum_g z_g g> = t[j] - t[j0], and
-    # a tight constraint <a_i, sum_g z_g g> = t[k + i]
-    offset = [x_coef * d for _, d in pieces] + [-x_coef * b for b in f.domain.b]
-    t = [dot(g, rhs_vec) + off for g, off in zip(gens, offset)]
-    flat, _ = _integer_point([dot(g, h) for g in gens for h in gens] + t)
-    gram, t = [flat[i * nk : i * nk + nk] for i in range(nk)], flat[nk * nk :]
-    # with generator g as G_g / hscale, rhs_vec as R / hscale and z = Z / D, x_d
-    # is (R[d] D - sum_g Z_g G_g[d]) / (hscale D x_coef)
+    # generator g is G_g / hscale and rhs_vec is R / hscale
     H, hscale = _integer_point([q for g in gens for q in g] + list(rhs_vec))
     gen_num = [H[i * n : i * n + n] for i in range(nk)]
     rhs_num = H[nk * n :]
+    # the tie of j with j0 reads <c_j - c_j0, sum_g z_g g> = t[j] - t[j0], and
+    # a tight constraint <a_i, sum_g z_g g> = t[k + i]; the Gram matrix and t
+    # are scaled by L hscale^2, with L the offsets' denominator
+    off, L = _integer_point([x_coef * d for _, d in pieces] + [-x_coef * b for b in f.domain.b])
+    hh = hscale * hscale
+    gram = [[L * sum(map(mul, G, G2)) for G2 in gen_num] for G in gen_num]
+    t = [L * sum(map(mul, G, rhs_num)) + o * hh for G, o in zip(gen_num, off)]
+    # with z = Z / D, x_d is (R[d] D - sum_g Z_g G_g[d]) / (hscale D x_coef)
     x_den = hscale * x_coef.numerator
     for jsize in range(1, min(k, n + 1) + 1):
         for J in combinations(range(k), jsize):
@@ -162,27 +175,31 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
             for isize in range(0, min(m, n + 1 - jsize) + 1):
                 for I in combinations(range(m), isize):
                     support = [*J, *(k + i for i in I)]
-                    rows = [[1] * jsize + [0] * isize]
-                    rhs = [1]
+                    s = jsize + isize
+                    M = [[1] * jsize + [0] * isize + [1]]
                     for j in J[1:]:
-                        rows.append([gram[j][g] - gram[j0][g] for g in support])
-                        rhs.append(t[j] - t[j0])
+                        M.append([gram[j][g] - gram[j0][g] for g in support] + [t[j] - t[j0]])
                     for i in I:
-                        rows.append([gram[k + i][g] for g in support])
-                        rhs.append(t[k + i])
-                    sol = solve_linear(rows, rhs)
-                    if not isinstance(sol, UniqueSolution) or any(c < 0 for c in sol.x):
+                        M.append([gram[k + i][g] for g in support] + [t[k + i]])
+                    pivots, D = _eliminate(M, s)
+                    if len(pivots) < s:
                         continue
-                    z = sol.x
-                    Z, D = _integer_point(z)
+                    # a square system of full rank: row r / D is z_r.  D is a
+                    # Gram determinant here, so positive, but z = -Z / -D too
+                    Z = [row[s] for row in M]
+                    if D < 0:
+                        Z, D = [-a for a in Z], -D
+                    if any(a < 0 for a in Z):
+                        continue
                     num = [r * D for r in rhs_num]
                     for zg, g in zip(Z, support):
                         if zg:
                             num = [a - zg * b for a, b in zip(num, gen_num[g])]
                     den = x_den * D
-                    # from a list: tuple(generator) grows the tuple free lists on every call
-                    x = tuple([Q(a * x_coef.denominator, den) for a in num])
-                    yield x, z[:jsize], z[jsize:], J, I
+                    # from lists: tuple(generator) grows the tuple free lists on every call
+                    x = tuple([_ratio(a * x_coef.denominator, den) for a in num])
+                    z = [_ratio(a, D) for a in Z]
+                    yield x, tuple(z[:jsize]), tuple(z[jsize:]), J, I
 
 
 def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):

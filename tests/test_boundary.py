@@ -19,6 +19,7 @@ from nondegen.experiments import (
     construct_degenerate,
     genericity_trial,
     larman_to_csv,
+    merge_trials,
     report_to_csv,
     run_genericity,
     run_larman,
@@ -288,6 +289,16 @@ REFUSALS.update({
     "larman_to_csv-None": (
         lambda: larman_to_csv(None), "^report must be a LarmanReport, not NoneType$"
     ),
+    "merge_trials-None": (
+        lambda: merge_trials(None, 0), "^records must be an iterable of TrialRecords, not NoneType$"
+    ),
+    "merge_trials-int": (
+        lambda: merge_trials(5, 0), "^records must be an iterable of TrialRecords, not int$"
+    ),
+    "merge_trials-entry-None": (
+        lambda: merge_trials([genericity_trial(F, CFG, 0), None], 0),
+        "^records entry 1 must be a TrialRecord, not NoneType$",
+    ),
     # a field of the wrong structure, which escaped as a bare AttributeError,
     # TypeError or unpacking error
     "vec-int": (lambda: vec(3), "^vector must be a sequence, not int$"),
@@ -439,6 +450,17 @@ def test_vec_keeps_each_fraction_and_converts_each_int():
     half = ONE / 2
     out = vec((half, 3))
     assert out[0] is half and type(out[1]) is type(ONE) and out == (half, 3)
+
+
+def test_a_type_error_raised_while_iterating_is_not_taken_for_a_wrong_object():
+    """Only a ``values`` that is not iterable is refused by name; a bug that
+    raises ``TypeError`` inside an iteration keeps its own message."""
+    def entries():
+        yield ONE
+        raise TypeError("raised by the iteration")
+
+    with pytest.raises(TypeError, match="^raised by the iteration$"):
+        vec(entries())
 
 
 def test_the_readme_library_block_runs_as_written():

@@ -53,7 +53,7 @@ from nondegen.gallery import (
     square_vertices,
 )
 from nondegen.geometry import VPolytope
-from nondegen.linalg import Q
+from nondegen.linalg import ONE, Q, ZERO
 from nondegen.proximal import LowerC2Instance, find_critical_points, prox
 from nondegen.simplex import HPolyhedron
 from oracles import (
@@ -541,6 +541,12 @@ def test_candidate_points_match_the_per_subset_fraction_enumeration():
         points = experiments._candidate_points(f)
         assert points == candidate_points_oracle(f)
         assert all(type(c) is Fraction for x in points for c in x)
+
+
+def test_candidate_points_share_the_exact_zero_and_one():
+    coords = [c for x in experiments._candidate_points(box_indicator(2)) for c in x]
+    assert {ZERO, ONE} <= set(coords)
+    assert all(c is ZERO for c in coords if c == 0) and all(c is ONE for c in coords if c == 1)
 
 
 _SQUARE = ([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 1, 1, 1])

@@ -94,6 +94,16 @@ def test_terms_are_the_pieces_when_there_are_some():
     assert abs_function().terms == abs_function().pieces
 
 
+def test_terms_are_kept_from_the_first_use():
+    """An indicator's zero piece is built once, outside the fields: ``==``,
+    ``hash`` and ``repr`` read the same before and after."""
+    f, twin = box_indicator(2), box_indicator(2)
+    before = (hash(f), repr(f), f == twin)
+    assert f.terms is f.terms
+    assert "terms" in vars(f) and "terms" not in vars(twin)
+    assert (hash(f), repr(f), f == twin) == before
+
+
 def test_argmin_face_of_box_tilted_along_an_edge():
     # min over the box of -x_1 is -1, attained on the edge x_1 = 1
     f = box_indicator(2)

@@ -4,6 +4,7 @@ enumeration for quadratically tilted polyhedral functions."""
 import hashlib
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from nondegen.gallery import (
     simplex_indicator,
 )
 from nondegen.geometry import Boundary, Interior, member, ri_membership, translate
-from nondegen.linalg import Q, vsub, zeros
+from nondegen.linalg import ONE, ZERO, Q, UniqueSolution, dot, solve_linear, vsub, zeros
 from nondegen.proximal import (
     LowerC2Instance,
     _kkt_solutions,
@@ -420,6 +421,105 @@ def test_reduced_kkt_systems_match_the_full_systems(seed):
             if min(mu + lam) >= 0
         ]
         assert got == expected
+
+
+def _kkt_solutions_by_solve_linear(f, x_coef, rhs_vec):
+    """``_kkt_solutions`` as one ``solve_linear`` per support: the same
+    multiplier systems, built from ``Fraction`` dot products, and the same
+    order; ``x = (rhs_vec - sum_g z_g g) / x_coef`` in ``Fraction``s."""
+    n, k, m = f.dim, len(f.terms), f.domain.m
+    gens = [c for c, _ in f.terms] + list(f.domain.A)
+    offset = [x_coef * d for _, d in f.terms] + [-x_coef * b for b in f.domain.b]
+    t = [dot(g, rhs_vec) + off for g, off in zip(gens, offset)]
+    out = []
+    for jsize in range(1, min(k, n + 1) + 1):
+        for J in combinations(range(k), jsize):
+            j0 = J[0]
+            for isize in range(0, min(m, n + 1 - jsize) + 1):
+                for I in combinations(range(m), isize):
+                    support = [*J, *(k + i for i in I)]
+                    rows, rhs = [[1] * jsize + [0] * isize], [1]
+                    for j in J[1:]:
+                        rows.append([dot(vsub(gens[j], gens[j0]), gens[g]) for g in support])
+                        rhs.append(t[j] - t[j0])
+                    for i in I:
+                        rows.append([dot(gens[k + i], gens[g]) for g in support])
+                        rhs.append(t[k + i])
+                    sol = solve_linear(rows, rhs)
+                    if not isinstance(sol, UniqueSolution) or min(sol.x) < 0:
+                        continue
+                    z = sol.x
+                    x = tuple(
+                        (r - sum(zg * gens[g][d] for zg, g in zip(z, support))) / x_coef
+                        for d, r in enumerate(rhs_vec)
+                    )
+                    out.append((x, z[:jsize], z[jsize:], J, I))
+    return out
+
+
+def _kkt_instances():
+    """Seeded random functions and targets, and gallery functions at lattice
+    points, each with ``x_coef`` 1 (prox) and ``-rho`` (critical points)."""
+    rng = random.Random("kkt-by-solve-linear")
+    cases = []
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        g = rand_polyfun(rng, dim)
+        while len(g.pieces) + g.domain.m > 8:
+            g = rand_polyfun(rng, dim)
+        cases.append((g, rand_vec(rng, dim), Q(rng.randint(1, 4), rng.randint(1, 3))))
+    for g in (abs_function(), box_indicator(2), simplex_indicator(), pyramid_indicator()):
+        for _ in range(3):
+            cases.append((g, tuple(Q(rng.randint(-8, 8), 4) for _ in range(g.dim)), Q(1, 2)))
+    return [(g, x_coef, target) for g, target, rho in cases for x_coef in (ONE, -rho)]
+
+
+def _negated(eliminate):
+    """``_eliminate`` that hands back its rows and last pivot negated: the
+    same reduced rows ``M / d``.  A nonsingular support's last pivot is a
+    Gram determinant, so it is positive as eliminated; this reaches the sign
+    flip for ``d < 0``."""
+
+    def negated(M, ncols):
+        pivots, d = eliminate(M, ncols)
+        M[:] = [[-a for a in row] for row in M]
+        return pivots, -d
+
+    return negated
+
+
+@pytest.mark.parametrize("last_pivot", ["as eliminated", "negated"])
+def test_kkt_solutions_match_one_solve_linear_per_support(monkeypatch, last_pivot):
+    """The integer elimination yields what ``solve_linear`` gives on each
+    support's system, in the same order, with the same reprs, whatever the
+    sign of the last pivot; the instances include singular supports."""
+    eliminate = proximal._eliminate if last_pivot == "as eliminated" else _negated(proximal._eliminate)
+    seen = set()  # "singular", or whether a nonsingular support's last pivot is positive
+
+    def recording(M, ncols):
+        pivots, d = eliminate(M, ncols)
+        seen.add("singular" if len(pivots) < ncols else d > 0)
+        return pivots, d
+
+    monkeypatch.setattr(proximal, "_eliminate", recording)
+    for g, x_coef, target in _kkt_instances():
+        got = list(_kkt_solutions(g, x_coef, target))
+        assert repr(got) == repr(_kkt_solutions_by_solve_linear(g, x_coef, target))
+    assert seen == {"singular", last_pivot == "as eliminated"}
+
+
+def test_kkt_solutions_share_the_exact_zero_and_one():
+    """Every multiplier and coordinate equal to 0 or 1 is the shared ``ZERO``
+    or ``ONE``, and the instances have both."""
+    values = [
+        q
+        for g, x_coef, target in _kkt_instances()
+        for x, mu, lam, _, _ in _kkt_solutions(g, x_coef, target)
+        for q in (*x, *mu, *lam)
+    ]
+    assert {ZERO, ONE} <= set(values)
+    assert all(q is ZERO for q in values if q == 0)
+    assert all(q is ONE for q in values if q == 1)
 
 
 # the benchmark's prox instances, all at rho = 1/2
