@@ -36,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nondegen.cli import main as cli_main
+from nondegen.cli import _integer, main as cli_main
 from nondegen.proximal import ENUM_BOUND_ENV
 
 BOX2 = "dim 2\nconstraints 4\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n"
@@ -184,8 +184,8 @@ def run(runs: int, seed: int) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=6000, help="number of mutated runs")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the mutations")
+    parser.add_argument("--runs", type=_integer, default=6000, help="number of mutated runs")
+    parser.add_argument("--seed", type=_integer, default=0, help="seed of the mutations")
     args = parser.parse_args(argv)
     if args.runs < 0:
         parser.error("--runs must be nonnegative")

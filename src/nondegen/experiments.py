@@ -14,9 +14,9 @@ offending ``v`` verbatim), never silently impossible.
 exposing two or more vertices lies on the shared boundary of two
 full-dimensional vertex normal cones.
 
-Per-trial PRNG streams are derived from (seed, trial index), so any execution
-order — including concurrent — produces bit-identical reports.  Every report
-is written by :func:`csv_table`, with vectors joined by :func:`_join_vec`.
+Each trial reads one PRNG stream, :func:`_draws` of (seed, trial index), so any
+execution order — including concurrent — produces bit-identical reports.  Every
+report is written by :func:`csv_table`, with vectors joined by :func:`_join_vec`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import csv
 import io
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegeneratePolytopeError, EnumerationBoundError, InfeasibleDomainError, InternalError
@@ -54,9 +54,11 @@ from .linalg import (
     Vec,
     _bareiss_pivot,
     _exact,
+    _iterable,
     _of_type,
     _ratio,
     _sequence,
+    _size,
     format_rational,
     mat,
     rank,
@@ -68,12 +70,13 @@ MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
-    """Reference 64-bit PRNG (SplitMix64): tiny, splittable, well documented."""
+    """Reference 64-bit PRNG (SplitMix64): tiny, splittable, well documented.
+    Any ``int`` seeds it, masked to 64 bits; anything else raises ``ValueError``."""
 
     GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.state = _exact(seed, "seed", fraction_ok=False) & MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + self.GAMMA) & MASK64
@@ -115,17 +118,23 @@ def _stream_vector(stream: SplitMix64, cfg: SamplerConfig, dim: int) -> Vec:
     return tuple(coords)
 
 
-def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
-    """Deterministic tilt vector for (seed, trial_index); stream = seed XOR trial.
-    A ``trial_index`` that is not an ``int`` in ``[0, 2^64)`` raises ``ValueError``:
-    the stream's seed has 64 bits, so index ``2^64`` would repeat trial 0."""
+def _draws(cfg: SamplerConfig, trial_index: int, dim: int) -> Iterator[Vec]:
+    """The vectors of the stream ``SplitMix64(cfg.seed ^ trial_index)``, in order; a ``cfg``
+    not a ``SamplerConfig``, a ``dim`` not an ``int`` >= 1 or a ``trial_index`` not an ``int``
+    in ``[0, 2^64)`` (``2^64`` would repeat trial 0's seed) raises ``ValueError``."""
     _of_type(cfg, SamplerConfig, "cfg")
     if _exact(trial_index, "trial_index", fraction_ok=False) < 0:
         raise ValueError("trial_index must be nonnegative")
     if trial_index > MASK64:
         raise ValueError("trial_index must be below 2^64")
+    _size(dim, "dim")
     stream = SplitMix64(cfg.seed ^ trial_index)
-    return _stream_vector(stream, cfg, dim)
+    return iter(lambda: _stream_vector(stream, cfg, dim), None)  # never None: endless
+
+
+def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
+    """Deterministic tilt vector for (seed, trial_index): the first of :func:`_draws`."""
+    return next(_draws(cfg, trial_index, dim))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,9 +192,10 @@ def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int
 
 def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
     """Order-independent reduction: sort by trial index, then tally.  A
-    ``records`` that is not iterable, or an entry that is not a
-    ``TrialRecord``, raises ``ValueError`` naming it."""
+    ``records`` that is not iterable, an entry that is not a ``TrialRecord``
+    or a ``seed`` that is not an ``int`` raises ``ValueError`` naming it."""
     records = _sequence(records, "records", "an iterable of TrialRecords")
+    _exact(seed, "seed", fraction_ok=False)
     for i, r in enumerate(records):
         _of_type(r, TrialRecord, f"records entry {i}")
     ordered = tuple(sorted(records, key=lambda r: r.trial_index))
@@ -230,7 +240,11 @@ def _join_vec(x: Optional[Vec]) -> str:
 
 
 def csv_table(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The report format: a header row, then one row per record, Unix line ends."""
+    """The report format: a header row, then one row per record, Unix line ends.
+    A ``fields`` or ``rows`` that is not iterable raises ``ValueError`` naming it;
+    ``rows`` is written as it is iterated, never held whole."""
+    fields = _sequence(fields, "fields")
+    rows = _iterable(rows, "rows", "an iterable of rows")
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(fields)
@@ -431,30 +445,23 @@ def run_larman(
     contribute to the sampled tallies.
     """
     _of_type(F, VPolytope, "F")
+    _of_type(cfg, SamplerConfig, "cfg")
     _check_trials(trials)
     forced = mat(forced, F.dim, "forced direction")
-    distinct_vertices = set(F.vertices)
-    if len(distinct_vertices) < 2:
+    if len(set(F.vertices)) < 2:
         raise DegeneratePolytopeError("fewer than 2 distinct vertices")
-    records = []
-    multi = 0
-    for i in range(trials):
-        stream = SplitMix64(cfg.seed ^ i)
-        c = _stream_vector(stream, cfg, F.dim)
-        while all(x == 0 for x in c):
-            c = _stream_vector(stream, cfg, F.dim)
-        rec = _larman_trial(F, c, str(i))
-        records.append(rec)
-        if rec.distinct_vertices > 1:
-            multi += 1
-    forced_records = tuple(_larman_trial(F, c, f"F{k}") for k, c in enumerate(forced))
+    records = tuple(
+        _larman_trial(F, next(c for c in _draws(cfg, i, F.dim) if any(c)), str(i))
+        for i in range(trials)
+    )
+    multi = sum(r.distinct_vertices > 1 for r in records)
     return LarmanReport(
         trials=trials,
         singleton_faces=trials - multi,
         multi_vertex_faces=multi,
         seed=cfg.seed,
-        records=tuple(records),
-        forced=forced_records,
+        records=records,
+        forced=tuple(_larman_trial(F, c, f"F{k}") for k, c in enumerate(forced)),
     )
 
 

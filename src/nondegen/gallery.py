@@ -12,13 +12,14 @@ raises ``ValueError``.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List
 
 from .errors import DegeneratePolytopeError, InternalError
-from .experiments import SamplerConfig, SplitMix64, _stream_vector
+from .experiments import SamplerConfig, SplitMix64, _draws, _stream_vector
 from .functions import PolyhedralFunction
 from .geometry import GeneratedSet, VPolytope, positive_span_is_subspace
-from .linalg import ONE, Q, Rat, Vec, ZERO, _exact, _size, rank, vsub
+from .linalg import ONE, Q, Rat, Vec, ZERO, _exact, _of_type, _size, rank, vsub
 from .simplex import HPolyhedron, LinearProgram, Optimal, solve_lp
 
 
@@ -123,10 +124,9 @@ def cube_vertices() -> VPolytope:
 def random_vpolytope(seed: int, n: int = 3, k: int = 10) -> VPolytope:
     """``k`` random points in [-1, 1]^n (resampled until all distinct)."""
     n, k = _size(n, "n"), _size(k, "k")
-    cfg = SamplerConfig(seed=seed, bits=32)
-    stream = SplitMix64(seed)
+    draws = _draws(SamplerConfig(seed=seed, bits=32), 0, n)
     for _ in range(1000):
-        pts = tuple(_stream_vector(stream, cfg, n) for _ in range(k))
+        pts = tuple(islice(draws, k))
         if len(set(pts)) == k:
             return VPolytope(pts)
     raise InternalError("random vertex resampling did not terminate")
@@ -141,8 +141,10 @@ def edge_direction(F: VPolytope) -> Vec:
     <c, u - p> >= t for all remaining p, with c in [-1, 1]^n: optimal t > 0
     means c exposes exactly {u, w}.  Some neighbor w of u along an edge of the
     hull always yields t > 0 when the polytope has >= 2 distinct vertices;
-    fewer raise ``DegeneratePolytopeError``, as in ``run_larman``.
+    fewer raise ``DegeneratePolytopeError``, as in ``run_larman``, and an ``F``
+    that is not a ``VPolytope`` raises ``ValueError``.
     """
+    _of_type(F, VPolytope, "F")
     distinct = sorted(set(F.vertices), reverse=True)
     if len(distinct) < 2:
         raise DegeneratePolytopeError("fewer than 2 distinct vertices")

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, RationalParseError, quote_token
 
@@ -136,14 +136,18 @@ def _size(value, name: str) -> int:
     return value
 
 
-def _sequence(values: Iterable, name: str, kind: str = "a sequence") -> tuple:
-    """``tuple(values)``; ``ValueError("<name> must be <kind>, not <type>")`` when it is not
+def _iterable(values: Iterable, name: str, kind: str) -> Iterator:
+    """``iter(values)``; ``ValueError("<name> must be <kind>, not <type>")`` when it is not
     iterable.  A ``TypeError`` raised while ``values`` is iterated is not caught."""
     try:
-        it = iter(values)
+        return iter(values)
     except TypeError:
         raise ValueError(f"{name} must be {kind}, not {type(values).__name__}") from None
-    return tuple(it)
+
+
+def _sequence(values: Iterable, name: str, kind: str = "a sequence") -> tuple:
+    """``tuple(values)``, refused by :func:`_iterable` when it is not iterable."""
+    return tuple(_iterable(values, name, kind))
 
 
 def vec(values: Iterable, dim: Optional[int] = None, what: str = "") -> Vec:
@@ -236,9 +240,7 @@ def _ratio(n: int, d: int) -> Rat:
 
 def _integer_rows(rows: List[tuple]) -> List[Sequence[int]]:
     """The rows (a list of tuples) scaled to integers by :func:`_integer_point`
-    after :func:`mat`'s check; rows of ints of one width are kept as they are."""
-    if {*map(type, chain(*rows))} <= {int} and len({*map(len, rows)}) < 2:
-        return rows
+    after :func:`mat`'s check."""
     return [_integer_point(row)[0] for row in mat(rows)]
 
 

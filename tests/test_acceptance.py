@@ -311,6 +311,17 @@ def test_criterion_7_larman_suite(capfd, larman_reports):
     _verdict(capfd, 7, "sampled directions expose single vertices", ok, detail)
 
 
+def test_criterion_7_csvs_match_the_golden_digests(larman_reports):
+    """The criterion-7 CSVs, forced directions included, are byte-identical
+    to the golden copies, pinned by their SHA-256 in ``golden_csv_sha256.json``."""
+    golden = json.loads(Path(__file__).with_name("golden_csv_sha256.json").read_text())
+    digests = {
+        label: hashlib.sha256(csv.encode()).hexdigest()
+        for label, (_, csv) in larman_reports.items()
+    }
+    assert digests == golden["larman_seed42_1000"]
+
+
 def test_criterion_8_byte_identical_reruns(capfd, genericity_reports, larman_reports):
     mismatches = []
     for label, f in GENERICITY_INSTANCES:

@@ -15,8 +15,11 @@ import pytest
 
 from nondegen.errors import DegeneratePolytopeError, DimensionMismatchError, EmptyGeneratedSetError
 from nondegen.experiments import (
+    CSV_FIELDS,
     SamplerConfig,
+    SplitMix64,
     construct_degenerate,
+    csv_table,
     genericity_trial,
     larman_to_csv,
     merge_trials,
@@ -298,6 +301,31 @@ REFUSALS.update({
     "merge_trials-entry-None": (
         lambda: merge_trials([genericity_trial(F, CFG, 0), None], 0),
         "^records entry 1 must be a TrialRecord, not NoneType$",
+    ),
+    # the sampler's stream and its readers, which ended in a bare AttributeError,
+    # TypeError or csv.Error, or built a report whose seed is None; run_larman
+    # refuses before any trial, so a run of 0 trials refuses too
+    "run_larman-cfg-None-0": (
+        lambda: run_larman(square_vertices(), None, 0), "^cfg must be a SamplerConfig, not NoneType$"
+    ),
+    "run_larman-cfg-None-2": (
+        lambda: run_larman(square_vertices(), None, 2), "^cfg must be a SamplerConfig, not NoneType$"
+    ),
+    "sample_objective-dim-negative": (lambda: sample_objective(CFG, 0, -1), "^dim must be at least 1$"),
+    "sample_objective-dim-None": (
+        lambda: sample_objective(CFG, 0, None), _inexact("dim", "NoneType", "an int")
+    ),
+    "SplitMix64-None": (lambda: SplitMix64(None), _inexact("seed", "NoneType", "an int")),
+    "SplitMix64-float": (lambda: SplitMix64(1.5), _inexact("seed", exact="an int")),
+    "edge_direction-None": (lambda: edge_direction(None), "^F must be a VPolytope, not NoneType$"),
+    "csv_table-fields-None": (
+        lambda: csv_table(None, [[0]]), "^fields must be a sequence, not NoneType$"
+    ),
+    "csv_table-rows-None": (
+        lambda: csv_table(CSV_FIELDS, None), "^rows must be an iterable of rows, not NoneType$"
+    ),
+    "merge_trials-seed-None": (
+        lambda: merge_trials([genericity_trial(F, CFG, 0)], None), _inexact("seed", "NoneType", "an int")
     ),
     # a field of the wrong structure, which escaped as a bare AttributeError,
     # TypeError or unpacking error

@@ -6,6 +6,7 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,7 @@ from nondegen.gallery import (
     point_indicator,
     pyramid_indicator,
     random_polytope,
+    random_vpolytope,
     simplex_indicator,
     square_vertices,
 )
@@ -146,6 +148,24 @@ def test_sample_objective_is_deterministic():
     a = sample_objective(CFG42, 17, 3)
     b = sample_objective(CFG42, 17, 3)
     assert a == b
+
+
+def test_one_stream_per_trial_gives_the_tilt_the_larman_direction_and_the_vertices():
+    """``_draws(cfg, i, dim)`` is trial ``i``'s one stream: its first vector is
+    the tilt, its first nonzero one the Larman direction, and the stream of
+    trial 0 at 32 bits gives ``random_vpolytope``'s vertices."""
+    cfg = SamplerConfig(seed=42, bits=8)
+    report = run_larman(VPolytope([(0,), (1,)]), cfg, 300)
+    zero_tilts = 0
+    for i, rec in enumerate(report.records):
+        draws = experiments._draws(cfg, i, 1)
+        tilt = next(draws)
+        assert sample_objective(cfg, i, 1) == tilt
+        zero_tilts += not any(tilt)
+        assert rec.c == (tilt if any(tilt) else next(c for c in draws if any(c)))
+    assert zero_tilts  # the resampled branch ran
+    stream = experiments._draws(SamplerConfig(seed=7, bits=32), 0, 3)
+    assert random_vpolytope(7, 3, 10).vertices == tuple(islice(stream, 10))
 
 
 def test_sample_objective_regression_vectors():

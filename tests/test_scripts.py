@@ -293,6 +293,16 @@ def test_a_seeded_slice_of_the_cli_fuzz_ends_every_run_with_a_documented_exit_co
     assert capsys.readouterr().out.splitlines()[-1] == "3 runs, seed 1: 0 failed"
 
 
+@pytest.mark.parametrize("argv", [["--runs", "1_0"], ["--runs", "0", "--seed", "1_0"]])
+def test_the_cli_fuzz_reads_its_flags_as_the_cli_reads_an_integer(argv, capsys):
+    """``1_0`` is a usage error, exit 2, as on every integer flag of the CLI;
+    ``int()`` would read it as 10."""
+    with pytest.raises(SystemExit) as exc:
+        load("fuzz_cli").main(argv)
+    assert exc.value.code == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
 def test_the_cli_fuzz_reports_a_run_that_escapes_main(monkeypatch, capsys):
     """An exception out of ``main`` is a failed run, printed with its traceback."""
     fuzz = load("fuzz_cli")
