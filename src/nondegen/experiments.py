@@ -86,6 +86,13 @@ class SplitMix64:
         return (z ^ (z >> 31)) & MASK64
 
 
+def _seed(seed: int) -> None:
+    """``ValueError`` unless ``seed`` is an ``int`` in ``[0, 2^64)``: the one seed rule,
+    of a ``SamplerConfig`` and of the report that :func:`merge_trials` builds."""
+    if not 0 <= _exact(seed, "seed", fraction_ok=False) <= MASK64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int
@@ -93,11 +100,9 @@ class SamplerConfig:
     box_radius: Rat = ONE
 
     def __post_init__(self):
-        _exact(self.seed, "seed", fraction_ok=False)
+        _seed(self.seed)
         _exact(self.bits, "bits", fraction_ok=False)
         _exact(self.box_radius, "box_radius")
-        if not (0 <= self.seed <= MASK64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if not (8 <= self.bits <= 64):
             raise ValueError("bits must be between 8 and 64 (SplitMix64 draws 64 bits)")
         if not self.box_radius > 0:
@@ -193,9 +198,9 @@ def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int
 def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
     """Order-independent reduction: sort by trial index, then tally.  A
     ``records`` that is not iterable, an entry that is not a ``TrialRecord``
-    or a ``seed`` that is not an ``int`` raises ``ValueError`` naming it."""
+    or a ``seed`` that :func:`_seed` refuses raises ``ValueError`` naming it."""
     records = _sequence(records, "records", "an iterable of TrialRecords")
-    _exact(seed, "seed", fraction_ok=False)
+    _seed(seed)
     for i, r in enumerate(records):
         _of_type(r, TrialRecord, f"records entry {i}")
     ordered = tuple(sorted(records, key=lambda r: r.trial_index))
@@ -241,14 +246,15 @@ def _join_vec(x: Optional[Vec]) -> str:
 
 def csv_table(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The report format: a header row, then one row per record, Unix line ends.
-    A ``fields`` or ``rows`` that is not iterable raises ``ValueError`` naming it;
-    ``rows`` is written as it is iterated, never held whole."""
+    A ``fields``, ``rows`` or row that is not iterable raises ``ValueError`` naming
+    it (row ``i`` as ``rows entry i``); ``rows`` is written as it is iterated, never
+    held whole."""
     fields = _sequence(fields, "fields")
     rows = _iterable(rows, "rows", "an iterable of rows")
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(fields)
-    w.writerows(rows)
+    w.writerows(_iterable(row, f"rows entry {i}", "an iterable") for i, row in enumerate(rows))
     return out.getvalue()
 
 

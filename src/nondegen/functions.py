@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DimensionMismatchError, InternalError, NotOptimalError, OutsideDomainError
 from .geometry import (
@@ -104,6 +104,13 @@ class PolyhedralFunction:
         flat, L = _integer_point([q for c, d in self.terms for q in (*c, d)])
         w = self.dim + 1
         return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w)), L
+
+    @cached_property
+    def _minimizers(self) -> Dict[Vec, Vec]:
+        """Each point that :func:`minimize_perturbed` has returned, keyed by itself: a run
+        of many tilts keeps one tuple per minimizer, not one per tilt.  Each is a basic
+        solution of the epigraph LP, so there are finitely many.  Not a field."""
+        return {}
 
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
@@ -180,7 +187,8 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
 
         maximize <v, x> - t   s.t.   <c_j, x> - t <= -d_j,   A x <= b.
 
-    Returns one exact minimizer (the deterministic solver's choice), an
+    Returns one exact minimizer (the deterministic solver's choice, the same
+    tuple for the same point: :attr:`PolyhedralFunction._minimizers`), an
     improving ray, or infeasibility (improper ``f``) with a Farkas vector over
     the domain rows: the ``t`` column forces the term rows' multipliers to 0.
     At the checked optimum ``t = f(x)``: the rows give ``t >= f(x)``, and a
@@ -197,6 +205,7 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     res = solve_lp(LinearProgram((*v, -ONE), P))
     if isinstance(res, Optimal):
         x = res.x[:n]
+        x = f._minimizers.setdefault(x, x)
         return Minimizer(x, res.x[n] - dot(v, x))
     if isinstance(res, Unbounded):
         return Unbounded(res.x0[:n], res.ray[:n])

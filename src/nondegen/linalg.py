@@ -35,11 +35,12 @@ and kept, and a point becomes integers over the lcm of its denominators, so
 each row test is an integer comparison and builds no ``Fraction``.
 
 :func:`_integer_point` is the one scaling of rationals to integers outside
-the simplex kernel: :func:`_integer_rows` maps it over rows (for ``rank``,
-``solve_linear`` and ``HPolyhedron.integer_rows``), and ``integer_terms``,
-the point of each ``evaluate``, ``_active_structure`` and ``violation_index``
-call, ``proximal._kkt_solutions`` and the rows and multipliers of
-``functions._read_off`` call it directly.
+the simplex kernel's tableau and its checker's matrix: :func:`_integer_rows`
+maps it over rows (for ``rank``, ``solve_linear`` and
+``HPolyhedron.integer_rows``), and ``integer_terms``, the point of each
+``evaluate``, ``_active_structure`` and ``violation_index`` call,
+``proximal._kkt_solutions``, the rows and multipliers of
+``functions._read_off`` and the kernel's certificate checks call it directly.
 
 ``rank``, ``solve_linear``, ``functions._read_off`` and
 ``proximal._kkt_solutions`` share one fraction-free eliminator (Edmonds):
@@ -50,9 +51,9 @@ simplex tableau in :mod:`nondegen.simplex` and the step by which the
 candidate-point enumeration of :mod:`nondegen.experiments` extends a subset's
 elimination by one plane.  ``solve_linear`` is public, but no library path
 calls it: ``_read_off`` and ``_kkt_solutions`` eliminate their own integer
-rows.  ``_kkt_solutions`` and the candidate points build the rationals they
-keep with :func:`_ratio`, so an exact 0 or 1 among them is the shared
-:data:`ZERO` or :data:`ONE`.
+rows.  ``_kkt_solutions``, the candidate points and the simplex kernel's
+read-outs build the rationals they keep with :func:`_ratio`, so an exact 0 or
+1 among them is the shared :data:`ZERO` or :data:`ONE`.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ Mat = Tuple[Vec, ...]
 
 ZERO = Q(0)
 ONE = Q(1)
+_MINUS_ONE = Q(-1)  # the -1 of an optimal point from simplex.solve_lp
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL_TOKEN = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
@@ -224,7 +226,8 @@ def vsub(u: Vec, v: Vec) -> Vec:
 def _integer_point(values: Sequence) -> Tuple[List[int], int]:
     """``values`` (integers or rationals) as integers ``X`` over ``D``, the
     lcm of their denominators: ``values = X / D`` with ``D > 0``.  The one
-    such scaling outside the simplex kernel (see the module docstring)."""
+    such scaling outside the simplex kernel's tableau and its checker's matrix
+    (see the module docstring)."""
     D = lcm(*[a.denominator for a in values])  # a list: *generator grows tuple free lists
     return [a.numerator * (D // a.denominator) for a in values], D
 

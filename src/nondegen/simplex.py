@@ -26,9 +26,11 @@ auxiliary programs (equalities and sign constraints are native there, keeping
 those tableaus small).
 
 The kernel pivots on integers and builds rationals only for its answer.
-Column ``j`` is scaled by ``kappa_j``, the lcm of its denominators, the rhs
-by ``sigma`` and the phase-2 costs by ``tau``; unit and artificial columns
-keep scale 1, so the starting basis is the identity.  The tableau is kept as
+Its tableau is read from each entry's numerator and denominator, with no
+``Fraction`` built: column ``j`` is scaled by ``kappa_j``, the lcm of its
+denominators, the rhs by ``sigma`` and the phase-2 costs by ``tau``, and a
+row with a negative rhs is negated; unit and artificial columns keep scale
+1, so the starting basis is the identity.  The tableau is kept as
 integer rows ``X`` over one shared determinant ``d > 0`` (the rational
 tableau is ``X / d``, as in lrs), and a pivot on ``p = X[r][c]`` replaces
 every other row, the objective row included, by ``(p * row - row[c] *
@@ -40,27 +42,31 @@ costs keep the sign of every reduced cost and the order of the ratios within
 a column (compared by cross-multiplication), so Bland's rule makes the same
 pivots as on the rational tableau, and the outcome is the same.  Read-out:
 ``t_j = kappa_j X_j / (sigma d)``, duals ``Y_i / (tau d)``, and the value,
-ray and Farkas vector the same way.
+ray and Farkas vector the same way, each through
+:func:`nondegen.linalg._ratio`, so an exact 0 or 1 is the shared one.
 
 Each outcome is then checked against the caller's own ``M``, ``rhs`` and
 ``obj``, never the scaled tableau, so no check depends on ``kappa``,
-``sigma``, ``tau`` or the pivots that it is there to catch.  Every check sum
-is one :func:`nondegen.linalg.dot`: an integer numerator over an integer
-denominator, with one ``Fraction`` per sum instead of one per product.
+``sigma``, ``tau`` or the pivots that it is there to catch.  The checks run
+in integers too: the checker scales ``M`` by its own ``L``, the lcm of all
+of its denominators, and ``rhs``, ``obj`` and each certificate vector by
+:func:`nondegen.linalg._integer_point`.  Each row or column test is then
+one integer sum, compared by cross-multiplication with the positive scales.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InternalError
 from .linalg import (
-    Mat, ONE, Q, Rat, Vec, ZERO, _bareiss_pivot, _integer_point, _integer_rows, _of_type, _size, dot, mat,
-    vec, zeros,
+    Mat, ONE, Q, Rat, Vec, ZERO, _MINUS_ONE, _bareiss_pivot, _exact, _integer_point, _integer_rows, _of_type,
+    _ratio, _size, dot, mat, vec, zeros,
 )
 
 
@@ -192,36 +198,31 @@ KernelOutcome = KernelOptimal | KernelUnbounded | KernelInfeasible
 
 
 def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> KernelOutcome:
-    """Maximize ``<obj, t>`` over ``M t = rhs, t >= 0`` with certified outcomes."""
+    """Maximize ``<obj, t>`` over ``M t = rhs, t >= 0`` with certified outcomes; an entry
+    that is not an ``int`` or a ``Fraction`` (a ``bool`` too) is refused by :func:`_exact`."""
     ncols = len(obj)
     nrows = len(M)
     if len(rhs) != nrows:
         raise DimensionMismatchError("rhs length", nrows, len(rhs))
-
-    flip = [1] * nrows  # row flips applied to make the working rhs nonnegative
-    qrows: List[List[Rat]] = []
-    for i in range(nrows):
-        src = M[i]
+    for i, src in enumerate(M):
         if len(src) != ncols:
             raise DimensionMismatchError(f"row {i} width", ncols, len(src))
-        r = Q(rhs[i])
-        if r < 0:
-            row = [-Q(a) for a in src]
-            r = -r
-            flip[i] = -1
-        else:
-            row = [Q(a) for a in src]
-        row.append(r)
-        qrows.append(row)
-    qobj = [Q(v) for v in obj]
+    if not {*map(type, chain(*M, rhs, obj))} <= {int, Q}:
+        names = [f"M row {i}" for i in range(nrows)] + ["rhs", "obj"]
+        for name, src in zip(names, [*M, rhs, obj]):
+            for j, a in enumerate(src):
+                _exact(a, f"{name} entry {j}")
 
-    # Integer tableau: column j scaled by kappa[j], the rhs by sigma, the
-    # phase-2 costs by tau; every scale is the lcm of the denominators it clears.
-    kappa = [lcm(*[row[j].denominator for row in qrows]) for j in range(ncols)]
-    sigma = lcm(*[row[-1].denominator for row in qrows])
-    tau = lcm(*[c.denominator for c in qobj])
+    # Integer tableau from numerators and denominators: column j scaled by
+    # kappa[j], the rhs by sigma, the phase-2 costs by tau, each the lcm of
+    # the denominators it clears; a row with a negative rhs is negated.
+    kappa = [lcm(*[a.denominator for a in col]) for col in zip(*M)] or [1] * ncols
+    sigma = lcm(*[r.denominator for r in rhs])
+    tau = lcm(*[c.denominator for c in obj])
+    flip = [-1 if r.numerator < 0 else 1 for r in rhs]
     scales = kappa + [sigma]
-    tab = [[a.numerator * (s // a.denominator) for a, s in zip(row, scales)] for row in qrows]
+    tab = [[f * a.numerator * (s // a.denominator) for a, s in zip((*src, r), scales)]
+           for src, r, f in zip(M, rhs, flip)]
 
     row_ids = list(range(nrows))
     basis = [-1] * nrows
@@ -293,11 +294,8 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
             raise InternalError("phase-1 objective is bounded above by zero")
         if objrow[-1] != 0:
             # Infeasible: assemble the Farkas certificate from the row duals.
-            g = []
-            for pos in range(len(tab)):
-                col = unit_col[pos]
-                g.append(Q(-flip[row_ids[pos]] * (d * phase1[col] - objrow[col]), d))
-            return _verified(M, rhs, obj, KernelInfeasible(tuple(g)))
+            g = (-flip[i] * (d * phase1[col] - objrow[col]) for i, col in zip(row_ids, unit_col))
+            return _verified(M, rhs, obj, KernelInfeasible(tuple(_ratio(a, d) for a in g)))
         # Feasible: drive artificial columns out of the basis, dropping any
         # row that has become identically zero (a redundant equality).
         to_drop = []
@@ -313,7 +311,7 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         for i in reversed(to_drop):
             del tab[i], basis[i], unit_col[i], row_ids[i]
 
-    costs2 = [k * c.numerator * (tau // c.denominator) for k, c in zip(kappa, qobj)]
+    costs2 = [k * c.numerator * (tau // c.denominator) for k, c in zip(kappa, obj)]
     costs2 += [0] * (total_cols - ncols)
     objrow, pc = run(costs2)
 
@@ -322,7 +320,7 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         for i, bcol in enumerate(basis):
             if bcol >= ncols:
                 raise InternalError("artificial variable still basic after phase 1")
-            t[bcol] = Q(kappa[bcol] * tab[i][-1], sigma * d)
+            t[bcol] = _ratio(kappa[bcol] * tab[i][-1], sigma * d)
         return tuple(t)
 
     if pc >= 0:
@@ -331,45 +329,52 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         ray = [ZERO] * ncols
         ray[pc] = ONE
         for i, brow in enumerate(tab):
-            ray[basis[i]] = Q(-kappa[basis[i]] * brow[pc], kappa[pc] * d)
+            ray[basis[i]] = _ratio(-kappa[basis[i]] * brow[pc], kappa[pc] * d)
         return _verified(M, rhs, obj, KernelUnbounded(current_point(), tuple(ray)))
     t = current_point()
-    value = Q(-objrow[-1], sigma * tau * d)
+    value = _ratio(-objrow[-1], sigma * tau * d)
     duals = [ZERO] * nrows
-    for pos in range(len(tab)):
-        col = unit_col[pos]
-        duals[row_ids[pos]] = Q(flip[row_ids[pos]] * (d * costs2[col] - objrow[col]), tau * d)
+    for i, col in zip(row_ids, unit_col):
+        duals[i] = _ratio(flip[i] * (d * costs2[col] - objrow[col]), tau * d)
     return _verified(M, rhs, obj, KernelOptimal(t, value, tuple(duals)))
 
 
 def _verified(M, rhs, obj, out: KernelOutcome) -> KernelOutcome:
     """``out`` if its certificate holds exactly for the program
-    :func:`solve_standard_form` was given, else :class:`InternalError`."""
-    cols = list(zip(*M)) or [()] * len(obj)
+    :func:`solve_standard_form` was given, else :class:`InternalError`; the
+    checks run in integers, as the module docstring says."""
+    L = lcm(*[a.denominator for a in chain(*M)])
+    rows = [[a.numerator * (L // a.denominator) for a in row] for row in M]
+    cols = list(zip(*rows)) or [()] * len(obj)
+    (R, S), (C, E) = _integer_point(rhs), _integer_point(obj)
     if isinstance(out, KernelInfeasible):
-        if any(dot(out.farkas, col) > 0 for col in cols):
+        G = _integer_point(out.farkas)[0]
+        if any(sum(map(mul, G, col)) > 0 for col in cols):
             raise InternalError("farkas certificate fails g^T M <= 0")
-        if dot(out.farkas, rhs) <= 0:
+        if sum(map(mul, G, R)) <= 0:
             raise InternalError("farkas certificate fails g^T rhs > 0")
         return out
-    t = out.t0 if isinstance(out, KernelUnbounded) else out.t
-    if any(v < 0 for v in t):
+    T, D = _integer_point(out.t0 if isinstance(out, KernelUnbounded) else out.t)
+    if any(v < 0 for v in T):
         raise InternalError("primal point has a negative coordinate")
-    if any(dot(row, t) != r for row, r in zip(M, rhs)):
+    if any(sum(map(mul, row, T)) * S != r * L * D for row, r in zip(rows, R)):
         raise InternalError("primal point violates an equality row")
     if isinstance(out, KernelUnbounded):
-        if any(dot(row, out.ray) for row in M):
+        ray = _integer_point(out.ray)[0]
+        if any(sum(map(mul, row, ray)) for row in rows):
             raise InternalError("unbounded ray is not in the kernel of M")
-        if any(r < 0 for r in out.ray):
+        if any(r < 0 for r in ray):
             raise InternalError("unbounded ray has a negative component")
-        if dot(obj, out.ray) <= 0:
+        if sum(map(mul, C, ray)) <= 0:
             raise InternalError("unbounded ray does not improve the objective")
         return out
-    if dot(obj, t) != out.value:
+    vn, vd = out.value.numerator, out.value.denominator
+    if sum(map(mul, C, T)) * vd != vn * E * D:
         raise InternalError("objective value mismatch")
-    if any(c > dot(out.duals, col) for c, col in zip(obj, cols)):
+    Y, F = _integer_point(out.duals)
+    if any(c * F * L > sum(map(mul, Y, col)) * E for c, col in zip(C, cols)):
         raise InternalError("positive reduced cost at claimed optimum")
-    if dot(out.duals, rhs) != out.value:
+    if sum(map(mul, Y, R)) * vd != vn * F * S:
         raise InternalError("strong duality violated")
     return out
 
@@ -384,8 +389,11 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     The kernel sees free variables split and slacks added: its columns are
     ``(u, w, s)`` with ``x = u - w`` and ``A x + s = b``, and its objective is
-    ``(c, -c, 0)``.  The kernel's check of that program is the only check,
-    because each of its identities is an H-form one in these coordinates:
+    ``(c, -c, 0)``.  At an optimal basis at most one of ``u_k``, ``w_k`` is
+    nonzero (their columns are opposite), so ``x_k`` is read from that one,
+    and an exact 0, 1 or -1 in ``x`` is a shared constant.  The kernel's check
+    of that program is the only check, because each of its identities is an
+    H-form one in these coordinates:
 
     - ``M t = b`` with ``t >= 0``: ``x`` is feasible and ``s = b - A x``, so
       the active set is ``{i : s_i = 0}``;
@@ -410,7 +418,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     obj = list(lp.objective) + [-c for c in lp.objective] + [ZERO] * m
     res = solve_standard_form(M, list(P.b), obj)
     if isinstance(res, KernelOptimal):
-        x = tuple(res.t[k] - res.t[n + k] for k in range(n))
+        u, w = res.t[:n], res.t[n : 2 * n]
+        x = tuple(a if not b else a - b if a else _MINUS_ONE if b is ONE else -b for a, b in zip(u, w))
         active = frozenset(i for i in range(m) if res.t[2 * n + i] == 0)
         return Optimal(x, res.value, res.duals, active)
     if isinstance(res, KernelUnbounded):

@@ -327,6 +327,18 @@ REFUSALS.update({
     "merge_trials-seed-None": (
         lambda: merge_trials([genericity_trial(F, CFG, 0)], None), _inexact("seed", "NoneType", "an int")
     ),
+    # a row of a caller's table that is not iterable, which ended in a bare
+    # csv.Error, and a report seed that SamplerConfig refuses, which was kept
+    "csv_table-row-None": (
+        lambda: csv_table(("a",), [("x",), None]), "^rows entry 1 must be an iterable, not NoneType$"
+    ),
+    "merge_trials-seed-negative": (
+        lambda: merge_trials([genericity_trial(F, CFG, 0)], -5), "^seed must be a 64-bit unsigned integer$"
+    ),
+    "merge_trials-seed-2^64": (
+        lambda: merge_trials([genericity_trial(F, CFG, 0)], 2**64),
+        "^seed must be a 64-bit unsigned integer$",
+    ),
     # a field of the wrong structure, which escaped as a bare AttributeError,
     # TypeError or unpacking error
     "vec-int": (lambda: vec(3), "^vector must be a sequence, not int$"),
@@ -412,6 +424,19 @@ REFUSALS.update({
     "kernel-rhs-length": (lambda: solve_standard_form([(ONE,)], [], [ONE]), DimensionMismatchError),
     "kernel-row-width": (
         lambda: solve_standard_form([(ONE, ZERO)], [ONE], [ONE]), DimensionMismatchError
+    ),
+    # a kernel entry that is not an int or a Fraction, which ended in a bare
+    # TypeError or AttributeError, or was read as 1 (True)
+    "kernel-None": (
+        lambda: solve_standard_form([(ONE, None)], [ONE], [ONE, ONE]),
+        _inexact("M row 0 entry 1", "NoneType"),
+    ),
+    "kernel-float": (lambda: solve_standard_form([(ONE,)], [0.5], [ONE]), _inexact("rhs entry 0")),
+    "kernel-str": (
+        lambda: solve_standard_form([(ONE, ONE)], [ONE], [ONE, "1/2"]), _inexact("obj entry 1", "str")
+    ),
+    "kernel-bool": (
+        lambda: solve_standard_form([(True,)], [ONE], [ONE]), _inexact("M row 0 entry 0", "bool")
     ),
 })
 

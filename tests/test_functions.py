@@ -368,6 +368,17 @@ def test_minimize_tilted_box_indicator():
     assert res == Minimizer(qv(1, 1), Q(-2))
 
 
+def test_one_function_keeps_one_tuple_per_minimizer():
+    """Tilts with the same minimizer get the same tuple, and the kept points
+    leave the function's ``==``, ``hash`` and ``repr`` as they were."""
+    f = box_indicator(3)
+    first, again = (minimize_perturbed(f, v).x for v in (qv(1, 2, 3), qv("1/7", 5, 1)))
+    other = minimize_perturbed(f, qv(-1, 2, 3)).x
+    assert first == again == qv(1, 1, 1) and first is again
+    assert other == qv(-1, 1, 1) and other is not first
+    assert f == box_indicator(3) and hash(f) == hash(box_indicator(3)) and repr(f) == repr(box_indicator(3))
+
+
 def test_minimize_tilted_abs():
     res = minimize_perturbed(abs_function(), qv("1/2"))
     assert res == Minimizer(qv(0), Q(0))

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,10 @@ from nondegen import (
     feasible_point,
     solve_lp,
 )
-from nondegen import simplex
+from nondegen import geometry, ri_membership, simplex
 from nondegen.errors import InternalError
 from nondegen.gallery import box, pyramid
-from nondegen.linalg import dot
+from nondegen.linalg import ONE, ZERO, _MINUS_ONE, dot
 from nondegen.simplex import KernelInfeasible, KernelOptimal, KernelUnbounded, solve_standard_form
 from oracles import bland_simplex_oracle, dot_oracle, lp_enum_oracle
 from test_geometry import check_trichotomy
@@ -350,6 +351,90 @@ def test_every_perturbed_kernel_read_out_raises_or_is_a_valid_certificate(monkey
     # With no rows every dual combination is zero, so a positive cost still fails.
     with pytest.raises(InternalError, match="positive reduced cost"):
         checked([], [], [Fraction(1)], KernelOptimal((Fraction(0),), Fraction(0), ()))
+
+
+def _unequal_denominator_program(rng):
+    """A random ``(M, rhs, obj)`` whose columns have pairwise different prime
+    denominators, each held by some entry, so that the checker's ``L``, the lcm
+    of all of ``M``'s denominators, differs from every column's ``kappa_j``.
+    Some have a zero column (``kappa_j = 1``), along which a ray's entry can
+    change and stay in the kernel of ``M``."""
+    m, n = rng.randint(1, 3), rng.randint(2, 4)
+    cols = []
+    for p in rng.sample([2, 3, 5, 7, 11], n):
+        col = [Fraction(rng.randint(-3, 3), p) for _ in range(m)]
+        col[rng.randrange(m)] = Fraction(rng.choice([-1, 1]), p)
+        cols.append(col)
+    if rng.random() < 0.3:
+        cols.insert(rng.randint(0, n), [Fraction(0)] * m)
+        n += 1
+    M = [list(row) for row in zip(*cols)]
+    if rng.random() < 0.6:
+        t = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+        rhs = [sum(a * b for a, b in zip(row, t)) for row in M]
+    else:
+        rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+    obj = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+    return M, rhs, obj
+
+
+def test_every_perturbed_read_out_of_unequal_denominators_raises_or_is_a_valid_certificate(monkeypatch):
+    """The perturbation check of the test above, on programs whose checker
+    scale ``L`` is no column's scale: the checker's integers are never the
+    tableau's, and every check still catches some change."""
+    rng = random.Random(33)
+    programs = [_unequal_denominator_program(rng) for _ in range(60)]
+    checked = simplex._verified
+    raised, kinds = Counter(), Counter()
+    for M, rhs, obj in programs:
+        L = lcm(*[a.denominator for row in M for a in row])
+        assert all(L != lcm(*[row[j].denominator for row in M]) for j in range(len(obj)))
+        monkeypatch.setattr(simplex, "_verified", checked)
+        out = solve_standard_form(M, rhs, obj)
+        assert _certificate_holds(M, rhs, obj, out)
+        kinds[type(out).__name__] += 1
+        for changed in _perturbations(out):
+            monkeypatch.setattr(simplex, "_verified", lambda M, rhs, obj, _, c=changed: checked(M, rhs, obj, c))
+            try:
+                got = solve_standard_form(M, rhs, obj)
+            except InternalError as e:
+                raised[str(e)] += 1
+            else:
+                assert got == changed and _certificate_holds(M, rhs, obj, got), (M, rhs, obj, changed)
+    assert set(raised) == KERNEL_CHECKS, raised
+    assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
+
+
+def test_read_outs_share_the_exact_zero_one_and_minus_one(monkeypatch):
+    """Every exact 0 and 1 that the kernel reads out (points, values, duals,
+    rays, Farkas vectors) is the shared ``ZERO`` or ``ONE``, on seeded kernel
+    programs and on the programs of ``solve_lp`` and ``ri_membership``; and
+    every exact 0, 1 and -1 of an optimal ``solve_lp`` point is shared too."""
+    kernel, outs = simplex.solve_standard_form, []
+
+    def recording(M, rhs, obj):
+        outs.append(kernel(M, rhs, obj))
+        return outs[-1]
+
+    monkeypatch.setattr(simplex, "solve_standard_form", recording)
+    monkeypatch.setattr(geometry, "solve_standard_form", recording)
+    rng = random.Random(34)
+    for _ in range(150):
+        recording(*_standard_form_program(rng)[:3])
+    xs = list(solve_lp(LinearProgram(qv(-1, 1), box(2))).x)
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        res = solve_lp(LinearProgram(rand_vec(rng, dim), rand_hpoly(rng, dim, rng.randint(1, 5))))
+        xs.extend(res.x if isinstance(res, Optimal) else ())
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        ri_membership(rand_genset(rng, dim), rand_vec(rng, dim, span=2, den=2))
+    fields_of = [getattr(out, f.name) for out in outs for f in fields(out)]
+    values = [q for v in fields_of for q in (v if isinstance(v, tuple) else (v,))]
+    assert {type(out) for out in outs} == {KernelOptimal, KernelUnbounded, KernelInfeasible}
+    assert {ZERO, ONE} <= set(values) and {ZERO, ONE, -ONE} <= set(xs)
+    assert all(q is ZERO for q in values + xs if q == 0) and all(q is ONE for q in values + xs if q == 1)
+    assert all(q is _MINUS_ONE for q in xs if q == -1)
 
 
 def _under_each_perturbation(monkeypatch, check):
