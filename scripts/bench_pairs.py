@@ -34,7 +34,8 @@ The file is written after every pair, so a run that fails keeps the pairs
 before it.  Exits 1 if a run fails to start,
 ends without a JSON line, or ends with one that does not read
 ``"correct": true`` (an output check failed, so its timings are not the
-program's); exits 2 on a usage error.
+program's); exits 2 on a usage error, such as a ``--workload`` that is not
+one of ``perfbench/workloads.py``'s ``WORKLOADS``, before anything runs.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import compare
+import workloads
 
 SIDES = ("parent", "change")
 _GAIN_PAIRS = 10
@@ -180,7 +182,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, or one seed A")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seconds", type=float, default=20.0, help="passed to run.py (default 20)")

@@ -112,6 +112,17 @@ class PolyhedralFunction:
         solution of the epigraph LP, so there are finitely many.  Not a field."""
         return {}
 
+    @cached_property
+    def _epigraph(self) -> HPolyhedron:
+        """The constraints of :func:`minimize_perturbed`'s LP over ``(x, t)``:
+        ``<c_j, x> - t <= -d_j`` for each of :attr:`terms`, then ``A x <= b``.
+        Kept from the first tilt with its prepared program
+        (:attr:`HPolyhedron._split`), so that a later tilt builds only its
+        objective.  Not a field."""
+        rows = tuple((*c, -ONE) for c, _ in self.terms) + tuple((*a, ZERO) for a in self.domain.A)
+        rhs = tuple(-d for _, d in self.terms) + self.domain.b
+        return HPolyhedron(rows, rhs, self.dim + 1)
+
     @classmethod
     def build(cls, pieces, constraint_rows, constraint_rhs, dim: int) -> "PolyhedralFunction":
         """The constructor over a constraint list: the pieces are checked there, once."""
@@ -192,24 +203,21 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     improving ray, or infeasibility (improper ``f``) with a Farkas vector over
     the domain rows: the ``t`` column forces the term rows' multipliers to 0.
     At the checked optimum ``t = f(x)``: the rows give ``t >= f(x)``, and a
-    slack ``t`` could be lowered to beat the optimal value.  The rows are
-    tuples of ``f``'s own rationals, not re-wrapped: the kernel converts its
-    inputs once; only the caller's tilt goes through ``vec``."""
+    slack ``t`` could be lowered to beat the optimal value.  The rows and the
+    kernel's program of them are built on ``f``'s first tilt and kept
+    (:attr:`PolyhedralFunction._epigraph`), so a tilt builds only its
+    objective ``(v, -1)``."""
     _of_type(f, PolyhedralFunction, "f")
     v = vec(v, f.dim, "tilt dimension")
     n = f.dim
-    terms = f.terms
-    rows = tuple((*c, -ONE) for c, _ in terms) + tuple((*a, ZERO) for a in f.domain.A)
-    rhs = tuple(-d for _, d in terms) + tuple(f.domain.b)
-    P = HPolyhedron(rows, rhs, n + 1)
-    res = solve_lp(LinearProgram((*v, -ONE), P))
+    res = solve_lp(LinearProgram((*v, -ONE), f._epigraph))
     if isinstance(res, Optimal):
         x = res.x[:n]
         x = f._minimizers.setdefault(x, x)
         return Minimizer(x, res.x[n] - dot(v, x))
     if isinstance(res, Unbounded):
         return Unbounded(res.x0[:n], res.ray[:n])
-    return Infeasible(res.farkas[len(terms):])
+    return Infeasible(res.farkas[len(f.terms):])
 
 
 def argmin_face(f: PolyhedralFunction, v: Vec, value: Rat) -> HPolyhedron:

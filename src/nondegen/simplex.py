@@ -52,6 +52,18 @@ in integers too: the checker scales ``M`` by its own ``L``, the lcm of all
 of its denominators, and ``rhs``, ``obj`` and each certificate vector by
 :func:`nondegen.linalg._integer_point`.  Each row or column test is then
 one integer sum, compared by cross-multiplication with the positive scales.
+
+What depends on ``M`` alone is prepared once, in a ``_Program``: the checks
+of ``M``'s widths and types, ``kappa`` and the scaled columns, the columns
+``±e_i`` that may start the basis, and the checker's ``L`` with its scaled
+rows and columns.  The kernel takes rows, which it prepares on entry, or a
+``_Program``, which :func:`solve_lp` keeps per :class:`HPolyhedron`; so a
+function's epigraph program is prepared on its first tilt, and later tilts
+change only the objective.  Per call the kernel scales ``rhs`` and ``obj``,
+copies the prepared rows, pivots, reads out and checks.  The checker's rows
+are scaled from the caller's ``M``, never from ``kappa``, so a wrong
+``kappa`` or scaled column, kept for many solves, fails the check instead
+of agreeing with it.
 """
 
 from __future__ import annotations
@@ -113,6 +125,15 @@ class HPolyhedron:
             if lhs == rhs:
                 tight.append(i)
         return None, tuple(tight)
+
+    @cached_property
+    def _split(self) -> "_Program":
+        """The kernel's program of :func:`solve_lp` on these rows, ``[A | -A | I]``
+        over the columns ``(u, w, s)``, prepared once by :class:`_Program`.  Kept
+        from the first solve; not a field, like :attr:`integer_rows`."""
+        m = self.m
+        unit = [[ONE if k == i else ZERO for k in range(m)] for i in range(m)]
+        return _Program([[*a, *[-x for x in a], *e] for a, e in zip(self.A, unit)], 2 * self.dim + m)
 
     def violation_index(self, x: Vec) -> Optional[int]:
         """Index of the first violated constraint (:meth:`_scan`), or None if
@@ -197,52 +218,74 @@ class KernelInfeasible:
 KernelOutcome = KernelOptimal | KernelUnbounded | KernelInfeasible
 
 
-def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> KernelOutcome:
+class _Program:
+    """The work of :func:`solve_standard_form` that depends on ``M`` alone, done
+    once for any number of ``(rhs, obj)`` (see the module docstring).  A solve
+    reads it and changes none of it."""
+
+    __slots__ = ("ncols", "kappa", "K", "units", "L", "rows", "cols")
+
+    def __init__(self, M: Sequence[Sequence], ncols: int):
+        for i, src in enumerate(M):
+            if len(src) != ncols:
+                raise DimensionMismatchError(f"row {i} width", ncols, len(src))
+        if not {*map(type, chain(*M))} <= {int, Q}:
+            for i, src in enumerate(M):
+                for j, a in enumerate(src):
+                    _exact(a, f"M row {i} entry {j}")
+        self.ncols = ncols
+        self.kappa = kappa = [lcm(*[a.denominator for a in col]) for col in zip(*M)] or [1] * ncols
+        self.K = [[a.numerator * (k // a.denominator) for a, k in zip(src, kappa)] for src in M]
+        # (j, i, s): column j is s * e_i, which starts the basis in row i when s is that row's sign
+        self.units = [
+            (j, col.index(s), s)
+            for j, col in enumerate(zip(*self.K))
+            if kappa[j] == 1 and col.count(0) == len(col) - 1 and (s := sum(col)) in (1, -1)
+        ]
+        self.L = L = lcm(*[a.denominator for a in chain(*M)])
+        self.rows = [[a.numerator * (L // a.denominator) for a in row] for row in M]
+        self.cols = list(zip(*self.rows)) or [()] * ncols
+
+
+def solve_standard_form(M: Sequence[Sequence] | _Program, rhs: Sequence, obj: Sequence) -> KernelOutcome:
     """Maximize ``<obj, t>`` over ``M t = rhs, t >= 0`` with certified outcomes; an entry
-    that is not an ``int`` or a ``Fraction`` (a ``bool`` too) is refused by :func:`_exact`."""
-    ncols = len(obj)
-    nrows = len(M)
+    that is not an ``int`` or a ``Fraction`` (a ``bool`` too) is refused by :func:`_exact`.
+    ``M`` is rows, or the :class:`_Program` of rows prepared for many solves."""
+    P = M if isinstance(M, _Program) else _Program(M, len(obj))
+    ncols, nrows, kappa = P.ncols, len(P.K), P.kappa
+    if len(obj) != ncols:
+        raise DimensionMismatchError("obj length", ncols, len(obj))
     if len(rhs) != nrows:
         raise DimensionMismatchError("rhs length", nrows, len(rhs))
-    for i, src in enumerate(M):
-        if len(src) != ncols:
-            raise DimensionMismatchError(f"row {i} width", ncols, len(src))
-    if not {*map(type, chain(*M, rhs, obj))} <= {int, Q}:
-        names = [f"M row {i}" for i in range(nrows)] + ["rhs", "obj"]
-        for name, src in zip(names, [*M, rhs, obj]):
+    if not {*map(type, chain(rhs, obj))} <= {int, Q}:
+        for name, src in (("rhs", rhs), ("obj", obj)):
             for j, a in enumerate(src):
                 _exact(a, f"{name} entry {j}")
 
-    # Integer tableau from numerators and denominators: column j scaled by
-    # kappa[j], the rhs by sigma, the phase-2 costs by tau, each the lcm of
-    # the denominators it clears; a row with a negative rhs is negated.
-    kappa = [lcm(*[a.denominator for a in col]) for col in zip(*M)] or [1] * ncols
+    # Integer tableau: P's rows, the rhs scaled by sigma, the phase-2 costs
+    # by tau, each the lcm of the denominators it clears; a row with a
+    # negative rhs is negated.
     sigma = lcm(*[r.denominator for r in rhs])
     tau = lcm(*[c.denominator for c in obj])
     flip = [-1 if r.numerator < 0 else 1 for r in rhs]
-    scales = kappa + [sigma]
-    tab = [[f * a.numerator * (s // a.denominator) for a, s in zip((*src, r), scales)]
-           for src, r, f in zip(M, rhs, flip)]
-
-    row_ids = list(range(nrows))
     basis = [-1] * nrows
-
-    # Adopt existing unit columns as the initial basis where possible.
-    for j in range(ncols):
-        hits = [i for i in range(nrows) if tab[i][j]] if kappa[j] == 1 else ()
-        if len(hits) == 1 and tab[hits[0]][j] == 1 and basis[hits[0]] == -1:
-            basis[hits[0]] = j
-
+    for j, i, s in P.units:
+        if s == flip[i] and basis[i] == -1:
+            basis[i] = j
     unit_col = list(basis)  # a column that started as e_i, used to read duals
 
     need_art = [i for i in range(nrows) if basis[i] == -1]
     total_cols = ncols + len(need_art)
-    if need_art:
-        for row in tab:
-            row[-1:-1] = [0] * len(need_art)
-        for col, i in enumerate(need_art, ncols):
-            tab[i][col] = 1
-            basis[i] = unit_col[i] = col
+    art = [0] * len(need_art)
+    tab = []
+    for src, r, f in zip(P.K, rhs, flip):
+        row = src + art if f > 0 else [-a for a in src] + art  # a new row: P is not changed
+        row.append(f * r.numerator * (sigma // r.denominator))
+        tab.append(row)
+    for col, i in enumerate(need_art, ncols):
+        tab[i][col] = 1
+        basis[i] = unit_col[i] = col
+    row_ids = list(range(nrows))
     d = 1  # the shared determinant: the rational tableau is tab / d
 
     def pivot(pr: int, pc: int) -> None:
@@ -295,7 +338,7 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         if objrow[-1] != 0:
             # Infeasible: assemble the Farkas certificate from the row duals.
             g = (-flip[i] * (d * phase1[col] - objrow[col]) for i, col in zip(row_ids, unit_col))
-            return _verified(M, rhs, obj, KernelInfeasible(tuple(_ratio(a, d) for a in g)))
+            return _verified(P, rhs, obj, KernelInfeasible(tuple(_ratio(a, d) for a in g)))
         # Feasible: drive artificial columns out of the basis, dropping any
         # row that has become identically zero (a redundant equality).
         to_drop = []
@@ -330,22 +373,22 @@ def solve_standard_form(M: Sequence[Sequence], rhs: Sequence, obj: Sequence) -> 
         ray[pc] = ONE
         for i, brow in enumerate(tab):
             ray[basis[i]] = _ratio(-kappa[basis[i]] * brow[pc], kappa[pc] * d)
-        return _verified(M, rhs, obj, KernelUnbounded(current_point(), tuple(ray)))
+        return _verified(P, rhs, obj, KernelUnbounded(current_point(), tuple(ray)))
     t = current_point()
     value = _ratio(-objrow[-1], sigma * tau * d)
     duals = [ZERO] * nrows
     for i, col in zip(row_ids, unit_col):
         duals[i] = _ratio(flip[i] * (d * costs2[col] - objrow[col]), tau * d)
-    return _verified(M, rhs, obj, KernelOptimal(t, value, tuple(duals)))
+    return _verified(P, rhs, obj, KernelOptimal(t, value, tuple(duals)))
 
 
 def _verified(M, rhs, obj, out: KernelOutcome) -> KernelOutcome:
     """``out`` if its certificate holds exactly for the program
-    :func:`solve_standard_form` was given, else :class:`InternalError`; the
-    checks run in integers, as the module docstring says."""
-    L = lcm(*[a.denominator for a in chain(*M)])
-    rows = [[a.numerator * (L // a.denominator) for a in row] for row in M]
-    cols = list(zip(*rows)) or [()] * len(obj)
+    :func:`solve_standard_form` was given (rows or their :class:`_Program`),
+    else :class:`InternalError`; the checks run in integers, on the checker's
+    own rows of ``M``, as the module docstring says."""
+    P = M if isinstance(M, _Program) else _Program(M, len(obj))
+    L, rows, cols = P.L, P.rows, P.cols
     (R, S), (C, E) = _integer_point(rhs), _integer_point(obj)
     if isinstance(out, KernelInfeasible):
         G = _integer_point(out.farkas)[0]
@@ -389,7 +432,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     The kernel sees free variables split and slacks added: its columns are
     ``(u, w, s)`` with ``x = u - w`` and ``A x + s = b``, and its objective is
-    ``(c, -c, 0)``.  At an optimal basis at most one of ``u_k``, ``w_k`` is
+    ``(c, -c, 0)``.  The matrix ``[A | -A | I]`` is prepared once per
+    polyhedron (:attr:`HPolyhedron._split`), so a call builds only the
+    objective.  At an optimal basis at most one of ``u_k``, ``w_k`` is
     nonzero (their columns are opposite), so ``x_k`` is read from that one,
     and an exact 0, 1 or -1 in ``x`` is a shared constant.  The kernel's check
     of that program is the only check, because each of its identities is an
@@ -410,13 +455,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     _of_type(lp, LinearProgram, "lp")
     P = lp.constraints
     n, m = P.dim, P.m
-    M = []
-    for i in range(m):
-        row = list(P.A[i]) + [-a for a in P.A[i]] + [ZERO] * m
-        row[2 * n + i] = ONE
-        M.append(row)
-    obj = list(lp.objective) + [-c for c in lp.objective] + [ZERO] * m
-    res = solve_standard_form(M, list(P.b), obj)
+    obj = [*lp.objective, *[-c for c in lp.objective], *[ZERO] * m]
+    res = solve_standard_form(P._split, P.b, obj)
     if isinstance(res, KernelOptimal):
         u, w = res.t[:n], res.t[n : 2 * n]
         x = tuple(a if not b else a - b if a else _MINUS_ONE if b is ONE else -b for a, b in zip(u, w))

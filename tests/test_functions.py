@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,8 @@ from nondegen.functions import (
     _active_structure,
     _read_off,
 )
-from nondegen.gallery import abs_function, box, box_indicator
+from nondegen.experiments import SamplerConfig, genericity_trial, merge_trials, run_genericity, sample_objective
+from nondegen.gallery import abs_function, box, box_indicator, pyramid_indicator, random_polytope
 from nondegen.geometry import (
     Boundary,
     GeneratedSet,
@@ -54,6 +56,7 @@ from nondegen.simplex import (
     LinearProgram,
     Optimal,
     Unbounded,
+    feasible_point,
     solve_lp,
 )
 from oracles import dot_oracle, dual_witness_oracle, minimize_1d
@@ -377,6 +380,80 @@ def test_one_function_keeps_one_tuple_per_minimizer():
     assert first == again == qv(1, 1, 1) and first is again
     assert other == qv(-1, 1, 1) and other is not first
     assert f == box_indicator(3) and hash(f) == hash(box_indicator(3)) and repr(f) == repr(box_indicator(3))
+
+
+def _fresh(f):
+    """A copy of ``f`` built anew, down to its domain: nothing is cached on it."""
+    return PolyhedralFunction(f.pieces, HPolyhedron(f.domain.A, f.domain.b, f.dim), f.dim)
+
+
+GENERICITY_FUNCTIONS = {
+    "abs": abs_function,
+    "box3": lambda: box_indicator(3),
+    "pyramid": pyramid_indicator,
+    "random101": lambda: PolyhedralFunction.indicator(random_polytope(101, 3, 8)),
+    # negative right-hand sides, whose rows the kernel negates
+    "shifted": lambda: PolyhedralFunction.build(
+        [((1, 0), 1), ((-1, 1), Q(1, 2))], [(-1, 0), (1, 0), (0, -1), (0, 1)], [-1, 3, 2, 5], 2
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+def test_a_reused_function_gives_the_records_of_fresh_copies(bits):
+    """No state crosses tilts: ``run_genericity`` on one function, whose
+    epigraph program is prepared on the first tilt and reused after it, gives
+    records repr-identical to trials that each run on a fresh copy.  At 8 bits
+    the box's trials include non_unique ones."""
+    cfg = SamplerConfig(seed=42, bits=bits)
+    non_unique = 0
+    for name, build in GENERICITY_FUNCTIONS.items():
+        f = build()
+        reused = run_genericity(f, cfg, 200)
+        fresh = merge_trials([genericity_trial(_fresh(f), cfg, i) for i in range(200)], cfg.seed)
+        assert repr(reused) == repr(fresh), name
+        non_unique += reused.non_unique
+    assert (non_unique > 0) == (bits == 8), non_unique
+
+
+def test_the_prepared_programs_leave_eq_hash_and_repr_as_they_were():
+    """The epigraph (:attr:`PolyhedralFunction._epigraph`) and the split
+    programs (:attr:`HPolyhedron._split`) are cached properties, not fields."""
+    f = pyramid_indicator()
+    before = [(repr(P), hash(P)) for P in (f, f.domain)]
+    minimize_perturbed(f, qv(1, 2, 3))
+    feasible_point(f.domain)
+    assert {"_epigraph"} <= vars(f).keys() and {"_split"} <= vars(f._epigraph).keys() & vars(f.domain).keys()
+    assert [(repr(P), hash(P)) for P in (f, f.domain)] == before
+    g = pyramid_indicator()
+    assert f == g and f.domain == g.domain and f._epigraph == g._epigraph
+    assert hash(f._epigraph) == hash(g._epigraph) and repr(f._epigraph) == repr(g._epigraph)
+
+
+def test_fifty_tilts_prepare_one_program_and_build_one_polyhedron(monkeypatch):
+    """Over 50 tilts of one function the epigraph program is prepared once,
+    on the first tilt, and no ``HPolyhedron`` is built after it."""
+    built = Counter()
+
+    class Counting(simplex._Program):
+        def __init__(self, *args):
+            built["program"] += 1
+            super().__init__(*args)
+
+    post_init = HPolyhedron.__post_init__
+
+    def counting(self):
+        built["polyhedron"] += 1
+        post_init(self)
+
+    f = pyramid_indicator()
+    monkeypatch.setattr(simplex, "_Program", Counting)
+    monkeypatch.setattr(HPolyhedron, "__post_init__", counting)
+    tilts = [sample_objective(SamplerConfig(seed=9), i, f.dim) for i in range(50)]
+    assert isinstance(minimize_perturbed(f, tilts[0]), Minimizer)
+    assert built == {"program": 1, "polyhedron": 1}
+    assert all(isinstance(minimize_perturbed(f, v), Minimizer) for v in tilts[1:])
+    assert built == {"program": 1, "polyhedron": 1}
 
 
 def test_minimize_tilted_abs():

@@ -274,6 +274,23 @@ def test_bench_pairs_refuses_to_append_a_seed_it_holds(fake_checkout, tmp_path, 
         assert len(json.loads(out.read_text())["runs"]) == 4
 
 
+def test_bench_pairs_refuses_an_unknown_workload_before_any_run(tmp_path, capsys):
+    """A misspelt ``--workload`` is a usage error, exit 2, before either side
+    runs: the choices are the benchmark's ``WORKLOADS``."""
+    marked = FAKE_RUN.replace("import json, sys", 'import json, sys\nopen("ran", "w").close()')
+    checkout = _checkout(tmp_path / "checkout", marked)
+    out = tmp_path / "bench.json"
+    argv = [str(checkout)] * 2 + ["--seeds", "0", "--out", str(out)]
+    bench = load("bench_pairs")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(argv + ["--workload", "genricity"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'genricity'" in err and "Traceback" not in err
+    assert not out.exists() and not (checkout / "ran").exists()
+    assert bench.main(argv + ["--workload", "prox"]) == 0 and (checkout / "ran").exists()
+
+
 @pytest.mark.parametrize("seeds", ["", "3-1", "a-b", "-1", "1-2-3"])
 def test_bench_pairs_bad_seed_ranges_are_usage_errors(seeds, tmp_path, capsys):
     out = tmp_path / "bench.json"

@@ -24,7 +24,9 @@ from nondegen import (
 )
 from nondegen import geometry, ri_membership, simplex
 from nondegen.errors import InternalError
-from nondegen.gallery import box, pyramid
+from nondegen.experiments import SamplerConfig, sample_objective
+from nondegen.functions import Minimizer, PolyhedralFunction, minimize_perturbed
+from nondegen.gallery import box, box_indicator, pyramid, pyramid_indicator, random_polytope
 from nondegen.linalg import ONE, ZERO, _MINUS_ONE, dot
 from nondegen.simplex import KernelInfeasible, KernelOptimal, KernelUnbounded, solve_standard_form
 from oracles import bland_simplex_oracle, dot_oracle, lp_enum_oracle
@@ -511,3 +513,113 @@ def test_every_perturbed_kernel_read_out_gives_callers_an_error_or_a_valid_outco
         _under_each_perturbation(monkeypatch, lambda: check_trichotomy(S, y)) for S, y in queries
     )
     assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
+
+
+# ---------------------------------------------------------------------------
+# a function's prepared epigraph program: the kernel's scaling and the
+# checker's are kept apart
+# ---------------------------------------------------------------------------
+
+EPIGRAPHS = {
+    # |x - 1/2| + 1/3 on x <= 3: its minimizer and minimum are not 0
+    "abs": lambda: PolyhedralFunction.build(
+        [((1,), Fraction(-1, 6)), ((-1,), Fraction(5, 6))], [(1,)], [3], 1
+    ),
+    "box2": lambda: box_indicator(2),
+    "pyramid": pyramid_indicator,
+    "random101": lambda: PolyhedralFunction.indicator(random_polytope(101, 3, 8)),
+}
+
+
+def _tilts(f):
+    """Three sampled tilts of ``f`` and the minimizer that an untouched copy
+    of ``f`` finds for each.  The first fills the prepared program, and the
+    changed program then solves the other two."""
+    tilts = [sample_objective(SamplerConfig(5), i, f.dim) for i in range(3)]
+    return tilts, [minimize_perturbed(replace(f), v) for v in tilts]
+
+
+def _change(P, kind, i, j):
+    """Changes one entry of the prepared program ``P``: ``K[i][j]`` up by one,
+    ``kappa[j]`` doubled, or entry ``(i, j)`` of the checker's ``rows`` or
+    ``cols[j][i]`` down by one."""
+    if kind == "K":
+        P.K[i][j] += 1
+    elif kind == "kappa":
+        P.kappa[j] *= 2
+    elif kind == "rows":
+        P.rows[i][j] -= 1
+    else:
+        P.cols[j] = P.cols[j][:i] + (P.cols[j][i] - 1,) + P.cols[j][i + 1:]
+
+
+def _corrupted_runs(f, kinds):
+    """For each kind, each entry of that kind and each tilt after the first:
+    ``(kind, v, outcome)``, the outcome of the tilt ``v`` on a copy of ``f``
+    whose prepared epigraph program, filled by the first tilt, has had that
+    entry changed, or the ``InternalError`` it raised."""
+    tilts, _ = _tilts(f)
+    P = f._epigraph._split
+    for kind in kinds:
+        entries = [(0, j) for j in range(P.ncols)] if kind == "kappa" else [
+            (i, j) for i in range(len(P.K)) for j in range(P.ncols)
+        ]
+        for i, j in entries:
+            for v in tilts[1:]:
+                g = replace(f)
+                minimize_perturbed(g, tilts[0])
+                _change(g._epigraph._split, kind, i, j)
+                try:
+                    yield kind, v, minimize_perturbed(g, v)
+                except InternalError as e:
+                    assert str(e) in KERNEL_CHECKS, e
+                    yield kind, v, e
+
+
+@pytest.mark.parametrize("name", sorted(EPIGRAPHS))
+def test_a_corrupted_kernel_scale_of_a_cached_epigraph_raises(name):
+    """One entry of the scaled integer rows ``K``, or one ``kappa``, of a
+    function's prepared epigraph program is changed after its first tilt.  The
+    next tilt raises one of the kernel's checks or finds the minimizer that an
+    untouched copy finds, never another: the checker's rows are its own scaling
+    of the caller's program, not the tableau's.  Some changes of each kind
+    raise, so the changed program is the one the kernel reads."""
+    f = EPIGRAPHS[name]()
+    tilts, expected = _tilts(f)
+    want = dict(zip(tilts, map(repr, expected)))
+    raised = Counter()
+    for kind, v, got in _corrupted_runs(f, ("K", "kappa")):
+        if isinstance(got, InternalError):
+            raised[kind] += 1
+        else:
+            assert repr(got) == want[v], (kind, v)
+    assert raised["K"] and raised["kappa"], raised
+
+
+def _minimizer_holds(f, v, got, value):
+    """``got`` is a point of the domain at which ``f - <v, .>`` takes the
+    minimum ``value``, in plain ``Fraction`` sums."""
+    x = got.x
+    on_domain = all(dot_oracle(a, x) <= b for a, b in zip(f.domain.A, f.domain.b))
+    at_x = max(dot_oracle(c, x) + d for c, d in f.terms) - dot_oracle(v, x)
+    return isinstance(got, Minimizer) and on_domain and at_x == got.value == value
+
+
+@pytest.mark.parametrize("name", sorted(EPIGRAPHS))
+def test_a_corrupted_checker_row_of_a_cached_epigraph_raises_or_is_right(name):
+    """One entry of the checker's scaled rows, or of its columns, of a
+    function's prepared epigraph program is lowered by one after its first
+    tilt.  The next tilt raises one of the kernel's checks or returns a
+    minimizer that plain ``Fraction`` sums and the enumeration oracle accept.
+    Some changes of each kind raise, so the checker reads its own rows and
+    columns, not the tableau's."""
+    f = EPIGRAPHS[name]()
+    E = f._epigraph
+    value = {v: -lp_enum_oracle((*v, -1), E.A, E.b, f.dim + 1)[1] for v in _tilts(f)[0][1:]}
+    raised = Counter()
+    for kind, v, got in _corrupted_runs(f, ("rows", "cols")):
+        if isinstance(got, InternalError):
+            raised[kind] += 1
+        else:
+            assert _minimizer_holds(f, v, got, value[v]), (kind, v, got)
+    assert raised["rows"] and raised["cols"], raised
