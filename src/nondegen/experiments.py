@@ -198,11 +198,15 @@ def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int
 def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
     """Order-independent reduction: sort by trial index, then tally.  A
     ``records`` that is not iterable, an entry that is not a ``TrialRecord``
-    or a ``seed`` that :func:`_seed` refuses raises ``ValueError`` naming it."""
+    or repeats a ``trial_index``, or a ``seed`` that :func:`_seed` refuses
+    raises ``ValueError`` naming it."""
     records = _sequence(records, "records", "an iterable of TrialRecords")
     _seed(seed)
+    seen = set()
     for i, r in enumerate(records):
-        _of_type(r, TrialRecord, f"records entry {i}")
+        if _of_type(r, TrialRecord, f"records entry {i}").trial_index in seen:
+            raise ValueError(f"records entry {i} repeats trial_index {r.trial_index}")
+        seen.add(r.trial_index)
     ordered = tuple(sorted(records, key=lambda r: r.trial_index))
     counts = {"nondegenerate": 0, "degenerate": 0, "non_unique": 0, "unbounded": 0}
     for r in ordered:

@@ -51,6 +51,7 @@ from .linalg import (
     _integer_point,
     _of_type,
     _pairs,
+    _ratio,
     _size,
     dot,
     mat,
@@ -334,7 +335,7 @@ def _scattered(
     return Nondegenerate(point_coeffs + ray_coeffs, tuple(pw), tuple(cm))
 
 
-def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
+def _read_off(f: PolyhedralFunction, w: Vec, active, given: Optional[Tuple[List[int], int]] = None):
     """``certify(f, w, x)`` read off the multipliers of ``w`` over the active
     generators at ``x``, with no LP; None when it cannot be.
 
@@ -343,10 +344,10 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     :func:`~nondegen.geometry._lifted` over the lifted generators (a point
     with a trailing 1, a ray with a trailing 0), with each row of ``[M | rhs]``
     scaled to integers by one :func:`~nondegen.linalg._integer_point`.  The
-    multipliers ``z`` (points first, then rays) may be the caller's, taken as
-    integers ``Z`` over ``D`` by ``_integer_point``; otherwise
-    :func:`~nondegen.linalg._eliminate` reduces the integer rows and
-    ``z = Z / d`` over its last pivot ``d``.  No solution at all is
+    multipliers ``z = Z / d`` (points first, then rays) may be the caller's,
+    ``given = (Z, d)`` with integers ``Z`` and ``d`` nonzero, read as they
+    are; otherwise :func:`~nondegen.linalg._eliminate` reduces the integer
+    rows and ``d`` is its last pivot.  No solution at all is
     NotCritical, and dependent generators leave the verdict undecided.
     Independence makes ``z`` the only representation of ``w`` as
     ``sum mu_j c_j + sum lam_i a_i`` with ``sum mu = 1``, so its signs, those
@@ -355,14 +356,16 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
     ``z`` must rebuild ``w`` exactly before any verdict is returned: each
     integer row ``R`` must give ``R·Z = R[-1]·d``, and a failed check raises
     ``InternalError``.  The check holds for any given ``z``, but the verdict
-    counts only when the lifted generators are independent.  Solved-for
-    multipliers become ``Fraction``s only for a Nondegenerate verdict.
+    counts only when the lifted generators are independent.  Given or
+    solved for, the multipliers become ``Fraction``s only for a
+    Nondegenerate verdict, each through :func:`~nondegen.linalg._ratio`, so
+    an exact 1 is the shared ``ONE``.
     """
     points, rays, active_pieces, active_cons = active
     M, rhs = _lifted(points, rays, w)
     rows = [_integer_point((*row, r))[0] for row, r in zip(M, rhs)]
     ncols = len(points) + len(rays)
-    if z is None:
+    if given is None:
         E = list(rows)
         pivots, d = _eliminate(E, ncols)
         if any(row[ncols] for row in E[len(pivots) :]):
@@ -371,15 +374,14 @@ def _read_off(f: PolyhedralFunction, w: Vec, active, z: Optional[Vec] = None):
             return None
         Z = [row[ncols] for row in E[:ncols]]
     else:
-        Z, d = _integer_point(z)
+        Z, d = given
     if any(sum(map(mul, row, Z)) != row[ncols] * d for row in rows):
         raise InternalError("multipliers do not rebuild the query")
     if any(c * d < 0 for c in Z):
         return NOT_CRITICAL
     if not all(Z):
         return DEGENERATE_CRITICAL
-    if z is None:
-        z = tuple([Q(c, d) for c in Z])
+    z = tuple([_ratio(c, d) for c in Z])
     k = len(points)
     return _scattered(f, z[:k], z[k:], active_pieces, active_cons)
 

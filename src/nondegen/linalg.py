@@ -39,8 +39,8 @@ the simplex kernel's tableau and its checker's matrix: :func:`_integer_rows`
 maps it over rows (for ``rank``, ``solve_linear`` and
 ``HPolyhedron.integer_rows``), and ``integer_terms``, the point of each
 ``evaluate``, ``_active_structure`` and ``violation_index`` call,
-``proximal._kkt_solutions``, the rows and multipliers of
-``functions._read_off`` and the kernel's certificate checks call it directly.
+``proximal._kkt_solutions``, the rows of ``functions._read_off`` and the
+kernel's certificate checks call it directly.
 
 ``rank``, ``solve_linear``, ``functions._read_off`` and
 ``proximal._kkt_solutions`` share one fraction-free eliminator (Edmonds):
@@ -51,9 +51,9 @@ simplex tableau in :mod:`nondegen.simplex` and the step by which the
 candidate-point enumeration of :mod:`nondegen.experiments` extends a subset's
 elimination by one plane.  ``solve_linear`` is public, but no library path
 calls it: ``_read_off`` and ``_kkt_solutions`` eliminate their own integer
-rows.  ``_kkt_solutions``, the candidate points and the simplex kernel's
-read-outs build the rationals they keep with :func:`_ratio`, so an exact 0 or
-1 among them is the shared :data:`ZERO` or :data:`ONE`.
+rows.  ``_kkt_solutions``, ``_read_off``, the candidate points and the
+simplex kernel's read-outs build the rationals they keep with :func:`_ratio`,
+so an exact 0 or 1 among them is the shared :data:`ZERO` or :data:`ONE`.
 """
 
 from __future__ import annotations

@@ -18,9 +18,11 @@ first passes :func:`_check_bound`: a ``PolyhedralFunction`` with at most
 Each support's system reaches the eliminator as integer rows: the Gram
 matrix and the right-hand sides are built in integers once per call from the
 generators' integer form.  The multipliers are the eliminated rows over the
-last pivot, their signs are tested as integers, and ``Fraction``s are built
-only for a support that passes: its multipliers, and ``x`` as one integer sum
-per coordinate over the same pivot.
+last pivot, their signs are tested as integers, and a support that passes
+builds ``Fraction``s only for its point ``x``, one integer sum per coordinate
+over the same pivot.  Its multipliers stay integers through the read-off's
+rebuild check, and become ``Fraction``s only inside a kept Nondegenerate
+verdict.
 
 ``minty_transport`` composes the prox of the convex part ``g`` into the map
 ``c -> (x, c - (1 + rho) x)`` that carries subgradients of ``g`` at ``x`` to
@@ -57,7 +59,7 @@ from .functions import (
     certify,
 )
 from .linalg import (
-    ONE, Rat, Vec, ZERO, _eliminate, _exact, _integer_point, _of_type, _parse_integer, _ratio, vec,
+    ONE, Rat, Vec, _eliminate, _exact, _integer_point, _of_type, _parse_integer, _ratio, vec,
 )
 from .simplex import Infeasible, feasible_point
 
@@ -137,14 +139,15 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     than ``s`` pivots means a singular system, and otherwise the multipliers are ``z = Z / D``, with
     ``Z`` the pivot rows' right-hand sides and ``D`` the last pivot, both
     negated when ``D < 0``.  The signs are tested on ``Z``, and only a
-    support that passes builds ``Fraction``s: its multipliers and its ``x``,
-    one integer sum per coordinate over ``Z`` and ``D``, each through
+    support that passes builds ``Fraction``s: its ``x``, one integer sum per
+    coordinate over ``Z`` and ``D``, each through
     :func:`~nondegen.linalg._ratio`, so an exact 0 or 1 is the shared
-    ``ZERO`` or ``ONE``.
+    ``ZERO`` or ``ONE``.  No multiplier becomes a ``Fraction`` here.
 
-    Yields (x, mu, lam, J, I) for every uniquely solvable system whose
-    multipliers are all nonnegative; the sign test runs before ``x`` is
-    built.  Supports exceeding the Carathéodory cap or yielding singular
+    Yields (x, Z, D, J, I) for every uniquely solvable system whose
+    multipliers are all nonnegative: ``Z`` holds the integer multipliers,
+    J's first, then I's, over the positive ``D``.  The sign test runs before
+    ``x`` is built.  Supports exceeding the Carathéodory cap or yielding singular
     systems cannot hide a solution that no minimal support produces, so they
     are skipped.  Skipping a uniquely solvable support with a negative
     multiplier loses nothing either: no nonnegative smaller support, padded
@@ -198,8 +201,7 @@ def _kkt_solutions(f: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
                     den = x_den * D
                     # from lists: tuple(generator) grows the tuple free lists on every call
                     x = tuple([_ratio(a * x_coef.denominator, den) for a in num])
-                    z = [_ratio(a, D) for a in Z]
-                    yield x, tuple(z[:jsize]), tuple(z[jsize:]), J, I
+                    yield x, Z, D, J, I
 
 
 def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
@@ -208,13 +210,13 @@ def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
     ``w = rhs_vec - x_coef x``.  The multipliers are nonnegative:
     :func:`_kkt_solutions` yields no other.
 
-    The multipliers, spread over the active generators with zeros off the
-    support, pass :func:`~nondegen.functions._read_off`'s exact rebuild of
-    ``w``; its verdict is kept when the support is the whole active set and
-    is None otherwise.
+    The integer multipliers ``Z``, spread over the active generators with 0
+    off the support, pass :func:`~nondegen.functions._read_off`'s exact
+    rebuild of ``w`` over the same ``D``; its verdict is kept when the
+    support is the whole active set and is None otherwise.
     """
     found = {}
-    for x, mu, lam, J, I in _kkt_solutions(g, x_coef, rhs_vec):
+    for x, Z, D, J, I in _kkt_solutions(g, x_coef, rhs_vec):
         if x in found and found[x][1]:
             continue
         try:
@@ -227,9 +229,9 @@ def _stationary_points(g: PolyhedralFunction, x_coef: Rat, rhs_vec: Vec):
         if J[0] not in active_pieces:
             continue
         w = tuple(r - x_coef * xi for r, xi in zip(rhs_vec, x))
-        on_j, on_i = dict(zip(J, mu)), dict(zip(I, lam))
-        z = (*[on_j.get(j, ZERO) for j in active_pieces], *[on_i.get(i, ZERO) for i in active_cons])
-        verdict = _read_off(g, w, active, z)
+        on_j, on_i = dict(zip(J, Z)), dict(zip(I, Z[len(J) :]))
+        z = [*[on_j.get(j, 0) for j in active_pieces], *[on_i.get(i, 0) for i in active_cons]]
+        verdict = _read_off(g, w, active, (z, D))
         found[x] = (w, verdict if J == active_pieces and I == active_cons else None)
     return found
 

@@ -382,12 +382,11 @@ def solve_standard_form(M: Sequence[Sequence] | _Program, rhs: Sequence, obj: Se
     return _verified(P, rhs, obj, KernelOptimal(t, value, tuple(duals)))
 
 
-def _verified(M, rhs, obj, out: KernelOutcome) -> KernelOutcome:
+def _verified(P: _Program, rhs, obj, out: KernelOutcome) -> KernelOutcome:
     """``out`` if its certificate holds exactly for the program
-    :func:`solve_standard_form` was given (rows or their :class:`_Program`),
-    else :class:`InternalError`; the checks run in integers, on the checker's
-    own rows of ``M``, as the module docstring says."""
-    P = M if isinstance(M, _Program) else _Program(M, len(obj))
+    :func:`solve_standard_form` prepared, ``P``, else :class:`InternalError`;
+    the checks run in integers, on the checker's own rows of ``M``, as the
+    module docstring says."""
     L, rows, cols = P.L, P.rows, P.cols
     (R, S), (C, E) = _integer_point(rhs), _integer_point(obj)
     if isinstance(out, KernelInfeasible):

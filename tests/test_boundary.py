@@ -12,8 +12,17 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nondegen.errors import DegeneratePolytopeError, DimensionMismatchError, EmptyGeneratedSetError
+import nondegen
+from nondegen.errors import (
+    DegeneratePolytopeError,
+    DimensionMismatchError,
+    EmptyGeneratedSetError,
+    InternalError,
+    NondegenError,
+)
 from nondegen.experiments import (
     CSV_FIELDS,
     SamplerConfig,
@@ -33,6 +42,7 @@ from nondegen.functions import (
     Nondegenerate,
     PolyhedralFunction,
     argmin_face,
+    canonical_minimizer,
     certify,
     evaluate,
     minimize_perturbed,
@@ -302,6 +312,11 @@ REFUSALS.update({
         lambda: merge_trials([genericity_trial(F, CFG, 0), None], 0),
         "^records entry 1 must be a TrialRecord, not NoneType$",
     ),
+    # two records of one index were both tallied, in input order
+    "merge_trials-repeated-index": (
+        lambda: merge_trials([genericity_trial(F, CFG, 0), genericity_trial(F, SamplerConfig(2), 0)], 1),
+        "^records entry 1 repeats trial_index 0$",
+    ),
     # the sampler's stream and its readers, which ended in a bare AttributeError,
     # TypeError or csv.Error, or built a report whose seed is None; run_larman
     # refuses before any trial, so a run of 0 trials refuses too
@@ -451,9 +466,130 @@ def test_an_inexact_or_misshapen_input_is_refused_naming_the_field(call, expecte
             call()
 
 
+# A valid call of every callable that ``nondegen`` re-exports, on tiny
+# instances, as (callable, positional arguments); the fuzz gate below mutates
+# one argument, or one entry inside it, at a time.
+HALF = Q(1, 2)
+ABS = abs_function()
+BOX_ROWS = ((ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE))
+S2 = GeneratedSet(((ONE, ZERO), (ZERO, ONE)), ((ONE, ONE),), 2)
+SQUARE = square_vertices()
+LP2 = LinearProgram((ONE, ZERO), F.domain)
+PF = ProblemFile(1, (((ONE,), ZERO), ((-ONE,), ZERO)), (((ONE,), ONE),), None, ONE)
+VALID_CALLS = {
+    "format_rational": (format_rational, (HALF,)),
+    "parse_rational": (parse_rational, ("1/2",)),
+    "rank": (rank, (BOX_ROWS,)),
+    "solve_linear": (solve_linear, (BOX_ROWS[:2], (ONE, HALF), 2)),
+    "HPolyhedron": (HPolyhedron, (BOX_ROWS, (ONE, ONE, ONE, ONE), 2)),
+    "LinearProgram": (LinearProgram, ((ONE, ZERO), F.domain)),
+    "feasible_point": (feasible_point, (F.domain,)),
+    "solve_lp": (solve_lp, (LP2,)),
+    "GeneratedSet": (GeneratedSet, (((ONE, ZERO), (ZERO, ONE)), ((ONE, ONE),), 2)),
+    "VPolytope": (VPolytope, (((ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)),)),
+    "exposed_face": (exposed_face, (SQUARE, (ONE, HALF))),
+    "member": (member, (S2, (ONE, HALF))),
+    "positive_span_is_subspace": (positive_span_is_subspace, (S2,)),
+    "prune": (prune, (S2,)),
+    "ri_membership": (ri_membership, (S2, (ONE, HALF))),
+    "translate": (translate, (S2, (ONE, HALF))),
+    "PolyhedralFunction": (PolyhedralFunction, ((((ONE,), ZERO), ((-ONE,), ZERO)), P1, 1)),
+    "argmin_face": (argmin_face, (ABS, (HALF,), ZERO)),
+    "canonical_minimizer": (canonical_minimizer, (F, (ONE, HALF))),
+    "certify": (certify, (F, (ONE, ONE), (ONE, ONE))),
+    "evaluate": (evaluate, (ABS, (-HALF,))),
+    "minimize_perturbed": (minimize_perturbed, (F, (ONE, HALF))),
+    "strict_complementarity": (strict_complementarity, (LP2, (ONE, ZERO))),
+    "subdifferential": (subdifferential, (F, (ONE, ZERO))),
+    "LowerC2Instance": (LowerC2Instance, (ABS, HALF)),
+    "find_critical_points": (find_critical_points, (INST, (HALF, ZERO))),
+    "minty_transport": (minty_transport, (INST, (2 * ONE, HALF))),
+    "prox": (prox, (ABS, (2 * ONE,))),
+    "SamplerConfig": (SamplerConfig, (1, 8, ONE)),
+    "SplitMix64": (SplitMix64, (1,)),
+    "sample_objective": (sample_objective, (CFG, 0, 2)),
+    "genericity_trial": (genericity_trial, (F, CFG, 0)),
+    "run_genericity": (run_genericity, (F, CFG, 1)),
+    "merge_trials": (merge_trials, ((genericity_trial(F, CFG, 0),), 1)),
+    "report_to_csv": (report_to_csv, (run_genericity(F, CFG, 1),)),
+    "run_larman": (run_larman, (SQUARE, CFG, 1, ((ONE, HALF),))),
+    "larman_to_csv": (larman_to_csv, (run_larman(SQUARE, CFG, 1),)),
+    "csv_table": (csv_table, (("a", "b"), (("x", ONE), ("y", HALF)))),
+    "construct_degenerate": (construct_degenerate, (ABS,)),
+    "ProblemFile": (ProblemFile, (1, (((ONE,), ZERO),), (((ONE,), ONE),), None, ONE)),
+    "parse_problem": (parse_problem, (serialize(PF),)),
+    "serialize": (serialize, (PF,)),
+}
+# the re-exported callables that are not entry points: the exact number type,
+# the annotations, and the types of the library's own results and errors
+NOT_ENTRY_POINTS = {
+    "Q", "Rat", "Vec", "Mat", "AdversarialReport", "Boundary", "DegenerateCritical", "ExperimentReport",
+    "Inconsistent", "Infeasible", "Interior", "LarmanReport", "Minimizer", "Nondegenerate", "NotCritical",
+    "Optimal", "Outside", "Point", "TrialRecord", "Unbounded", "Underdetermined", "UniqueSolution", "Witness",
+}
+
+
+def _sites(value, path, depth=3):
+    """``path`` to ``value`` and to each entry inside it, down to ``depth``
+    levels of sequences (a vector, a row, a piece's gradient)."""
+    yield path, value
+    if depth and isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            yield from _sites(item, (*path, i), depth - 1)
+
+
+def _mutants(value):
+    """The wrong values for one site; a count is only ever made negative."""
+    out = [True, 1.5, "1", None, object()]
+    if isinstance(value, (tuple, list)) and value:
+        out.append(value[:-1])  # the wrong length
+        if all(isinstance(row, (tuple, list)) and row for row in value):
+            out.append((value[0][:-1], *value[1:]))  # a ragged row
+    if type(value) is int:
+        out.append(-1)
+    return out
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    items = list(value)
+    items[path[0]] = _replaced(items[path[0]], path[1:], new)
+    return tuple(items)
+
+
+def test_the_fuzz_gate_calls_every_entry_point():
+    public = {name: getattr(nondegen, name) for name in dir(nondegen) if not name.startswith("_")}
+    calls = {name for name, obj in public.items() if callable(obj)}
+    errors = {name for name, obj in public.items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert set(VALID_CALLS) == calls - errors - NOT_ENTRY_POINTS
+    for fn, args in VALID_CALLS.values():
+        fn(*args)
+
+
+@given(st.data())
+@settings(derandomize=True, deadline=None, max_examples=500)
+def test_a_mutated_argument_raises_only_a_documented_error(data):
+    """ROADMAP R's gate: with one argument of a valid call, or one entry of
+    a vector or row inside it, made a bool, a float, a string, None, an
+    object of no library type, a ragged row, the wrong length or a negative
+    size, an entry point returns or raises ``ValueError`` or a documented
+    ``NondegenError``, never ``InternalError``, ``TypeError``,
+    ``AttributeError`` or ``IndexError``."""
+    name = data.draw(st.sampled_from(sorted(VALID_CALLS)))
+    fn, args = VALID_CALLS[name]
+    path, value = data.draw(st.sampled_from([s for i, a in enumerate(args) for s in _sites(a, (i,))]))
+    new = data.draw(st.sampled_from(_mutants(value)))
+    try:
+        fn(*_replaced(args, path, new))
+    except InternalError:
+        raise
+    except (ValueError, NondegenError):
+        pass
+
+
 # each dataclass that holds a caller's rows, built from lists and ints, and its
 # twin built from tuples of Fractions
-HALF = Q(1, 2)
 TWINS = {
     "HPolyhedron": (
         lambda: HPolyhedron([[1, 0]], [1], 2), lambda: HPolyhedron(((ONE, ZERO),), (ONE,), 2)

@@ -49,7 +49,7 @@ from nondegen.geometry import (
     ri_membership,
     translate,
 )
-from nondegen.linalg import ONE, Q, ZERO, dot, rank, zeros
+from nondegen.linalg import ONE, Q, ZERO, _integer_point, dot, rank, zeros
 from nondegen.simplex import (
     HPolyhedron,
     Infeasible,
@@ -617,9 +617,9 @@ def test_read_off_rebuilds_the_query_before_any_verdict(z):
     (1, 1, 1): 1 on the zero piece and 1 on each active normal."""
     f = box_indicator(2)
     active = _active_structure(f, qv(1, 1))
-    assert isinstance(_read_off(f, qv(1, 1), active, qv(1, 1, 1)), Nondegenerate)
+    assert isinstance(_read_off(f, qv(1, 1), active, _integer_point(qv(1, 1, 1))), Nondegenerate)
     with pytest.raises(InternalError, match="do not rebuild"):
-        _read_off(f, qv(1, 1), active, z)
+        _read_off(f, qv(1, 1), active, _integer_point(z))
 
 
 # ---------------------------------------------------------------------------

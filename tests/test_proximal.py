@@ -20,6 +20,8 @@ from nondegen.functions import (
     Nondegenerate,
     NotCritical,
     PolyhedralFunction,
+    _active_structure,
+    _read_off,
     certify,
     subdifferential,
 )
@@ -175,18 +177,20 @@ def test_a_stationary_point_certified_not_critical_raises(monkeypatch, name, ins
 
 
 def _corrupting(kind):
-    """``_kkt_solutions`` with one multiplier of every solution changed."""
+    """``_kkt_solutions`` with one integer multiplier of every solution
+    changed by one, that is by ``1 / D``."""
     solutions = proximal._kkt_solutions
 
     def corrupted(f, x_coef, rhs_vec):
-        for x, mu, lam, J, I in solutions(f, x_coef, rhs_vec):
+        for x, Z, D, J, I in solutions(f, x_coef, rhs_vec):
+            Z = list(Z)
             if kind == "mu":
-                mu = (mu[0] + Q(1, 7),) + mu[1:]
-            elif kind == "shift" and len(mu) > 1:  # the sum stays 1
-                mu = (mu[0] + Q(1, 7), mu[1] - Q(1, 7)) + mu[2:]
-            elif kind == "lam" and lam:
-                lam = (lam[0] + Q(1, 7),) + lam[1:]
-            yield x, mu, lam, J, I
+                Z[0] += 1
+            elif kind == "shift" and len(J) > 1:  # the sum stays 1
+                Z[0], Z[1] = Z[0] + 1, Z[1] - 1
+            elif kind == "lam" and I:
+                Z[len(J)] += 1
+            yield x, Z, D, J, I
 
     return corrupted
 
@@ -394,6 +398,13 @@ def test_critical_points_match_certify_on_every_candidate(seed):
             assert got == _critical_points_reference(g, rho, v)
 
 
+def _multipliers(Z, D, jsize):
+    """The integer multipliers ``Z`` over ``D`` of a support with ``jsize``
+    pieces as lists of rationals, ``mu`` then ``lam``."""
+    z = [Q(a, D) for a in Z]
+    return z[:jsize], z[jsize:]
+
+
 @given(st.integers(0, 100_000))
 @settings(deadline=None, max_examples=40)
 def test_reduced_kkt_systems_match_the_full_systems(seed):
@@ -410,8 +421,8 @@ def test_reduced_kkt_systems_match_the_full_systems(seed):
     rho = Q(rng.randint(1, 4), rng.randint(1, 3))
     for x_coef in (Q(1), -rho):
         got = [
-            (list(x), list(mu), list(lam), J, I)
-            for x, mu, lam, J, I in _kkt_solutions(g, x_coef, target)
+            (list(x), *_multipliers(Z, D, len(J)), J, I)
+            for x, Z, D, J, I in _kkt_solutions(g, x_coef, target)
         ]
         expected = [
             (x, mu, lam, J, I)
@@ -503,23 +514,48 @@ def test_kkt_solutions_match_one_solve_linear_per_support(monkeypatch, last_pivo
 
     monkeypatch.setattr(proximal, "_eliminate", recording)
     for g, x_coef, target in _kkt_instances():
-        got = list(_kkt_solutions(g, x_coef, target))
+        solutions = list(_kkt_solutions(g, x_coef, target))
+        assert all(D > 0 for _, _, D, _, _ in solutions)
+        got = [(x, *map(tuple, _multipliers(Z, D, len(J))), J, I) for x, Z, D, J, I in solutions]
         assert repr(got) == repr(_kkt_solutions_by_solve_linear(g, x_coef, target))
     assert seen == {"singular", last_pivot == "as eliminated"}
 
 
 def test_kkt_solutions_share_the_exact_zero_and_one():
-    """Every multiplier and coordinate equal to 0 or 1 is the shared ``ZERO``
-    or ``ONE``, and the instances have both."""
+    """Every coordinate equal to 0 or 1 is the shared ``ZERO`` or ``ONE``,
+    and the instances have both.  The multipliers stay integers; the
+    read-off's test covers the ones a verdict keeps."""
     values = [
-        q
-        for g, x_coef, target in _kkt_instances()
-        for x, mu, lam, _, _ in _kkt_solutions(g, x_coef, target)
-        for q in (*x, *mu, *lam)
+        q for g, x_coef, target in _kkt_instances() for x, *_ in _kkt_solutions(g, x_coef, target) for q in x
     ]
     assert {ZERO, ONE} <= set(values)
     assert all(q is ZERO for q in values if q == 0)
     assert all(q is ONE for q in values if q == 1)
+
+
+def _shares_zero_and_one(verdict):
+    values = (*verdict.witness, *verdict.piece_weights, *verdict.constraint_multipliers)
+    return all(q is ONE for q in values if q == 1) and all(q is ZERO for q in values if q == 0)
+
+
+def test_read_off_verdicts_share_the_exact_zero_and_one(monkeypatch):
+    """At the corner (1, 1) of the box, the query (1, 1) has the multipliers
+    (1, 1, 1).  The read-off's witness is the shared ``ONE`` three times,
+    whether it solved for the multipliers or was given them, and so are the
+    weights and multipliers scattered from it; so are the verdicts that
+    ``find_critical_points`` keeps from its own supports."""
+    f = box_indicator(2)
+    corner = qv(1, 1)
+    active = _active_structure(f, corner)
+    for given in (None, ([1, 1, 1], 1), ([3, 3, 3], 3)):
+        verdict = _read_off(f, corner, active, given)
+        assert verdict.witness == (ONE, ONE, ONE) and all(q is ONE for q in verdict.witness)
+        assert _shares_zero_and_one(verdict)
+    certified = []
+    monkeypatch.setattr(proximal, "certify", lambda g, w, x: certified.append(x) or certify(g, w, x))
+    found = dict(find_critical_points(LowerC2Instance(f, ONE), qv(0, 0)))
+    assert found[corner].witness == (ONE, ONE, ONE) and corner not in certified
+    assert all(_shares_zero_and_one(v) for v in found.values())
 
 
 # the benchmark's prox instances, all at rho = 1/2

@@ -352,7 +352,7 @@ def test_every_perturbed_kernel_read_out_raises_or_is_a_valid_certificate(monkey
     assert min(kinds.values()) >= 5 and len(kinds) == 3, kinds
     # With no rows every dual combination is zero, so a positive cost still fails.
     with pytest.raises(InternalError, match="positive reduced cost"):
-        checked([], [], [Fraction(1)], KernelOptimal((Fraction(0),), Fraction(0), ()))
+        checked(simplex._Program([], 1), [], [Fraction(1)], KernelOptimal((Fraction(0),), Fraction(0), ()))
 
 
 def _unequal_denominator_program(rng):
