@@ -24,8 +24,10 @@ gets a ``what`` naming both sides' commits; a side whose stamp reads
 tree) is named by its directory's name and a short SHA-256 of its ``src/``
 Python files, so that the two sides stay distinguishable.
 
-After every pair, one line per workload and end-to-end metric goes to
-stderr: both medians, the relative change, ``change_wins``, and the verdict
+After every run, one line goes to stderr with the run's op count and,
+untraced, its ``peak_rss_mb``, which follows the op count.  After every
+pair, one line per workload and end-to-end metric goes to stderr: both
+medians, the relative change, ``change_wins``, and the verdict
 that ``perfbench/compare.py`` gives the per-seed values (``regression``,
 ``unresolved``, ``gain`` or ``no worse``) under the metric's ``bound`` in
 ``CHANGE_DIR/BENCHMARK.json``; a ``gain`` reads ``no worse`` until the
@@ -224,8 +226,10 @@ def main(argv=None) -> int:
                 return 1
             data["runs"].append({"side": side, **run})
             result = run["result"]
+            rss = result["metrics"].get("peak_rss_mb")  # a traced run reports per-layer metrics only
+            memory = f" peak_rss_mb {rss['value']:.2f}" if rss else ""
             print(
-                f"{args.workload} seed {seed} {side:<6} ops {result['attempted']} correct {result['correct']}",
+                f"{args.workload} seed {seed} {side:<6} ops {result['attempted']}{memory} correct {result['correct']}",
                 file=sys.stderr,
             )
         if data["what"] is None:

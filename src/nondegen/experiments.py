@@ -142,11 +142,14 @@ def sample_objective(cfg: SamplerConfig, trial_index: int, dim: int) -> Vec:
     return next(_draws(cfg, trial_index, dim))
 
 
+_OUTCOMES = ("nondegenerate", "degenerate", "non_unique", "unbounded")
+
+
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial_index: int
     v: Vec
-    outcome: str  # nondegenerate | degenerate | non_unique | unbounded
+    outcome: str  # one of _OUTCOMES
     minimizer: Optional[Vec]
     min_witness_coeff: Optional[Rat]
 
@@ -197,20 +200,26 @@ def genericity_trial(f: PolyhedralFunction, cfg: SamplerConfig, trial_index: int
 
 def merge_trials(records: Iterable[TrialRecord], seed: int) -> ExperimentReport:
     """Order-independent reduction: sort by trial index, then tally.  A
-    ``records`` that is not iterable, an entry that is not a ``TrialRecord``
-    or repeats a ``trial_index``, or a ``seed`` that :func:`_seed` refuses
-    raises ``ValueError`` naming it."""
+    ``records`` that is not iterable; an entry that is not a ``TrialRecord``,
+    whose ``trial_index`` is not an ``int`` of at least 0 or repeats another's,
+    or whose ``outcome`` is not one of :data:`_OUTCOMES`; or a ``seed`` that
+    :func:`_seed` refuses raises ``ValueError`` naming it."""
     records = _sequence(records, "records", "an iterable of TrialRecords")
     _seed(seed)
+    counts = dict.fromkeys(_OUTCOMES, 0)
     seen = set()
     for i, r in enumerate(records):
-        if _of_type(r, TrialRecord, f"records entry {i}").trial_index in seen:
-            raise ValueError(f"records entry {i} repeats trial_index {r.trial_index}")
-        seen.add(r.trial_index)
-    ordered = tuple(sorted(records, key=lambda r: r.trial_index))
-    counts = {"nondegenerate": 0, "degenerate": 0, "non_unique": 0, "unbounded": 0}
-    for r in ordered:
+        name = f"records entry {i}"
+        t = _of_type(r, TrialRecord, name).trial_index
+        if type(t) is not int or t < 0:
+            raise ValueError(f"{name} trial_index must be an int of at least 0, not {t!r}")
+        if t in seen:
+            raise ValueError(f"{name} repeats trial_index {t}")
+        if r.outcome not in _OUTCOMES:
+            raise ValueError(f"{name} outcome must be one of {', '.join(_OUTCOMES)}, not {r.outcome!r}")
+        seen.add(t)
         counts[r.outcome] += 1
+    ordered = tuple(sorted(records, key=lambda r: r.trial_index))
     return ExperimentReport(
         trials=len(ordered),
         unique_nondegenerate=counts["nondegenerate"],
@@ -241,11 +250,12 @@ def run_genericity(f: PolyhedralFunction, cfg: SamplerConfig, trials: int) -> Ex
 CSV_FIELDS = ("trial_index", "v", "outcome", "minimizer", "min_witness_coeff")
 
 
-def _join_vec(x: Optional[Vec]) -> str:
-    """A vector as one CSV cell: exact rationals joined by ``;``, empty for None."""
+def _join_vec(x: Optional[Vec], name: str = "vector") -> str:
+    """A vector as one CSV cell: exact rationals joined by ``;``, empty for None.
+    An ``x`` that is not iterable is refused by :func:`_iterable` as ``name``."""
     if x is None:
         return ""
-    return ";".join(format_rational(c) for c in x)
+    return ";".join(format_rational(c) for c in _iterable(x, name, "a vector"))
 
 
 def csv_table(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -263,20 +273,25 @@ def csv_table(fields: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def report_to_csv(report: ExperimentReport) -> str:
+    """One :data:`CSV_FIELDS` row per record.  A ``report`` that is not an
+    ``ExperimentReport``, ``records`` that are not iterable, or an entry that is
+    not a ``TrialRecord`` or whose ``v`` or ``minimizer`` is not a vector raises
+    ``ValueError`` naming it."""
     _of_type(report, ExperimentReport, "report", "an")
-    return csv_table(
-        CSV_FIELDS,
-        (
-            [
+
+    def rows():
+        for i, r in enumerate(_iterable(report.records, "records", "an iterable of TrialRecords")):
+            name = f"records entry {i}"
+            _of_type(r, TrialRecord, name)
+            yield [
                 r.trial_index,
-                _join_vec(r.v),
+                _join_vec(r.v, f"{name} v"),
                 r.outcome,
-                _join_vec(r.minimizer),
+                _join_vec(r.minimizer, f"{name} minimizer"),
                 "" if r.min_witness_coeff is None else format_rational(r.min_witness_coeff),
             ]
-            for r in report.records
-        ),
-    )
+
+    return csv_table(CSV_FIELDS, rows())
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +333,9 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
     and ``gcd(d, *X) = 1`` that pair is the point's one exact form, so each
     distinct point is tested against the domain once, by
     :meth:`~nondegen.simplex.HPolyhedron._scan`, and ``Fraction``
-    coordinates are built only for the points inside.
+    coordinates are built only for the points inside.  Each point is handed
+    out through :attr:`~nondegen.functions.PolyhedralFunction._points`, so
+    every enumeration of ``f`` returns the same tuple for the same point.
     """
     n = f.dim
     # a function without pieces has one term and so no ties
@@ -353,9 +370,8 @@ def _candidate_points(f: PolyhedralFunction) -> List[Vec]:
                 visit(M, [*pivots, c], _bareiss_pivot(M, len(rows), c, d), i + 1)
 
     visit([], [], 1, 0)
-    return sorted(
-        tuple(_ratio(x, d) for x in X) for (d, *X), ok in inside.items() if ok
-    )
+    points = (tuple([_ratio(x, d) for x in X]) for (d, *X), ok in inside.items() if ok)
+    return sorted(f._points.setdefault(x, x) for x in points)
 
 
 def construct_degenerate(f: PolyhedralFunction) -> AdversarialReport:

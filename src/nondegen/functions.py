@@ -107,10 +107,21 @@ class PolyhedralFunction:
         return tuple(tuple(flat[i : i + w]) for i in range(0, len(flat), w)), L
 
     @cached_property
-    def _minimizers(self) -> Dict[Vec, Vec]:
-        """Each point that :func:`minimize_perturbed` has returned, keyed by itself: a run
-        of many tilts keeps one tuple per minimizer, not one per tilt.  Each is a basic
-        solution of the epigraph LP, so there are finitely many.  Not a field."""
+    def _points(self) -> Dict[Vec, Vec]:
+        """Each point that :func:`minimize_perturbed` or
+        :func:`~nondegen.experiments._candidate_points` has returned, keyed by itself:
+        many tilts, or many enumerations, keep one tuple per point, not one per call.
+        A minimizer is a basic solution of the epigraph LP and a candidate the point of
+        a subset of finitely many planes, so there are finitely many.  Not a field."""
+        return {}
+
+    @cached_property
+    def _cells(self) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], GeneratedSet]:
+        """The subdifferential :func:`certify` reads at a point, keyed by the point's
+        active pieces and active constraints, which determine it.  Each set keeps its
+        prepared relative-interior program (:attr:`~nondegen.geometry.GeneratedSet._ri_program`),
+        so certifying many tilts at one point prepares it once.  The dict grows only
+        with the cells visited.  Not a field."""
         return {}
 
     @cached_property
@@ -200,7 +211,7 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
         maximize <v, x> - t   s.t.   <c_j, x> - t <= -d_j,   A x <= b.
 
     Returns one exact minimizer (the deterministic solver's choice, the same
-    tuple for the same point: :attr:`PolyhedralFunction._minimizers`), an
+    tuple for the same point: :attr:`PolyhedralFunction._points`), an
     improving ray, or infeasibility (improper ``f``) with a Farkas vector over
     the domain rows: the ``t`` column forces the term rows' multipliers to 0.
     At the checked optimum ``t = f(x)``: the rows give ``t >= f(x)``, and a
@@ -214,7 +225,7 @@ def minimize_perturbed(f: PolyhedralFunction, v: Vec) -> MinimizeOutcome:
     res = solve_lp(LinearProgram((*v, -ONE), f._epigraph))
     if isinstance(res, Optimal):
         x = res.x[:n]
-        x = f._minimizers.setdefault(x, x)
+        x = f._points.setdefault(x, x)
         return Minimizer(x, res.x[n] - dot(v, x))
     if isinstance(res, Unbounded):
         return Unbounded(res.x0[:n], res.ray[:n])
@@ -306,12 +317,18 @@ CertificationResult = NotCritical | DegenerateCritical | Nondegenerate
 
 
 def certify(f: PolyhedralFunction, v: Vec, x_bar: Vec) -> CertificationResult:
-    """Trichotomy of ``v`` against the subdifferential at ``x_bar``."""
+    """Trichotomy of ``v`` against the subdifferential at ``x_bar``, by
+    :func:`~nondegen.geometry.ri_membership`.  The subdifferential is read
+    through :attr:`PolyhedralFunction._cells` by the active set at ``x_bar``,
+    so its relative-interior program is prepared on the first tilt at that
+    cell and later tilts there build only their right-hand side."""
     _of_type(f, PolyhedralFunction, "f")
     v = vec(v, f.dim, "direction dimension")
     x_bar = vec(x_bar, f.dim, "point dimension")
     points, rays, active_pieces, active_cons = _active_structure(f, x_bar)
-    S = GeneratedSet(points, rays, f.dim)
+    S = f._cells.get((active_pieces, active_cons))
+    if S is None:
+        S = f._cells[active_pieces, active_cons] = GeneratedSet(points, rays, f.dim)
     status = ri_membership(S, v)
     if isinstance(status, Outside):
         return NOT_CRITICAL

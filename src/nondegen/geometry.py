@@ -13,6 +13,10 @@ Every program here is built from one lifted system, :func:`_lifted`:
 points.  Membership, pruning and the cone tests solve it as it is
 (:func:`_in_set`), the relative-interior LP adds one column to it, and
 :func:`nondegen.functions._read_off` solves it by integer elimination.
+Only the right-hand side ``(y, 1)`` depends on the query, so a set keeps its
+relative-interior program, prepared once by the LP kernel
+(:attr:`GeneratedSet._ri_program`), and each query builds only its
+right-hand side and objective.
 
 Also here: pruning of redundant generators, the positive-span subspace test,
 and exposed faces of V-polytopes.
@@ -21,13 +25,15 @@ and exposed faces of V-polytopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from .errors import DegeneratePolytopeError, EmptyGeneratedSetError, InternalError
-from .linalg import Mat, ONE, Rat, Vec, ZERO, _of_type, _size, dot, mat, rank, vec, vsub
+from .linalg import Mat, ONE, Rat, Vec, ZERO, _of_type, _size, dot, mat, rank, vec, vsub, zeros
 from .simplex import (
     KernelInfeasible,
     KernelOptimal,
+    _Program,
     solve_standard_form,
 )
 
@@ -45,6 +51,16 @@ class GeneratedSet:
         object.__setattr__(self, "rays", mat(self.rays, self.dim, "ray"))
         if not self.points:
             raise EmptyGeneratedSetError()
+
+    @cached_property
+    def _ri_program(self) -> _Program:
+        """The kernel's program of :func:`ri_membership` on this set: the rows of
+        :func:`_lifted` with the ``t`` column, each row's sum, appended, prepared
+        once by :class:`~nondegen.simplex._Program`.  The rows do not depend on
+        the query.  Kept from the first query; not a field, so ``==``, ``hash``
+        and ``repr`` do not see it."""
+        M, _ = _lifted(self.points, self.rays, zeros(self.dim))
+        return _Program([[*row, sum(row, ZERO)] for row in M], len(self.points) + len(self.rays) + 1)
 
 
 @dataclass(frozen=True)
@@ -197,25 +213,24 @@ def ri_membership(S: GeneratedSet, y: Vec) -> RiStatus:
     checks ``e, f, t >= 0``, so at ``t != 0`` every ``mu = t + e`` and
     ``lam = t + f`` is positive, and it checks the first ``dim`` rows,
     ``sum e_j p_j + sum f_i r_i + t (sum p_j + sum r_i) = y``, which is
-    ``sum mu_j p_j + sum lam_i r_i = y`` regrouped."""
+    ``sum mu_j p_j + sum lam_i r_i = y`` regrouped.
+
+    The program's matrix depends on ``S`` alone and is prepared on the first
+    query (:attr:`GeneratedSet._ri_program`); a query builds ``(y, 1)`` and
+    the objective.  A coefficient whose ``e`` or ``f`` is 0 is ``t`` itself."""
     _of_type(S, GeneratedSet, "S")
     y = vec(y, S.dim, "query dimension")
-    k, l = len(S.points), len(S.rays)
-    M, rhs = _lifted(S.points, S.rays, y)
-    for row in M:
-        row.append(sum(row, ZERO))
-    obj = [ZERO] * (k + l) + [ONE]
-    res = solve_standard_form(M, rhs, obj)
+    P, k = S._ri_program, len(S.points)
+    res = solve_standard_form(P, (*y, ONE), [ZERO] * (P.ncols - 1) + [ONE])
     if isinstance(res, KernelInfeasible):
         return OUTSIDE
     if not isinstance(res, KernelOptimal):
         raise InternalError("bounded auxiliary program reported unbounded")
-    t = res.t[k + l]
+    *coeffs, t = res.t
     if t == 0:
         return BOUNDARY
-    mu = tuple(t + res.t[j] for j in range(k))
-    lam = tuple(t + res.t[k + i] for i in range(l))
-    return Interior(mu, lam)
+    coeffs = tuple([t + e if e else t for e in coeffs])
+    return Interior(coeffs[:k], coeffs[k:])
 
 
 def positive_span_is_subspace(S: GeneratedSet) -> bool:

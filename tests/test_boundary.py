@@ -25,8 +25,10 @@ from nondegen.errors import (
 )
 from nondegen.experiments import (
     CSV_FIELDS,
+    ExperimentReport,
     SamplerConfig,
     SplitMix64,
+    TrialRecord,
     construct_degenerate,
     csv_table,
     genericity_trial,
@@ -316,6 +318,28 @@ REFUSALS.update({
     "merge_trials-repeated-index": (
         lambda: merge_trials([genericity_trial(F, CFG, 0), genericity_trial(F, SamplerConfig(2), 0)], 1),
         "^records entry 1 repeats trial_index 0$",
+    ),
+    # a hand-built record, which ended in a bare TypeError, KeyError or
+    # AttributeError, or was tallied under a negative index
+    "merge_trials-trial_index-list": (
+        lambda: merge_trials([TrialRecord([0], (1,), "nondegenerate", None, None)], 1),
+        r"^records entry 0 trial_index must be an int of at least 0, not \[0\]$",
+    ),
+    "merge_trials-trial_index-negative": (
+        lambda: merge_trials([genericity_trial(F, CFG, 0), TrialRecord(-1, (1,), "unbounded", None, None)], 1),
+        "^records entry 1 trial_index must be an int of at least 0, not -1$",
+    ),
+    "merge_trials-outcome-bogus": (
+        lambda: merge_trials([TrialRecord(0, (1,), "bogus", None, None)], 1),
+        "^records entry 0 outcome must be one of nondegenerate, degenerate, non_unique, unbounded, not 'bogus'$",
+    ),
+    "report_to_csv-entry-None": (
+        lambda: report_to_csv(ExperimentReport(1, 1, 0, 0, 0, 1, (None,))),
+        "^records entry 0 must be a TrialRecord, not NoneType$",
+    ),
+    "report_to_csv-v-int": (
+        lambda: report_to_csv(ExperimentReport(1, 0, 0, 0, 1, 1, (TrialRecord(0, 5, "unbounded", None, None),))),
+        "^records entry 0 v must be a vector, not int$",
     ),
     # the sampler's stream and its readers, which ended in a bare AttributeError,
     # TypeError or csv.Error, or built a report whose seed is None; run_larman

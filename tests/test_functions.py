@@ -38,7 +38,9 @@ from nondegen.functions import (
     _active_structure,
     _read_off,
 )
-from nondegen.experiments import SamplerConfig, genericity_trial, merge_trials, run_genericity, sample_objective
+from nondegen.experiments import (
+    SamplerConfig, _candidate_points, construct_degenerate, genericity_trial, merge_trials, run_genericity, sample_objective
+)
 from nondegen.gallery import abs_function, box, box_indicator, pyramid_indicator, random_polytope
 from nondegen.geometry import (
     Boundary,
@@ -454,6 +456,66 @@ def test_fifty_tilts_prepare_one_program_and_build_one_polyhedron(monkeypatch):
     assert built == {"program": 1, "polyhedron": 1}
     assert all(isinstance(minimize_perturbed(f, v), Minimizer) for v in tilts[1:])
     assert built == {"program": 1, "polyhedron": 1}
+
+
+class _CountingProgram(simplex._Program):
+    """A ``_Program`` that counts its builds in ``built``."""
+
+    built = 0
+
+    def __init__(self, *args):
+        _CountingProgram.built += 1
+        super().__init__(*args)
+
+
+def test_fifty_queries_and_fifty_tilts_prepare_one_relative_interior_program(monkeypatch):
+    """50 ``ri_membership`` queries on one ``GeneratedSet`` prepare one
+    program, on the first query; so do 50 ``certify`` tilts at one vertex,
+    whose cell :attr:`PolyhedralFunction._cells` keeps."""
+    monkeypatch.setattr(simplex, "_Program", _CountingProgram)
+    monkeypatch.setattr(geometry, "_Program", _CountingProgram)
+    monkeypatch.setattr(_CountingProgram, "built", 0)
+    cfg = SamplerConfig(seed=9)
+    S = GeneratedSet((qv(0, 0), qv(1, 0)), (qv(0, 1), qv(1, 1)), 2)
+    statuses = Counter(type(ri_membership(S, sample_objective(cfg, i, 2))).__name__ for i in range(50))
+    assert _CountingProgram.built == 1 and len(statuses) == 2, statuses
+    f, apex = pyramid_indicator(), qv(0, 0, 1)
+    verdicts = Counter(type(certify(f, sample_objective(cfg, i, 3), apex)).__name__ for i in range(50))
+    assert _CountingProgram.built == 2 and len(f._cells) == 1 and len(verdicts) == 2, verdicts
+
+
+def test_a_reused_function_gives_the_verdicts_and_reports_of_fresh_copies():
+    """No state crosses the tilts of one cell: ``certify`` on one function,
+    whose cells and their programs are kept, gives verdicts repr-identical to
+    those on fresh copies, at every candidate point, on tilts of all three
+    kinds; and ``construct_degenerate`` of the reused function gives the fresh
+    copy's report, whose points are the same tuples from one call to the
+    next."""
+    cfg = SamplerConfig(seed=11, bits=8)
+    for name, build in GENERICITY_FUNCTIONS.items():
+        f = build()
+        kinds = Counter()
+        for k, x in enumerate(_candidate_points(f)):
+            gens = [g for part in _active_structure(f, x)[:2] for g in part]
+            total = tuple(map(sum, zip(*gens)))
+            drawn = [sample_objective(cfg, 10 * k + i, f.dim) for i in range(3)]
+            for v in (*gens, *(tuple(3 * a for a in g) for g in gens), total, tuple(-a for a in total), *drawn):
+                got = certify(f, v, x)
+                assert repr(got) == repr(certify(_fresh(f), v, x)), (name, x, v)
+                kinds[type(got).__name__] += 1
+        assert len(kinds) == 3, (name, kinds)
+        first, again = construct_degenerate(f), construct_degenerate(f)
+        assert repr(first) == repr(again) == repr(construct_degenerate(_fresh(f))), name
+        assert all(a is b for (_, a), (_, b) in zip(first.pairs, again.pairs)), name
+
+
+def test_a_generated_set_keeps_eq_hash_and_repr_after_its_program_is_built():
+    """:attr:`GeneratedSet._ri_program` is a cached property, not a field."""
+    S, T = (GeneratedSet((qv(0, 0), qv(1, 0)), (qv(0, 1),), 2) for _ in range(2))
+    before = (repr(S), hash(S))
+    assert isinstance(ri_membership(S, qv("1/2", 1)), Interior)
+    assert "_ri_program" in vars(S) and "_ri_program" not in vars(T)
+    assert S == T and (repr(S), hash(S)) == before == (repr(T), hash(T))
 
 
 def test_minimize_tilted_abs():

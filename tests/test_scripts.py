@@ -5,6 +5,7 @@ own."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,20 @@ def test_bench_pairs_stops_at_a_run_whose_output_check_failed(fake_checkout, tmp
     assert cell["change_wins"] == "0/1"
 
 
+def test_bench_pairs_prints_each_runs_op_count_beside_its_peak_rss(fake_checkout, tmp_path, capsys):
+    """``peak_rss_mb`` follows the op count, so each run's line shows both; a
+    traced run, which reports per-layer metrics only, shows the op count."""
+    out = tmp_path / "bench.json"
+    argv = [str(fake_checkout)] * 2 + ["--workload", "genericity", "--seeds", "2", "--out", str(out)]
+    bench = load("bench_pairs")
+    assert bench.main(argv) == 0
+    assert "genericity seed 2 parent ops 1 peak_rss_mb 2.00 correct True" in capsys.readouterr().err.splitlines()
+    run = fake_checkout / "perfbench" / "run.py"
+    run.write_text(FAKE_RUN.replace("for n in names}", 'for n in names if n != "peak_rss_mb"}'))
+    assert bench.main(argv[:-4] + ["--seeds", "3", "--trace", "1", "--out", str(out), "--append"]) == 0
+    assert "genericity seed 3 change ops 1 correct True" in capsys.readouterr().err.splitlines()
+
+
 def test_bench_pairs_flags_a_metric_worse_than_its_bound(fake_checkout, tmp_path, capsys):
     """A change whose ``peak_rss_mb`` is 11% higher than the parent's is a
     ``regression`` against the 0.1 bound, in the words of
@@ -289,6 +304,42 @@ def test_bench_pairs_refuses_an_unknown_workload_before_any_run(tmp_path, capsys
     assert "invalid choice: 'genricity'" in err and "Traceback" not in err
     assert not out.exists() and not (checkout / "ran").exists()
     assert bench.main(argv + ["--workload", "prox"]) == 0 and (checkout / "ran").exists()
+
+
+# one cycle of each workload at seed 3, digested by op_digest.py at the commit
+# before cells and points were kept per function; a change that keeps every
+# op output repr-identical keeps these
+OP_DIGESTS = {
+    "adversarial": (106, "1b11cd4eb7a87e7eaa0299b8f4c8358c1170b31bf6ed541e373ad38790d3e834"),
+    "genericity": (9, "b900b945c51b5735cc4129ffcca2f8ef851172a620c0dd33fce8b1266e76cb79"),
+    "prox": (14, "a0c3f20fdcc4cada7db3c944a2bbc4e97b5ead33202859cc6211367c4954de3b"),
+}
+
+
+def test_op_digest_prints_the_pinned_digest_of_one_cycle_per_workload():
+    """``scripts/op_digest.py`` over one cycle of every workload at seed 3:
+    the pinned digests, each followed by its retained-bytes line."""
+    done = python(SCRIPTS / "op_digest.py", "--seeds", "3", "--cycles", "1", "--retain-ops", "1", cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0::2] == [
+        f"{name} seed 3: 1 cycles, {ops} ops, sha256 {digest}" for name, (ops, digest) in OP_DIGESTS.items()
+    ]
+    assert [line.split(":")[0] for line in lines[1::2]] == [f"{name} seed 3" for name in OP_DIGESTS]
+    for line, (ops, _) in zip(lines[1::2], OP_DIGESTS.values()):
+        assert re.fullmatch(rf".*: retained -?[0-9]+ B/op over {ops} ops \(tracemalloc\)", line), line
+
+
+def test_op_digest_refuses_an_unknown_workload_before_any_run(capsys):
+    """A misspelt ``--workload``, even after a valid one, exits 2 before any
+    workload is set up."""
+    script = load("op_digest")
+    script.set_up = None  # a run would call it and fail with a TypeError
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--workload", "prox", "--workload", "genricity", "--retain-ops", "0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "invalid choice: 'genricity'" in out.err and "Traceback" not in out.err and out.out == ""
 
 
 @pytest.mark.parametrize("seeds", ["", "3-1", "a-b", "-1", "1-2-3"])

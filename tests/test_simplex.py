@@ -24,8 +24,8 @@ from nondegen import (
 )
 from nondegen import geometry, ri_membership, simplex
 from nondegen.errors import InternalError
-from nondegen.experiments import SamplerConfig, sample_objective
-from nondegen.functions import Minimizer, PolyhedralFunction, minimize_perturbed
+from nondegen.experiments import SamplerConfig, _candidate_points, sample_objective
+from nondegen.functions import Minimizer, PolyhedralFunction, _active_structure, certify, minimize_perturbed
 from nondegen.gallery import box, box_indicator, pyramid, pyramid_indicator, random_polytope
 from nondegen.linalg import ONE, ZERO, _MINUS_ONE, dot
 from nondegen.simplex import KernelInfeasible, KernelOptimal, KernelUnbounded, solve_standard_form
@@ -623,3 +623,58 @@ def test_a_corrupted_checker_row_of_a_cached_epigraph_raises_or_is_right(name):
         else:
             assert _minimizer_holds(f, v, got, value[v]), (kind, v, got)
     assert raised["rows"] and raised["cols"], raised
+
+
+def _cell_point(f):
+    """The candidate point of ``f`` with the most active generators, and tilts
+    there: in the relative interior (their sum, and the first point moved half
+    way to it), outside (minus the sum, and the first point moved away from
+    it) and each generator, on the relative boundary."""
+    x = max(_candidate_points(f), key=lambda x: sum(map(len, _active_structure(f, x)[:2])))
+    gens = [g for part in _active_structure(f, x)[:2] for g in part]
+    total = tuple(map(sum, zip(*gens)))
+    inside = tuple((a + b) / 2 for a, b in zip(gens[0], total))
+    away = tuple(2 * a - b for a, b in zip(gens[0], total))
+    return x, [total, inside, tuple(-a for a in total), away, *gens]
+
+
+CELLS = {
+    "abs": EPIGRAPHS["abs"],
+    "pyramid": pyramid_indicator,
+    "random101": EPIGRAPHS["random101"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_a_corrupted_entry_of_a_cached_cell_program_raises_or_is_right(name):
+    """One entry of ``K``, one ``kappa``, or one entry of the checker's rows or
+    columns, of the relative-interior program that a function's cell keeps
+    (:attr:`~nondegen.geometry.GeneratedSet._ri_program`) is changed after the
+    cell's first ``certify``.  The next tilt at that point raises one of the
+    kernel's checks or returns the verdict that an untouched copy returns, on
+    tilts that are Nondegenerate, NotCritical and DegenerateCritical there.
+    Some changes of each kind raise, so the kept program is the one read."""
+    f = CELLS[name]()
+    x, tilts = _cell_point(f)
+    want = {v: repr(certify(replace(f), v, x)) for v in tilts}
+    assert {w.split("(")[0] for w in want.values()} == {"Nondegenerate", "NotCritical", "DegenerateCritical"}
+    certify(f, tilts[0], x)
+    (P,) = (S._ri_program for S in f._cells.values())
+    raised = Counter()
+    for kind in ("K", "kappa", "rows", "cols"):
+        entries = [(0, j) for j in range(P.ncols)] if kind == "kappa" else [
+            (i, j) for i in range(len(P.K)) for j in range(P.ncols)
+        ]
+        for i, j in entries:
+            for v in tilts[1:]:
+                g = replace(f)
+                certify(g, tilts[0], x)
+                _change(g._cells[_active_structure(g, x)[2:]]._ri_program, kind, i, j)
+                try:
+                    got = certify(g, v, x)
+                except InternalError as e:
+                    assert str(e) in KERNEL_CHECKS, e
+                    raised[kind] += 1
+                else:
+                    assert repr(got) == want[v], (kind, i, j, v)
+    assert set(raised) == {"K", "kappa", "rows", "cols"}, raised
